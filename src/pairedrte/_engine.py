@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "event_grid",
     "survival_left",
+    "greenwood_increments",
     "theta_from_counts",
     "sigma2_from_counts",
     "sigma2_cif_from_counts",
@@ -60,6 +61,23 @@ def _hazard_increments(Y, dN1, dN2, dN3):
     return dA1, dA2, dA3, dA1 + dA2 + dA3
 
 
+def greenwood_increments(Y, dN1, dN2, dN3, n: int):
+    """Greenwood-type variance and covariance increments of the hazard estimators.
+
+    Returns ``(var, cov, var_all)``: ``var`` holds ``n dN_j (Y - dN_j) / Y^3``
+    for causes 1, 2, 3, ``cov`` holds ``-n dN_j dN_l / Y^3`` for the cause
+    pairs (1, 2), (1, 3), (2, 3), and ``var_all`` is the all-cause variance
+    increment. Cells with ``Y == 0`` contribute zero.
+    """
+    Y = np.asarray(Y, dtype=float)
+    inv3 = np.where(Y > 0, n / np.where(Y > 0, Y, 1.0) ** 3, 0.0)
+    dN = (dN1, dN2, dN3)
+    var = tuple(d * (Y - d) * inv3 for d in dN)
+    cov = tuple(-dN[j] * dN[l] * inv3 for j, l in ((0, 1), (0, 2), (1, 2)))
+    dN_dot = dN1 + dN2 + dN3
+    return var, cov, dN_dot * (Y - dN_dot) * inv3
+
+
 def theta_from_counts(Y, dN1, dN2, dN3) -> np.ndarray:
     """Relative treatment effect estimate from counting-process arrays."""
     _, dA2, dA3, dA_dot = _hazard_increments(Y, dN1, dN2, dN3)
@@ -87,14 +105,7 @@ def sigma2_from_counts(Y, dN1, dN2, dN3, n: int) -> np.ndarray:
     s_left = survival_left(dA_dot)
     dB = dA2 + 0.5 * dA3
 
-    inv3 = np.where(Y > 0, n / np.where(Y > 0, Y, 1.0) ** 3, 0.0)
-    ds2_2 = dN2 * (Y - dN2) * inv3
-    ds2_3 = dN3 * (Y - dN3) * inv3
-    dc12 = -dN1 * dN2 * inv3
-    dc13 = -dN1 * dN3 * inv3
-    dc23 = -dN2 * dN3 * inv3
-    dN_dot = dN1 + dN2 + dN3
-    ds2_dot = dN_dot * (Y - dN_dot) * inv3
+    (_, ds2_2, ds2_3), (dc12, dc13, dc23), ds2_dot = greenwood_increments(Y, dN1, dN2, dN3, n)
 
     # 1 - dA. == 0 only at the final grid point; its increment never feeds the
     # exclusive inner sums, so masking it changes nothing beyond avoiding 0/0.

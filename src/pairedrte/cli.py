@@ -22,6 +22,7 @@ from .errors import (
 from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
+    _has_event_censoring_tie,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
@@ -131,13 +132,15 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
            "b": b, "seed": seed, "groups": []}
     degenerate = False
     for label, group_obs in partitions:
+        data_plain = None
         if ready is not None:
             data = ready
-            data_plain = None
         else:
             data = _guard(prepare_dataset, group_obs, tau,
                           jitter=None if no_jitter else "auto", seed=seed)
-            data_plain = _guard(prepare_dataset, group_obs, tau, jitter=None, seed=seed)
+            # a jitter-free copy can differ only where auto jitter fired
+            if not no_jitter and _has_event_censoring_tie(group_obs):
+                data_plain = _guard(prepare_dataset, group_obs, tau, jitter=None, seed=seed)
         est = _guard(estimate_rte, data)
         entry = {
             "group": label,
@@ -223,12 +226,7 @@ def transform(input_path, tau, seed, no_jitter, output):
         write_competing_csv(output, data)
         click.echo(summary)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["z", "epsilon"])
-        for z, e in zip(data.z, data.epsilon):
-            writer.writerow([repr(float(z)), int(e)])
-        click.echo(buf.getvalue().rstrip("\n"))
+        write_competing_csv(sys.stdout, data)
         click.echo(summary, err=True)
 
 

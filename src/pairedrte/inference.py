@@ -9,12 +9,13 @@ all support an optional log-log transformation whose intervals stay inside
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _engine
 from .errors import (
@@ -34,6 +35,7 @@ __all__ = [
     "bootstrap_distribution",
     "randomize_labels",
     "randomization_distribution",
+    "resample_distribution",
     "test_and_ci",
     "run_inference",
 ]
@@ -45,6 +47,8 @@ TRANSFORMS = ("linear", "loglog")
 # Replicates are generated in fixed-size chunks with chunk-derived RNG
 # streams, so results do not depend on the worker count.
 _CHUNK = 512
+
+_NORMAL = NormalDist()
 
 
 def _seed_entropy(seed) -> list[int]:
@@ -184,17 +188,17 @@ def _transform_funcs(transform: str):
     )
 
 
-def _observed_statistic(est: RteEstimate, transform: str) -> float:
-    if transform == "loglog" and not 0.0 < est.theta_hat < 1.0:
-        raise ThetaOutOfDomain(
-            f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}"
-        )
-    if est.sigma2_hat <= 0:
-        raise DegenerateVariance(
-            "variance estimate is zero; too few events to studentize"
-        )
-    psi, dpsi, _ = _transform_funcs(transform)
-    return float((psi(est.theta_hat) - psi(0.5)) / (dpsi(est.theta_hat) * est.se))
+def _normal_sf(x: float) -> float:
+    """Standard normal upper tail; erfc keeps the far tail accurate."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _normal_pvalue(t_obs: float, sided: str) -> float:
+    if sided == "right":
+        return _normal_sf(t_obs)
+    if sided == "left":
+        return _normal_sf(-t_obs)
+    return 2.0 * _normal_sf(abs(t_obs))
 
 
 def asymptotic_test(est: RteEstimate, cfg: InferenceConfig) -> InferenceReport:
@@ -327,40 +331,47 @@ def test_and_ci(
     interpolation between order statistics). Interval endpoints invert the
     studentized statistic on the transform scale and are mapped back, so the
     rejection decision and the interval are exact duals by construction.
+    ``cfg.studentize=False`` is the linear case with ``se = 1/sqrt(n)``
+    against the bootstrap's ``W* = sqrt(n)(theta* - theta_hat)``.
     """
-    if not cfg.studentize:
-        return _test_and_ci_unstudentized(est, dist, cfg)
-    t_obs = _observed_statistic(est, cfg.transform)
     psi, dpsi, psi_inv = _transform_funcs(cfg.transform)
-    se = est.se
+    if cfg.studentize:
+        if cfg.transform == "loglog" and not 0.0 < est.theta_hat < 1.0:
+            raise ThetaOutOfDomain(
+                f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}"
+            )
+        if est.sigma2_hat <= 0:
+            raise DegenerateVariance(
+                "variance estimate is zero; too few events to studentize"
+            )
+        se = est.se
+    else:
+        if dist is None or dist.wstar is None:
+            raise ValidationError("unstudentized inference needs a bootstrap distribution")
+        se = 1.0 / math.sqrt(est.n)
+    t_obs = float((psi(est.theta_hat) - psi(0.5)) / (dpsi(est.theta_hat) * se))
     alpha = cfg.alpha
 
     if dist is None:
-        quantile = norm.ppf
-        b_eff = None
-        skipped = 0
-
-        def pvalue(sided):
-            if sided == "right":
-                return float(norm.sf(t_obs))
-            if sided == "left":
-                return float(norm.cdf(t_obs))
-            return float(2.0 * norm.sf(abs(t_obs)))
-
+        method, b_eff, seed, skipped = "asymptotic", None, None, 0
+        quantile = _NORMAL.inv_cdf
+        p_value = _normal_pvalue(t_obs, cfg.sided)
     else:
-        values, excluded = dist.statistics(cfg.transform)
+        if cfg.studentize:
+            values, excluded = dist.statistics(cfg.transform)
+            method, skipped = cfg.method, dist.skipped + excluded
+        else:
+            values, method, skipped = dist.wstar, "bootstrap-unstudentized", 0
         if len(values) < 20:
             raise InsufficientReplicates(
                 f"{len(values)} usable replicates; need at least 20 for quantiles"
             )
-        skipped = dist.skipped + excluded
-        b_eff = dist.b_requested
+        b_eff, seed = dist.b_requested, cfg.seed
 
         def quantile(q):
             return float(np.quantile(values, q))
 
-        def pvalue(sided):
-            return _resample_pvalue(values, t_obs, sided)
+        p_value = _resample_pvalue(values, t_obs, cfg.sided)
 
     def endpoint(c):
         raw = psi_inv(psi(est.theta_hat) - dpsi(est.theta_hat) * se * c)
@@ -380,9 +391,8 @@ def test_and_ci(
         ci_lower, ci_upper = min(lo, hi), max(lo, hi)
         critical = (c_lo, c_hi)
 
-    reject = not (ci_lower <= 0.5 <= ci_upper)
     return InferenceReport(
-        method=cfg.method if dist is not None else "asymptotic",
+        method=method,
         transform=cfg.transform,
         sided=cfg.sided,
         alpha=alpha,
@@ -392,68 +402,23 @@ def test_and_ci(
         sigma_hat=float(np.sqrt(est.sigma2_hat)),
         statistic=t_obs,
         critical_values=critical,
-        p_value=pvalue(cfg.sided),
+        p_value=p_value,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
-        reject=reject,
+        reject=not (ci_lower <= 0.5 <= ci_upper),
         b=b_eff,
-        seed=cfg.seed if dist is not None else None,
+        seed=seed,
         skipped=skipped,
     )
 
 
-def _test_and_ci_unstudentized(
-    est: RteEstimate, dist: ResampleDistribution | None, cfg: InferenceConfig
-) -> InferenceReport:
-    """Bootstrap test and interval from the unstudentized ``W* = sqrt(n)(theta* - theta_hat)``."""
-    if dist is None or dist.wstar is None:
-        raise ValidationError("unstudentized inference needs a bootstrap distribution")
-    values = dist.wstar
-    if len(values) < 20:
-        raise InsufficientReplicates(
-            f"{len(values)} replicates; need at least 20 for quantiles"
-        )
-    root_n = float(np.sqrt(est.n))
-    w_obs = root_n * (est.theta_hat - 0.5)
-
-    def quantile(q):
-        return float(np.quantile(values, q))
-
-    def endpoint(c):
-        return float(min(max(est.theta_hat - c / root_n, 0.0), 1.0))
-
-    alpha = cfg.alpha
-    if cfg.sided == "right":
-        c_hi = quantile(1.0 - alpha)
-        ci_lower, ci_upper = endpoint(c_hi), 1.0
-        critical = (c_hi,)
-    elif cfg.sided == "left":
-        c_lo = quantile(alpha)
-        ci_lower, ci_upper = 0.0, endpoint(c_lo)
-        critical = (c_lo,)
-    else:
-        c_lo, c_hi = quantile(alpha / 2.0), quantile(1.0 - alpha / 2.0)
-        ci_lower, ci_upper = endpoint(c_hi), endpoint(c_lo)
-        critical = (c_lo, c_hi)
-    return InferenceReport(
-        method="bootstrap-unstudentized",
-        transform=cfg.transform,
-        sided=cfg.sided,
-        alpha=alpha,
-        n=est.n,
-        tau=est.tau,
-        theta_hat=est.theta_hat,
-        sigma_hat=float(np.sqrt(est.sigma2_hat)),
-        statistic=w_obs,
-        critical_values=critical,
-        p_value=_resample_pvalue(values, w_obs, cfg.sided),
-        ci_lower=ci_lower,
-        ci_upper=ci_upper,
-        reject=not (ci_lower <= 0.5 <= ci_upper),
-        b=dist.b_requested,
-        seed=cfg.seed,
-        skipped=0,
-    )
+def resample_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution | None:
+    """The replicate distribution ``cfg.method`` tests against; ``None`` for the normal limit."""
+    if cfg.method == "asymptotic":
+        return None
+    if cfg.method == "bootstrap":
+        return bootstrap_distribution(data, cfg)
+    return randomization_distribution(data, cfg)
 
 
 def run_inference(
@@ -477,24 +442,10 @@ def run_inference(
         est = estimate_rte(data)
     reports = []
     for method in methods:
-        cfg0 = InferenceConfig(
+        cfg = InferenceConfig(
             method=method, sided=sided, alpha=alpha, b=b, seed=seed, workers=workers
         )
-        if method == "asymptotic":
-            dist = None
-        elif method == "bootstrap":
-            dist = bootstrap_distribution(data, cfg0)
-        else:
-            dist = randomization_distribution(data, cfg0)
+        dist = resample_distribution(data, cfg)
         for transform in transforms:
-            cfg = InferenceConfig(
-                method=method,
-                sided=sided,
-                alpha=alpha,
-                transform=transform,
-                b=b,
-                seed=seed,
-                workers=workers,
-            )
-            reports.append(test_and_ci(est, dist, cfg))
+            reports.append(test_and_ci(est, dist, replace(cfg, transform=transform)))
     return reports

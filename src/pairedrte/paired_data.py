@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -333,10 +334,13 @@ def read_competing_csv(path, tau: float) -> Dataset:
     return Dataset(z=np.array(zs), epsilon=np.array(eps), tau=tau)
 
 
-def write_competing_csv(path, dataset: Dataset) -> None:
-    """Write a competing-risks sample as ``z,epsilon`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "epsilon"])
-        for z, e in zip(dataset.z, dataset.epsilon):
-            writer.writerow([repr(float(z)), int(e)])
+def write_competing_csv(target, dataset: Dataset) -> None:
+    """Write a competing-risks sample as ``z,epsilon`` rows to a path or an open text stream."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            write_competing_csv(fh, dataset)
+        return
+    writer = csv.writer(target)
+    writer.writerow(["z", "epsilon"])
+    for z, e in zip(dataset.z, dataset.epsilon):
+        writer.writerow([repr(float(z)), int(e)])

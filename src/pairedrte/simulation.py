@@ -28,12 +28,7 @@ from .errors import (
     ScenarioError,
 )
 from .estimators import estimate_rte
-from .inference import (
-    InferenceConfig,
-    bootstrap_distribution,
-    randomization_distribution,
-    test_and_ci,
-)
+from .inference import InferenceConfig, resample_distribution, test_and_ci
 from .paired_data import PairedObservation, prepare_dataset
 
 __all__ = [
@@ -505,19 +500,13 @@ def run_size_experiment(
                 warnings.simplefilter("ignore", DegenerateRiskWarning)
                 est = estimate_rte(data)
             for method in methods:
-                cfg0 = InferenceConfig(
+                cfg = InferenceConfig(
                     method=method, sided=sided, alpha=alpha, b=b,
                     seed=(seed, rep), workers=workers,
                 )
-                if method == "asymptotic":
-                    dist = None
-                elif method == "bootstrap":
-                    dist = bootstrap_distribution(data, cfg0)
-                else:
-                    dist = randomization_distribution(data, cfg0)
+                dist = resample_distribution(data, cfg)
                 for transform in transforms:
-                    cfg = replace(cfg0, transform=transform)
-                    report = test_and_ci(est, dist, cfg)
+                    report = test_and_ci(est, dist, replace(cfg, transform=transform))
                     if report.reject:
                         rejections[(method, transform)] += 1
         except PairedRteError:

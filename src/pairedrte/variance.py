@@ -55,21 +55,16 @@ def greenwood_curves(cp: CountingProcesses) -> VarianceCurves:
     tie-free data since they need two event types at the same time.
     """
     y = cp.at_risk
-    n = cp.n
-    inv3 = n / y**3
     times = cp.event_times
 
     def curve(increments):
         return StepCurve(times=times, values=np.cumsum(increments), initial=0.0)
 
-    sigma2 = {j: curve(cp.dn_cause(j) * (y - cp.dn_cause(j)) * inv3) for j in (1, 2, 3)}
-    sigma_cross = {
-        (j, l): curve(-cp.dn_cause(j) * cp.dn_cause(l) * inv3)
-        for j, l in ((1, 2), (1, 3), (2, 3))
-    }
-    dn_dot = cp.dn_total
-    sigma2_all = curve(dn_dot * (y - dn_dot) * inv3)
-    a_all = curve(dn_dot / y)
+    var, cov, var_all = _engine.greenwood_increments(y, *cp.dn, cp.n)
+    sigma2 = {j: curve(var[j - 1]) for j in (1, 2, 3)}
+    sigma_cross = {pair: curve(c) for pair, c in zip(((1, 2), (1, 3), (2, 3)), cov)}
+    sigma2_all = curve(var_all)
+    a_all = curve(cp.dn_total / y)
     return VarianceCurves(
         sigma2=sigma2, sigma_cross=sigma_cross, sigma2_all=sigma2_all, a_all=a_all, cp=cp
     )

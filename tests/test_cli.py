@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from pairedrte import estimate_rte, read_competing_csv, read_paired_csv, prepare_dataset
+from pairedrte import cli
 from pairedrte.cli import EXIT_DEGENERATE, EXIT_PARSE, EXIT_VALIDATION, main
 
 DATA = resources.files("pairedrte").joinpath("datasets")
@@ -75,8 +76,52 @@ class TestAnalyze:
         b = runner.invoke(main, args)
         assert a.output == b.output
 
+    def test_jitter_free_copy_only_when_jitter_can_fire(self, runner, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("jitter"))
+            return prepare_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "prepare_dataset", counted)
+        base = ["analyze", "--method", "asy", "--format", "json"]
+        tie_free = base + ["--input", str(DATA / "example1_table2.csv"), "--tau", "100"]
+        outputs = {}
+        for extra in ([], ["--no-jitter"]):
+            calls.clear()
+            res = invoke(runner, *tie_free, *extra)
+            assert res.exit_code == 0, res.output
+            assert len(calls) == 1
+            outputs[bool(extra)] = res.output
+        # jitter cannot fire on a tie-free input, so the flag changes nothing
+        assert outputs[False] == outputs[True]
+        doc = json.loads(outputs[False])
+        assert "theta_hat_unjittered" not in doc["groups"][0]
+        assert doc["groups"][0]["theta_hat"] == 0.75
+
+        calls.clear()
+        res = invoke(runner, *base, "--input", str(DATA / "diabetic.csv"), "--tau", "60",
+                     "--group-by", "--no-jitter")
+        assert res.exit_code == 0, res.output
+        assert calls == [None, None]
+        obs = read_paired_csv(str(DATA / "diabetic.csv"))
+        for entry in json.loads(res.output)["groups"]:
+            assert "theta_hat_unjittered" not in entry
+            group = [o for o in obs if o.group == entry["group"]]
+            plain = estimate_rte(prepare_dataset(group, 60.0, jitter=None))
+            assert entry["theta_hat"] == plain.theta_hat
+
 
 class TestTransform:
+    def test_stdout_matches_written_file(self, runner, tmp_path):
+        out = tmp_path / "cr.csv"
+        args = ["transform", "--input", str(DATA / "diabetic.csv"), "--tau", "60"]
+        to_file = invoke(runner, *args, "--output", str(out))
+        to_stdout = invoke(runner, *args)
+        assert to_file.exit_code == to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == out.read_bytes()
+        assert to_stdout.stdout_bytes.startswith(b"z,epsilon\r\n")
+
     def test_roundtrip_theta_identical(self, runner, tmp_path):
         out = tmp_path / "cr.csv"
         res = invoke(

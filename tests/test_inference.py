@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
+
+import pairedrte
 
 from pairedrte import (
     Dataset,
@@ -18,6 +26,7 @@ from pairedrte import (
     randomize_labels,
     test_and_ci as make_report,
 )
+from pairedrte.inference import resample_distribution
 from pairedrte import _engine
 from pairedrte.estimators import counting_processes
 
@@ -87,6 +96,50 @@ class TestAsymptoticTest:
             1.0 / (th * np.log(th)) * est.se
         )
         assert rep.statistic == pytest.approx(expected, rel=1e-12)
+
+
+class TestNormalRoute:
+    def test_far_tail_pvalue_matches_reference(self, est):
+        # |t| = 9: the p-value is about 1e-19, not the 0 of 1 - cdf
+        far = replace(est, theta_hat=0.5 + 9.0 * est.se)
+        for sided, t_sign in (("right", 1.0), ("left", -1.0), ("two", 1.0)):
+            e = far if t_sign > 0 else replace(est, theta_hat=0.5 - 9.0 * est.se)
+            rep = asymptotic_test(e, InferenceConfig(method="asymptotic", sided=sided))
+            assert abs(rep.statistic) == pytest.approx(9.0, rel=1e-12)
+            ref = norm.sf(abs(rep.statistic)) * (2.0 if sided == "two" else 1.0)
+            assert rep.p_value > 0.0
+            assert rep.p_value == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("level", [0.005, 0.025, 0.05, 0.1])
+    def test_critical_values_match_reference(self, est, level):
+        right = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="right",
+                                                     alpha=level))
+        left = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="left",
+                                                    alpha=level))
+        two = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="two",
+                                                   alpha=2 * level))
+        for got, q in ((right.critical_values[0], 1 - level), (left.critical_values[0], level),
+                       (two.critical_values[0], level), (two.critical_values[1], 1 - level)):
+            ref = norm.ppf(q)
+            assert abs(got - ref) <= 4 * np.spacing(abs(ref)), (q, got, ref)
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(pairedrte.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = "import sys, pairedrte, pairedrte.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_resample_distribution_dispatch(self, sample):
+        assert resample_distribution(sample, InferenceConfig(method="asymptotic")) is None
+        for method, direct in (("bootstrap", bootstrap_distribution),
+                               ("randomization", randomization_distribution)):
+            cfg = InferenceConfig(method=method, b=60, seed=4)
+            dist = resample_distribution(sample, cfg)
+            assert dist.kind == method
+            np.testing.assert_array_equal(dist.thetas, direct(sample, cfg).thetas)
 
 
 class TestBootstrapDistribution:
@@ -260,6 +313,13 @@ class TestReportConstruction:
         assert rep.statistic == pytest.approx(np.sqrt(est.n) * (est.theta_hat - 0.5))
         lo = est.theta_hat - np.quantile(dist.wstar, 0.975) / np.sqrt(est.n)
         assert rep.ci_lower == pytest.approx(max(lo, 0.0), abs=1e-12)
+        assert rep.skipped == 0
+        assert rep.b == 400
+        with pytest.raises(ValidationError):
+            make_report(est, None, cfg)
+        with pytest.raises(ValidationError):
+            make_report(est, randomization_distribution(sample, replace(cfg, method="randomization",
+                                                                        studentize=True)), cfg)
         with pytest.raises(ValidationError):
             InferenceConfig(method="randomization", studentize=False)
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import naive_sigma2
 
+from pairedrte import _engine
 from pairedrte import (
     Dataset,
     DegenerateVariance,
@@ -69,6 +70,26 @@ class TestGreenwoodCurves:
                 c.at(t) for c in curves.sigma_cross.values()
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+    def test_increments_shared_with_engine(self):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            cp = counting_processes(random_dataset(rng, max_events=6))
+            curves = greenwood_curves(cp)
+            var, cov, var_all = _engine.greenwood_increments(cp.at_risk, *cp.dn, cp.n)
+            for j in (1, 2, 3):
+                np.testing.assert_array_equal(curves.sigma2[j].values, np.cumsum(var[j - 1]))
+            np.testing.assert_array_equal(curves.sigma2_all.values, np.cumsum(var_all))
+            np.testing.assert_array_equal(curves.sigma_cross[(1, 3)].values, np.cumsum(cov[1]))
+
+    def test_empty_risk_set_increments_vanish(self):
+        y = np.array([3.0, 0.0])
+        var, cov, var_all = _engine.greenwood_increments(
+            y, np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.zeros(2), 5)
+        assert var[0].tolist() == [5 * 2 / 27, 0.0]
+        assert cov[0].tolist() == [-5 / 27, 0.0]
+        assert var_all.tolist() == [5 * 2 / 27, 0.0]
 
 
 class TestSigmaThetaPlugin:

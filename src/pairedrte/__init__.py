@@ -29,6 +29,7 @@ from .paired_data import (
     CompetingRisksRecord,
     Dataset,
     PairedObservation,
+    PairedSample,
     break_censoring_ties,
     prepare_dataset,
     read_competing_csv,

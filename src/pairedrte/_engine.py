@@ -33,14 +33,10 @@ def event_grid(z: np.ndarray, eps: np.ndarray):
     eps = np.asarray(eps)
     times = np.unique(z[eps > 0])
     k = len(times)
-    z_sorted = np.sort(z)
-    at_risk = len(z) - np.searchsorted(z_sorted, times, side="left")
-    dN = np.zeros((3, k), dtype=float)
-    for j in (1, 2, 3):
-        zj = z[eps == j]
-        if len(zj):
-            slots = np.searchsorted(times, zj)
-            np.add.at(dN[j - 1], slots, 1.0)
+    at_risk = len(z) - np.searchsorted(np.sort(z), times, side="left")
+    events = eps > 0
+    cells = (eps[events].astype(np.int64) - 1) * k + np.searchsorted(times, z[events])
+    dN = np.bincount(cells, minlength=3 * k).reshape(3, k).astype(float)
     return times, at_risk.astype(float), dN
 
 
@@ -175,11 +171,9 @@ def relabel_counts(dN, rng: np.random.Generator, b: int):
     k = len(m)
     flip_slots = np.repeat(np.arange(k), m)
     coins = rng.random((b, len(flip_slots))) < 0.5
-    dN1_new = np.zeros((b, k))
-    np.add.at(dN1_new, (np.arange(b)[:, None], flip_slots[None, :]), coins.astype(float))
-    dN2_new = m[None, :] - dN1_new
-    dN3_new = np.broadcast_to(dN[2], (b, k)).copy()
-    return dN1_new, dN2_new, dN3_new
+    cells = np.arange(b)[:, None] * k + flip_slots[None, :]
+    dN1_new = np.bincount(cells.ravel(), weights=coins.ravel(), minlength=b * k).reshape(b, k)
+    return dN1_new, m - dN1_new, np.broadcast_to(dN[2], (b, k)).copy()
 
 
 def bootstrap_counts(z, eps, times, rng: np.random.Generator, b: int):
@@ -187,7 +181,9 @@ def bootstrap_counts(z, eps, times, rng: np.random.Generator, b: int):
 
     Each replicate draws ``n`` records with replacement; its at-risk and
     cause-specific counts live on the original event-time grid (times missing
-    from a resample simply carry zero counts).
+    from a resample simply carry zero counts). Event counts are bincounts over
+    the cells ``(replicate, cause, slot)`` weighted by the resampling counts,
+    so memory stays linear in ``b * n``.
     """
     z = np.asarray(z, dtype=float)
     eps = np.asarray(eps)
@@ -201,14 +197,9 @@ def bootstrap_counts(z, eps, times, rng: np.random.Generator, b: int):
     at_risk = np.where(pos[None, :] < n, suffix[:, np.minimum(pos, n - 1)], 0.0)
 
     k = len(times)
-    dNs = []
-    for j in (1, 2, 3):
-        mask = eps == j
-        if mask.any():
-            slots = np.searchsorted(times, z[mask])
-            onehot = np.zeros((int(mask.sum()), k))
-            onehot[np.arange(len(slots)), slots] = 1.0
-            dNs.append(counts[:, mask] @ onehot)
-        else:
-            dNs.append(np.zeros((b, k)))
-    return at_risk, dNs[0], dNs[1], dNs[2]
+    events = eps > 0
+    slots = (eps[events].astype(np.int64) - 1) * k + np.searchsorted(times, z[events])
+    cells = np.arange(b)[:, None] * (3 * k) + slots[None, :]
+    dN = np.bincount(cells.ravel(), weights=counts[:, events].ravel(), minlength=3 * b * k)
+    dN = dN.reshape(b, 3, k)
+    return at_risk, dN[:, 0], dN[:, 1], dN[:, 2]

@@ -22,6 +22,7 @@ from .errors import (
 from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
+    PairedSample,
     _has_event_censoring_tie,
     prepare_dataset,
     read_competing_csv,
@@ -119,12 +120,14 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         if obs is None:
             click.echo("error: --group-by needs a paired input with a group column", err=True)
             sys.exit(EXIT_VALIDATION)
-        labels = [o.group for o in obs]
-        if any(lbl is None for lbl in labels):
+        labels = obs.group
+        if labels is None or any(lbl is None for lbl in labels):
             click.echo("error: --group-by requires a group label on every row", err=True)
             sys.exit(EXIT_VALIDATION)
-        seen = list(dict.fromkeys(labels))
-        partitions = [(lbl, [o for o in obs if o.group == lbl]) for lbl in seen]
+        partitions = []
+        for lbl in dict.fromkeys(labels):
+            rows = labels == lbl
+            partitions.append((lbl, PairedSample(obs.x[rows], obs.delta[rows], labels[rows])))
     else:
         partitions = [("all", obs)]
 
@@ -244,25 +247,27 @@ def _experiment_options(raw: dict):
     return opts, scenario_part
 
 
+def _harness_kwargs(opts: dict, given: dict, **defaults) -> dict:
+    """Harness arguments: command-line values, else the scenario file's, else ``defaults``."""
+    defaults = dict(b=500, alpha=0.05, sided="right", seed=0, **defaults)
+    kwargs = {key: opts.get(key, value) for key, value in defaults.items()}
+    kwargs.update({key: value for key, value in given.items() if value is not None})
+    return dict(kwargs, workers=_workers_default())
+
+
 def _write_rows(rows: list[dict], output: str | None):
     if not rows:
         return
-    columns = list(rows[0].keys())
-    target = open(output, "w", newline="", encoding="utf-8") if output else None
-    try:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-        if target:
-            target.write(text)
-            click.echo(f"wrote {len(rows)} rows to {output}")
-        else:
-            click.echo(text.rstrip("\n"))
-    finally:
-        if target:
-            target.close()
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    if output:
+        with open(output, "w", newline="", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+        click.echo(f"wrote {len(rows)} rows to {output}")
+    else:
+        click.echo(buf.getvalue().rstrip("\n"))
 
 
 def _load_scenario_file(path: str) -> dict:
@@ -285,18 +290,10 @@ def simulate_size(scenario_path, r, b, alpha, seed, output):
     raw = _guard(_load_scenario_file, scenario_path)
     opts, scenario_part = _experiment_options(raw)
     scenario = _guard(sim.scenario_from_dict, scenario_part)
-    kwargs = dict(
-        methods=opts.get("methods", ["asymptotic", "bootstrap", "randomization"]),
-        transforms=opts.get("transforms", ["linear", "loglog"]),
-        r=r if r is not None else opts.get("r", 1000),
-        b=b if b is not None else opts.get("b", 500),
-        alpha=alpha if alpha is not None else opts.get("alpha", 0.05),
-        sided=opts.get("sided", "right"),
-        seed=seed if seed is not None else opts.get("seed", 0),
-        workers=_workers_default(),
-        label=opts.get("label", ""),
-    )
-    result = _guard(sim.run_size_experiment, scenario, **kwargs)
+    kwargs = _harness_kwargs(opts, dict(r=r, b=b, alpha=alpha, seed=seed), r=1000,
+                             methods=["asymptotic", "bootstrap", "randomization"],
+                             transforms=["linear", "loglog"])
+    result = _guard(sim.run_size_experiment, scenario, label=opts.get("label", ""), **kwargs)
     _write_rows(result.to_rows(), output)
 
 
@@ -340,16 +337,8 @@ def simulate_power(scenario_path, r, b, alpha, seed, output):
         raise ScenarioError("grid", "expected 'grid' or 'power_family'")
 
     grid = _guard(build_grid)
-    kwargs = dict(
-        methods=opts.get("methods", ["randomization"]),
-        transforms=opts.get("transforms", ["linear"]),
-        r=r if r is not None else opts.get("r", 500),
-        b=b if b is not None else opts.get("b", 500),
-        alpha=alpha if alpha is not None else opts.get("alpha", 0.05),
-        sided=opts.get("sided", "right"),
-        seed=seed if seed is not None else opts.get("seed", 0),
-        workers=_workers_default(),
-    )
+    kwargs = _harness_kwargs(opts, dict(r=r, b=b, alpha=alpha, seed=seed), r=500,
+                             methods=["randomization"], transforms=["linear"])
     results = _guard(sim.run_power_experiment, grid, **kwargs)
     rows = [row for res in results for row in res.to_rows()]
     _write_rows(rows, output)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from . import _engine
 from .errors import DegenerateRiskWarning, DegenerateVariance, EmptyDataset, NotFullyObserved
-from .paired_data import Dataset, PairedObservation
+from .paired_data import Dataset, PairedObservation, PairedSample
 
 __all__ = [
     "StepCurve",
@@ -116,18 +117,34 @@ class RteCurves:
 
 @dataclass(frozen=True)
 class RteEstimate:
-    """Point estimate of the relative treatment effect with its variance."""
+    """Point estimate of the relative treatment effect with its variance.
+
+    The step curves behind the estimate are built from ``data`` on first
+    access to :attr:`curves`; the estimate itself needs only the counts.
+    """
 
     theta_hat: float
     sigma2_hat: float
     n: int
     tau: float
-    curves: RteCurves
+    data: Dataset = field(compare=False, repr=False)
 
     @property
     def se(self) -> float:
         """Standard error of theta_hat: sqrt(sigma2_hat / n)."""
         return float(np.sqrt(self.sigma2_hat / self.n))
+
+    @cached_property
+    def curves(self) -> RteCurves:
+        """Step curves behind the estimate, built from ``data`` on first access."""
+        cp = counting_processes(self.data)
+        return RteCurves(
+            survival=kaplan_meier_event(cp),
+            censoring_survival=kaplan_meier_censoring(self.data),
+            cif=tuple(aalen_johansen(cp, j) for j in (1, 2, 3)),
+            hazard=tuple(nelson_aalen(cp, j) for j in (1, 2, 3)),
+            cp=cp,
+        )
 
 
 def counting_processes(data: Dataset) -> CountingProcesses:
@@ -144,10 +161,13 @@ def nelson_aalen(cp: CountingProcesses, cause: int) -> StepCurve:
     return StepCurve(times=cp.event_times, values=np.cumsum(increments), initial=0.0)
 
 
+def _survival_values(cp: CountingProcesses) -> np.ndarray:
+    return np.cumprod(1.0 - cp.dn_total / cp.at_risk)
+
+
 def kaplan_meier_event(cp: CountingProcesses) -> StepCurve:
     """Product-limit estimator of the pair-minimum survival function."""
-    factors = 1.0 - cp.dn_total / cp.at_risk
-    return StepCurve(times=cp.event_times, values=np.cumprod(factors), initial=1.0)
+    return StepCurve(times=cp.event_times, values=_survival_values(cp), initial=1.0)
 
 
 def kaplan_meier_censoring(data: Dataset) -> StepCurve:
@@ -159,24 +179,12 @@ def kaplan_meier_censoring(data: Dataset) -> StepCurve:
     """
     if data.n == 0:
         raise EmptyDataset("censoring estimator needs at least one record")
-    z = data.z
-    cens = data.epsilon == 0
-    times = np.unique(z[cens])
-    if len(times) == 0:
-        return StepCurve(times=np.empty(0), values=np.empty(0), initial=1.0)
-    z_sorted = np.sort(z)
-    at_risk = data.n - np.searchsorted(z_sorted, times, side="left")
-    events_at = np.zeros(len(times))
-    dn0 = np.zeros(len(times))
-    obs = z[~cens]
-    if len(obs):
-        slots = np.searchsorted(times, obs)
-        inside = (slots < len(times)) & (times[np.minimum(slots, len(times) - 1)] == obs)
-        np.add.at(events_at, slots[inside], 1.0)
-    np.add.at(dn0, np.searchsorted(times, z[cens]), 1.0)
-    risk = at_risk - events_at
-    factors = np.where(risk > 0, 1.0 - dn0 / np.where(risk > 0, risk, 1.0), 0.0)
-    return StepCurve(times=times, values=np.cumprod(factors), initial=1.0)
+    z_cens = data.z[data.epsilon == 0]
+    times = np.unique(z_cens)
+    dn0 = np.bincount(np.searchsorted(times, z_cens), minlength=len(times))
+    # records beyond u plus those censored at u; dn0 >= 1 keeps it positive
+    risk = data.n - np.searchsorted(np.sort(data.z), times, side="right") + dn0
+    return StepCurve(times=times, values=np.cumprod(1.0 - dn0 / risk), initial=1.0)
 
 
 def aalen_johansen(cp: CountingProcesses, cause: int) -> StepCurve:
@@ -188,22 +196,12 @@ def aalen_johansen(cp: CountingProcesses, cause: int) -> StepCurve:
     return StepCurve(times=cp.event_times, values=np.cumsum(increments), initial=0.0)
 
 
-def _build_curves(data: Dataset) -> RteCurves:
-    cp = counting_processes(data)
-    return RteCurves(
-        survival=kaplan_meier_event(cp),
-        censoring_survival=kaplan_meier_censoring(data),
-        cif=tuple(aalen_johansen(cp, j) for j in (1, 2, 3)),
-        hazard=tuple(nelson_aalen(cp, j) for j in (1, 2, 3)),
-        cp=cp,
-    )
-
-
 def estimate_rte(data: Dataset) -> RteEstimate:
     """Estimate the relative treatment effect at the sample's horizon.
 
-    ``theta_hat = F2(tau) + F3(tau) / 2`` from the Aalen-Johansen estimators.
-    The attached variance is the incidence-level Greenwood plug-in (see
+    ``theta_hat = F2(tau) + F3(tau) / 2`` from the Aalen-Johansen estimators,
+    evaluated on the counting processes alone. The attached variance is the
+    incidence-level Greenwood plug-in (see
     :func:`pairedrte.variance.sigma_theta_cif_plugin`; the hazard-level
     expansion is available separately). When the sample carries no variance
     information the estimate is still returned, with ``sigma2_hat = 0``, and
@@ -212,13 +210,15 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     """
     if data.n == 0:
         raise EmptyDataset("estimation needs at least one record")
-    curves = _build_curves(data)
-    cp = curves.cp
+    cp = counting_processes(data)
     theta = float(_engine.theta_from_counts(cp.at_risk, *cp.dn))
     theta = min(max(theta, 0.0), 1.0)
 
+    # every event time is <= the largest record time, so the survival curve
+    # there is its last product-limit value
     last_observed = float(np.max(data.z))
-    if last_observed < data.tau and curves.survival.at(last_observed) > 0:
+    survival_last = _survival_values(cp)[-1] if len(cp.event_times) else 1.0
+    if last_observed < data.tau and survival_last > 0:
         warnings.warn(
             "at-risk set exhausted before tau; curves are flat beyond "
             f"t={last_observed:g}",
@@ -229,29 +229,27 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     from .variance import sigma_theta_cif_plugin
 
     try:
-        sigma2 = sigma_theta_cif_plugin(curves, data.tau)
+        sigma2 = sigma_theta_cif_plugin(cp, data.tau)
     except DegenerateVariance:
         sigma2 = 0.0
-    return RteEstimate(theta_hat=theta, sigma2_hat=sigma2, n=data.n, tau=data.tau, curves=curves)
+    return RteEstimate(theta_hat=theta, sigma2_hat=sigma2, n=data.n, tau=data.tau, data=data)
 
 
-def mann_whitney_fully_observed(data: Sequence[PairedObservation]) -> float:
+def mann_whitney_fully_observed(data: PairedSample | Iterable[PairedObservation]) -> float:
     """Cross-pair comparison estimate for fully observed samples.
 
     Averages ``1{x1_i > x2_k} + 1{x1_i = x2_k}/2`` over all n^2 ordered
     combinations, the Mann-Whitney statistic on the two margins. Defined only
     when every margin is an observed event.
     """
-    data = list(data)
-    if any(o.delta1 == 0 or o.delta2 == 0 for o in data):
+    sample = PairedSample.of(data)
+    if np.any(sample.delta == 0):
         raise NotFullyObserved("cross-pair comparison requires fully observed data")
-    if not data:
+    if len(sample) == 0:
         raise EmptyDataset("no observations")
-    x1 = np.array([o.x1 for o in data])
-    x2 = np.array([o.x2 for o in data])
-    diff = x1[:, None] - x2[None, :]
+    diff = sample.x[:, 0, None] - sample.x[None, :, 1]
     wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
-    return float(wins) / len(data) ** 2
+    return float(wins) / len(sample) ** 2
 
 
 def ipcw_identity_check(data: Dataset) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from statistics import NormalDist
 from typing import Iterable
 
@@ -118,24 +118,12 @@ class InferenceReport:
     skipped: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "transform": self.transform,
-            "sided": self.sided,
-            "alpha": self.alpha,
-            "n": self.n,
-            "tau": self.tau,
-            "theta_hat": self.theta_hat,
-            "sigma_hat": self.sigma_hat,
-            "statistic": self.statistic,
-            "critical_values": list(self.critical_values),
-            "p_value": self.p_value,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "reject": self.reject,
-        }
-        if self.b is not None:
-            out.update({"b": self.b, "seed": self.seed, "skipped": self.skipped})
+        """The fields in declaration order; ``b``, ``seed``, ``skipped`` only when resampled."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["critical_values"] = list(self.critical_values)
+        if self.b is None:
+            for key in ("b", "seed", "skipped"):
+                del out[key]
         return out
 
 
@@ -206,21 +194,23 @@ def asymptotic_test(est: RteEstimate, cfg: InferenceConfig) -> InferenceReport:
     return test_and_ci(est, None, cfg)
 
 
-def _chunks(total: int) -> Iterable[tuple[int, int]]:
-    for c, start in enumerate(range(0, total, _CHUNK)):
-        yield c, min(_CHUNK, total - start)
+def _collect_replicates(make_counts, b: int, workers: int, n: int):
+    """Effect and variance replicates from the counts ``make_counts(chunk, size)`` returns."""
 
+    def chunk(job):
+        y, dn1, dn2, dn3 = make_counts(*job)
+        return (
+            _engine.theta_from_counts(y, dn1, dn2, dn3),
+            _engine.sigma2_cif_from_counts(y, dn1, dn2, dn3, n),
+        )
 
-def _collect_replicates(make_chunk, b: int, workers: int):
-    jobs = list(_chunks(b))
+    jobs = [(c, min(_CHUNK, b - start)) for c, start in enumerate(range(0, b, _CHUNK))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda job: make_chunk(*job), jobs))
+            parts = list(pool.map(chunk, jobs))
     else:
-        parts = [make_chunk(c, size) for c, size in jobs]
-    thetas = np.concatenate([p[0] for p in parts])
-    sigmas2 = np.concatenate([p[1] for p in parts])
-    return thetas, sigmas2
+        parts = [chunk(job) for job in jobs]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _finalize_distribution(kind, thetas, sigmas2, n, theta_ref, b, seed, wstar=None):
@@ -255,17 +245,11 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
     cp = counting_processes(data)
     theta_hat = float(_engine.theta_from_counts(cp.at_risk, *cp.dn))
 
-    def make_chunk(c, size):
+    def make_counts(c, size):
         rng = np.random.default_rng([*_seed_entropy(cfg.seed), 7, c])
-        y, dn1, dn2, dn3 = _engine.bootstrap_counts(
-            data.z, data.epsilon, cp.event_times, rng, size
-        )
-        return (
-            _engine.theta_from_counts(y, dn1, dn2, dn3),
-            _engine.sigma2_cif_from_counts(y, dn1, dn2, dn3, data.n),
-        )
+        return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, size)
 
-    thetas, sigmas2 = _collect_replicates(make_chunk, cfg.b, cfg.workers)
+    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, cfg.workers, data.n)
     wstar = np.sqrt(data.n) * (thetas - theta_hat)
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
@@ -282,7 +266,7 @@ def randomize_labels(data: Dataset, seed: int) -> Dataset:
     flip = (eps == 1) | (eps == 2)
     coins = rng.random(int(flip.sum())) < 0.5
     eps[flip] = np.where(coins, 1, 2)
-    return Dataset(z=data.z.copy(), epsilon=eps, tau=data.tau, groups=data.groups)
+    return Dataset(z=data.z.copy(), epsilon=eps, tau=data.tau)
 
 
 def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution:
@@ -295,16 +279,12 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
     """
     cp = counting_processes(data)
 
-    def make_chunk(c, size):
+    def make_counts(c, size):
         rng = np.random.default_rng([*_seed_entropy(cfg.seed), 13, c])
         dn1, dn2, dn3 = _engine.relabel_counts(cp.dn, rng, size)
-        y = np.broadcast_to(cp.at_risk, dn1.shape)
-        return (
-            _engine.theta_from_counts(y, dn1, dn2, dn3),
-            _engine.sigma2_cif_from_counts(y, dn1, dn2, dn3, data.n),
-        )
+        return np.broadcast_to(cp.at_risk, dn1.shape), dn1, dn2, dn3
 
-    thetas, sigmas2 = _collect_replicates(make_chunk, cfg.b, cfg.workers)
+    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, cfg.workers, data.n)
     return _finalize_distribution(
         "randomization", thetas, sigmas2, data.n, 0.5, cfg.b, cfg.seed
     )

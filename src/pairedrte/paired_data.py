@@ -5,15 +5,19 @@ A matched pair contributes one record ``(z, epsilon)`` to the competing-risks
 sample: ``z`` is the smallest of the pair's observed times and ``epsilon``
 encodes which member was observed to fail first (1 or 2), whether both failed
 simultaneously (3), or whether the pair minimum is a censoring time (0).
+
+A :class:`PairedSample` carries the pairs as columns from ingest to
+:func:`prepare_dataset`; :class:`PairedObservation` is its row view.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "PairedObservation",
+    "PairedSample",
     "CompetingRisksRecord",
     "Dataset",
     "truncate_at_tau",
@@ -67,6 +72,55 @@ class PairedObservation:
                 raise ValidationError(f"{name} must be 0 or 1, got {d}")
 
 
+class PairedSample:
+    """Matched pairs as columns: times ``x`` and indicators ``delta``, both (n, 2).
+
+    ``group`` holds optional per-pair labels. Validation raises the error
+    :class:`PairedObservation` raises for the first offending row. Length,
+    integer indexing and iteration give :class:`PairedObservation` rows.
+    """
+
+    def __init__(self, x, delta, group=None):
+        x = np.asarray(x, dtype=float)
+        delta = np.asarray(delta)
+        if x.ndim != 2 or x.shape[1] != 2 or delta.shape != x.shape:
+            raise ValidationError("x and delta must be aligned arrays of shape (n, 2)")
+        for i in np.flatnonzero((x < 0).any(axis=1) | ~np.isin(delta, (0, 1)).all(axis=1))[:1]:
+            # the first offending row raises its own typed error
+            PairedObservation(x[i, 0], delta[i, 0].item(), x[i, 1], delta[i, 1].item())
+        if group is not None:
+            group = np.asarray(group, dtype=object)
+            if group.shape != (len(x),):
+                raise ValidationError("group must hold one label per pair")
+        self.x = x
+        self.delta = delta.astype(np.int64)
+        self.group = group
+
+    @classmethod
+    def of(cls, data: "PairedSample | Iterable[PairedObservation]") -> "PairedSample":
+        """``data`` itself when it is a sample, otherwise its rows gathered into one."""
+        if isinstance(data, cls):
+            return data
+        rows = list(data)
+        groups = [o.group for o in rows]
+        return cls(
+            np.array([(o.x1, o.x2) for o in rows], dtype=float).reshape(-1, 2),
+            np.array([(o.delta1, o.delta2) for o in rows], dtype=np.int64).reshape(-1, 2),
+            groups if any(g is not None for g in groups) else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i) -> PairedObservation:
+        i = operator.index(i)
+        (x1, x2), (d1, d2) = self.x[i].tolist(), self.delta[i].tolist()
+        return PairedObservation(x1, d1, x2, d2, None if self.group is None else self.group[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class CompetingRisksRecord:
     """Transformed pair: time ``z`` and cause label ``epsilon`` in {0, 1, 2, 3}."""
@@ -88,7 +142,6 @@ class Dataset:
     z: np.ndarray
     epsilon: np.ndarray
     tau: float
-    groups: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -126,20 +179,67 @@ class Dataset:
         )
 
 
+def _truncate(x: np.ndarray, delta: np.ndarray, tau: float):
+    """Truncation at the horizon on columns: ``x >= tau`` becomes ``(tau, 1)``."""
+    if not math.isfinite(tau) or tau <= 0:
+        raise NonPositiveTau(f"tau must be a positive finite number, got {tau}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise NonFiniteTime(f"{('x1', 'x2')[bad[0] % 2]} is not finite: {x.flat[bad[0]]}")
+    over = x >= tau
+    return np.where(over, tau, x), np.where(over, 1, delta)
+
+
+def _classify(x: np.ndarray, delta: np.ndarray):
+    """Competing-risks records ``(z, epsilon)`` of truncated pairs, on columns."""
+    x1, x2 = x[:, 0], x[:, 1]
+    e1, e2 = delta[:, 0] == 1, delta[:, 1] == 1
+    eps = np.select([(x1 < x2) & e1, (x2 < x1) & e2, (x1 == x2) & e1 & e2], [1, 2, 3], 0)
+    return np.minimum(x1, x2), eps
+
+
+def _event_censoring_gaps(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Distances from each censoring time to its neighbouring event times, ends clamped."""
+    ev, ce = np.unique(x[delta == 1]), np.unique(x[delta == 0])
+    if len(ev) == 0:
+        return np.empty(0)
+    idx = np.searchsorted(ev, ce)
+    near = np.concatenate([ev[np.maximum(idx - 1, 0)], ev[np.minimum(idx, len(ev) - 1)]])
+    return np.abs(np.concatenate([ce, ce]) - near)
+
+
+def _has_event_censoring_tie(sample: PairedSample) -> bool:
+    return bool(np.any(_event_censoring_gaps(sample.x, sample.delta) == 0))
+
+
+def _jitter_censored(x: np.ndarray, delta: np.ndarray, jitter: float, seed: int) -> np.ndarray:
+    """Censoring-tie jitter on columns.
+
+    One draw per censored cell in C order (pair 1 x1, pair 1 x2, pair 2 x1,
+    ...), which is the stream a row-by-row loop draws.
+    """
+    if not (jitter > 0):
+        raise ValidationError(f"jitter must be positive, got {jitter}")
+    gaps = _event_censoring_gaps(x, delta)
+    gap = float(gaps[gaps > 0].min(initial=math.inf))
+    if jitter >= gap:
+        raise JitterTooLarge(
+            f"jitter {jitter} is not smaller than the minimum event/censoring gap {gap}"
+        )
+    censored = delta == 0
+    out = x.copy()
+    out[censored] += np.random.default_rng(seed).uniform(0.0, jitter, int(censored.sum()))
+    return out
+
+
 def truncate_at_tau(obs: PairedObservation, tau: float) -> PairedObservation:
     """Truncate both margins at the horizon: ``x_j >= tau`` becomes ``(tau, 1)``.
 
     A time equal to the horizon is treated as an observed event so that the
     tie mass at ``tau`` is credited to both treatments.
     """
-    if not math.isfinite(tau) or tau <= 0:
-        raise NonPositiveTau(f"tau must be a positive finite number, got {tau}")
-    for name, x in (("x1", obs.x1), ("x2", obs.x2)):
-        if not math.isfinite(x):
-            raise NonFiniteTime(f"{name} is not finite: {x}")
-    x1, d1 = (tau, 1) if obs.x1 >= tau else (obs.x1, obs.delta1)
-    x2, d2 = (tau, 1) if obs.x2 >= tau else (obs.x2, obs.delta2)
-    return replace(obs, x1=x1, delta1=d1, x2=x2, delta2=d2)
+    row = PairedSample.of([obs])
+    return PairedSample(*_truncate(row.x, row.delta, tau), row.group)[0]
 
 
 def to_competing_risks(obs: PairedObservation) -> CompetingRisksRecord:
@@ -151,45 +251,13 @@ def to_competing_risks(obs: PairedObservation) -> CompetingRisksRecord:
     event is classified as censored here; upstream censoring-tie jitter removes
     the pattern before it reaches this function in the analysis pipeline.
     """
-    z = min(obs.x1, obs.x2)
-    if obs.x1 < obs.x2 and obs.delta1 == 1:
-        eps = 1
-    elif obs.x2 < obs.x1 and obs.delta2 == 1:
-        eps = 2
-    elif obs.x1 == obs.x2 and obs.delta1 == 1 and obs.delta2 == 1:
-        eps = 3
-    else:
-        eps = 0
-    return CompetingRisksRecord(z=z, epsilon=eps)
-
-
-def _split_times(data: Sequence[PairedObservation]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([[o.x1, o.x2] for o in data], dtype=float).reshape(-1)
-    ds = np.array([[o.delta1, o.delta2] for o in data], dtype=np.int64).reshape(-1)
-    return xs[ds == 1], xs[ds == 0]
-
-
-def _min_positive_gap(events: np.ndarray, censorings: np.ndarray) -> float:
-    """Smallest positive distance between an event time and a censoring time."""
-    if len(events) == 0 or len(censorings) == 0:
-        return math.inf
-    ev = np.unique(events)
-    ce = np.unique(censorings)
-    # For each censoring time look at its sorted neighbours among event times.
-    idx = np.searchsorted(ev, ce)
-    gaps = []
-    left = idx - 1
-    ok = left >= 0
-    gaps.append(np.abs(ce[ok] - ev[left[ok]]))
-    ok = idx < len(ev)
-    gaps.append(np.abs(ev[idx[ok]] - ce[ok]))
-    allgaps = np.concatenate(gaps)
-    allgaps = allgaps[allgaps > 0]
-    return float(allgaps.min()) if len(allgaps) else math.inf
+    row = PairedSample.of([obs])
+    z, eps = _classify(row.x, row.delta)
+    return CompetingRisksRecord(z=float(z[0]), epsilon=int(eps[0]))
 
 
 def break_censoring_ties(
-    data: Sequence[PairedObservation], jitter: float, seed: int
+    data: Iterable[PairedObservation], jitter: float, seed: int
 ) -> list[PairedObservation]:
     """Add independent uniform(0, jitter) increments to every censored time.
 
@@ -197,35 +265,13 @@ def break_censoring_ties(
     with an event time lies strictly above it, and no event/censoring ordering
     is altered elsewhere. Deterministic given ``seed``.
     """
-    if not (jitter > 0):
-        raise ValidationError(f"jitter must be positive, got {jitter}")
-    events, censorings = _split_times(data)
-    gap = _min_positive_gap(events, censorings)
-    if jitter >= gap:
-        raise JitterTooLarge(
-            f"jitter {jitter} is not smaller than the minimum event/censoring gap {gap}"
-        )
-    rng = np.random.default_rng(seed)
-    out = []
-    for obs in data:
-        x1, x2 = obs.x1, obs.x2
-        if obs.delta1 == 0:
-            x1 = x1 + rng.uniform(0.0, jitter)
-        if obs.delta2 == 0:
-            x2 = x2 + rng.uniform(0.0, jitter)
-        out.append(replace(obs, x1=x1, x2=x2))
-    return out
-
-
-def _has_event_censoring_tie(data: Sequence[PairedObservation]) -> bool:
-    events, censorings = _split_times(data)
-    if len(events) == 0 or len(censorings) == 0:
-        return False
-    return bool(np.isin(censorings, events).any())
+    sample = PairedSample.of(data)
+    x = _jitter_censored(sample.x, sample.delta, jitter, seed)
+    return list(PairedSample(x, sample.delta, sample.group))
 
 
 def prepare_dataset(
-    data: Sequence[PairedObservation],
+    data: PairedSample | Iterable[PairedObservation],
     tau: float,
     *,
     jitter: float | str | None = "auto",
@@ -239,20 +285,16 @@ def prepare_dataset(
     float forces that jitter width. Jitter precedes truncation so that no
     perturbed time can exceed the horizon.
     """
-    data = list(data)
-    if len(data) == 0:
+    sample = PairedSample.of(data)
+    if len(sample) == 0:
         raise ValidationError("empty dataset")
+    x, delta = sample.x, sample.delta
     if jitter == "auto":
-        if _has_event_censoring_tie(data):
-            max_t = max(max(o.x1, o.x2) for o in data)
-            data = break_censoring_ties(data, DEFAULT_JITTER_FRACTION * max_t, seed)
-    elif jitter is not None:
-        data = break_censoring_ties(data, float(jitter), seed)
-    truncated = [truncate_at_tau(o, tau) for o in data]
-    records = [to_competing_risks(o) for o in truncated]
-    ds = Dataset.from_records(records, tau)
-    groups = tuple(o.group for o in data)
-    return replace(ds, groups=groups if any(g is not None for g in groups) else None)
+        jitter = DEFAULT_JITTER_FRACTION * x.max() if _has_event_censoring_tie(sample) else None
+    if jitter is not None:
+        x = _jitter_censored(x, delta, float(jitter), seed)
+    z, eps = _classify(*_truncate(x, delta, tau))
+    return Dataset(z=z, epsilon=eps, tau=float(tau))
 
 
 _PAIRED_HEADER = ("x1", "delta1", "x2", "delta2")
@@ -279,7 +321,7 @@ def _parse_delta(raw: str, row: int, column: str) -> int:
     return int(raw)
 
 
-def read_paired_csv(path) -> list[PairedObservation]:
+def read_paired_csv(path) -> PairedSample:
     """Read paired observations from a CSV with header ``x1,delta1,x2,delta2[,group]``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -290,7 +332,7 @@ def read_paired_csv(path) -> list[PairedObservation]:
         if tuple(header[:4]) != _PAIRED_HEADER or len(header) > 5:
             raise ParseError(1, ",".join(header), "expected header x1,delta1,x2,delta2[,group]")
         has_group = len(header) == 5
-        out = []
+        xs, ds, groups = [], [], []
         for i, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
                 continue
@@ -304,10 +346,12 @@ def read_paired_csv(path) -> list[PairedObservation]:
             for name, x in (("x1", x1), ("x2", x2)):
                 if math.isnan(x) or x < 0:
                     raise ValidationError(f"row {i}: {name} must be a nonnegative time, got {x}")
-            out.append(PairedObservation(x1=x1, delta1=d1, x2=x2, delta2=d2, group=group))
-    if not out:
+            xs.append((x1, x2))
+            ds.append((d1, d2))
+            groups.append(group)
+    if not xs:
         raise ValidationError(f"{path}: empty dataset")
-    return out
+    return PairedSample(xs, ds, groups if has_group else None)
 
 
 def read_competing_csv(path, tau: float) -> Dataset:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .estimators import estimate_rte
 from .inference import InferenceConfig, resample_distribution, test_and_ci
-from .paired_data import PairedObservation, prepare_dataset
+from .paired_data import PairedSample, prepare_dataset
 
 __all__ = [
     "Exponential",
@@ -131,7 +131,9 @@ class Mixture:
 
     The quantile function is the true inverse of the mixture CDF (computed by
     bisection between the component quantiles), so transforming copula
-    uniforms through it preserves the dependence structure exactly.
+    uniforms through it preserves the dependence structure exactly. The
+    bisection stops once a step leaves both brackets unchanged: every later
+    step would repeat it.
     """
 
     weight: float
@@ -158,8 +160,11 @@ class Mixture:
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             below = self.cdf(mid) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+            new_lo = np.where(below, mid, lo)
+            new_hi = np.where(below, hi, mid)
+            if (new_lo == lo).all() and (new_hi == hi).all():
+                break
+            lo, hi = new_lo, new_hi
         return 0.5 * (lo + hi)
 
 
@@ -282,7 +287,7 @@ class Scenario:
 
 def apply_marginals_and_censoring(
     uniforms: np.ndarray, scenario: Scenario, seed
-) -> list[PairedObservation]:
+) -> PairedSample:
     """Turn copula uniforms into censored paired observations.
 
     Lifetimes are ``T_j = Q_j(1 - U_j)`` through each marginal's quantile
@@ -296,21 +301,14 @@ def apply_marginals_and_censoring(
         raise QuantileDomain("uniforms must have shape (n, 2)")
     for j in (0, 1):
         u[:, j] = _open_unit(u[:, j], rng)
-    t1 = np.asarray(scenario.marginal1.quantile(1.0 - u[:, 0]), dtype=float)
-    t2 = np.asarray(scenario.marginal2.quantile(1.0 - u[:, 1]), dtype=float)
-    c1 = rng.uniform(0.0, scenario.censoring.upper, len(u))
-    c2 = rng.uniform(0.0, scenario.censoring.upper, len(u))
-    x1 = np.minimum(t1, c1)
-    x2 = np.minimum(t2, c2)
-    d1 = (t1 <= c1).astype(int)
-    d2 = (t2 <= c2).astype(int)
-    return [
-        PairedObservation(x1=float(a), delta1=int(b), x2=float(c), delta2=int(d))
-        for a, b, c, d in zip(x1, d1, x2, d2)
-    ]
+    t = np.column_stack([scenario.marginal1.quantile(1.0 - u[:, 0]),
+                         scenario.marginal2.quantile(1.0 - u[:, 1])])
+    # all first-margin censoring times are drawn before the second margin's
+    c = rng.uniform(0.0, scenario.censoring.upper, (2, len(u))).T
+    return PairedSample(np.minimum(t, c), t <= c)
 
 
-def draw_paired_sample(scenario: Scenario, seed) -> list[PairedObservation]:
+def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
     """Sample one paired dataset of the scenario's size."""
     rng = _rng_of(seed)
     uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
@@ -404,6 +402,11 @@ def calibrate_null(
 # Size and power experiments
 
 
+def _censored_margins(sample: PairedSample, tau: float) -> np.ndarray:
+    """Margins censored in the analysis: right-censored, or truncated at ``tau``."""
+    return (sample.delta == 0) | (sample.x >= tau)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """Rejection counts of one scenario under the requested test variants."""
@@ -416,9 +419,14 @@ class ExperimentResult:
     sided: str
     seed: int
     rejections: dict[tuple[str, str], int]
-    errors: int
+    failures: tuple[tuple[int, str], ...]
     censoring_rate_margins: float
     censoring_rate_pairs: float
+
+    @property
+    def errors(self) -> int:
+        """Number of failed replicates; ``failures`` holds their ``(rep, error class)``."""
+        return len(self.failures)
 
     def rate(self, method: str, transform: str) -> float:
         return self.rejections[(method, transform)] / self.r
@@ -475,22 +483,17 @@ def run_size_experiment(
     and runs every method/transform combination at level ``alpha``. Replicate
     RNG streams derive from ``(seed, replicate)``, so results are independent
     of scheduling. Truncation at the horizon counts as censoring in the
-    reported censoring rates. Per-replicate analysis failures are counted and
-    tolerated up to 1% of ``r``.
+    reported censoring rates. Per-replicate analysis failures are recorded as
+    ``(rep, error class name)`` and tolerated up to 1% of ``r``.
     """
-    combos = [(m, t) for m in methods for t in transforms]
-    rejections = {c: 0 for c in combos}
-    errors = 0
+    rejections = {(m, t): 0 for m in methods for t in transforms}
+    failures = []
     margins_censored = 0
     pairs_censored = 0
     for rep in range(r):
         rng = np.random.default_rng([seed, rep])
         obs = draw_paired_sample(scenario, rng)
-        censored = [
-            (o.delta1 == 0 or o.x1 >= scenario.tau, o.delta2 == 0 or o.x2 >= scenario.tau)
-            for o in obs
-        ]
-        margins_censored += sum(a + b_ for a, b_ in censored)
+        margins_censored += int(_censored_margins(obs, scenario.tau).sum())
         try:
             data = prepare_dataset(obs, scenario.tau, seed=rep)
             pairs_censored += int((data.epsilon == 0).sum())
@@ -509,9 +512,9 @@ def run_size_experiment(
                     report = test_and_ci(est, dist, replace(cfg, transform=transform))
                     if report.reject:
                         rejections[(method, transform)] += 1
-        except PairedRteError:
-            errors += 1
-            if errors > max(1, 0.01 * r):
+        except PairedRteError as exc:
+            failures.append((rep, type(exc).__name__))
+            if len(failures) > max(1, 0.01 * r):
                 raise
     return ExperimentResult(
         scenario=scenario,
@@ -522,7 +525,7 @@ def run_size_experiment(
         sided=sided,
         seed=seed,
         rejections=rejections,
-        errors=errors,
+        failures=tuple(failures),
         censoring_rate_margins=margins_censored / (2.0 * r * scenario.n),
         censoring_rate_pairs=pairs_censored / (r * scenario.n),
     )
@@ -564,14 +567,8 @@ def empirical_censoring_rates(scenario: Scenario, n_draws: int, seed) -> tuple[f
     """Margin-level and pair-level censoring rates (truncation counts as censoring)."""
     big = replace(scenario, n=n_draws)
     obs = draw_paired_sample(big, seed)
-    flags = np.array(
-        [
-            (o.delta1 == 0 or o.x1 >= scenario.tau, o.delta2 == 0 or o.x2 >= scenario.tau)
-            for o in obs
-        ]
-    )
     data = prepare_dataset(obs, scenario.tau, seed=0)
-    return float(flags.mean()), float((data.epsilon == 0).mean())
+    return float(_censored_margins(obs, scenario.tau).mean()), float((data.epsilon == 0).mean())
 
 
 # ---------------------------------------------------------------------------

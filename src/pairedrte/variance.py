@@ -83,12 +83,8 @@ def sigma_theta_plugin(curves: RteCurves, variance_curves: VarianceCurves, tau: 
     cp = variance_curves.cp
     if curves.cp is not cp and not np.array_equal(curves.cp.event_times, cp.event_times):
         raise ValueError("estimator and variance curves come from different datasets")
-    keep = int(np.searchsorted(cp.event_times, tau, side="right"))
-    if keep == 0:
-        raise DegenerateVariance("no events at or before tau")
-    y = cp.at_risk[:keep]
-    dn = cp.dn[:, :keep]
-    if np.any(1.0 - dn.sum(axis=0) / y <= 0) and keep < len(cp.event_times):
+    y, dn = _counts_to_tau(cp, tau)
+    if np.any(1.0 - dn.sum(axis=0) / y <= 0) and len(y) < len(cp.event_times):
         # Unreachable for real samples (a saturated risk set ends the grid),
         # kept as a guard for hand-built counting processes.
         warnings.warn("all-cause hazard increment of 1 before the last event time; "
@@ -97,7 +93,7 @@ def sigma_theta_plugin(curves: RteCurves, variance_curves: VarianceCurves, tau: 
     return _clamp_policy(value, cp.n)
 
 
-def sigma_theta_cif_plugin(curves: RteCurves, tau: float) -> float:
+def sigma_theta_cif_plugin(cp: CountingProcesses, tau: float) -> float:
     """Plug-in variance from the incidence-estimator covariance recursion.
 
     Same asymptotic target as :func:`sigma_theta_plugin`, but discretized at
@@ -107,14 +103,16 @@ def sigma_theta_cif_plugin(curves: RteCurves, tau: float) -> float:
     fully observed data it collapses to the exact multinomial variance), so
     it is the estimator the inference layer studentizes with.
     """
-    cp = curves.cp
+    y, dn = _counts_to_tau(cp, tau)
+    value = float(_engine.sigma2_cif_from_counts(y, dn[0], dn[1], dn[2], cp.n))
+    return _clamp_policy(value, cp.n)
+
+
+def _counts_to_tau(cp: CountingProcesses, tau: float):
     keep = int(np.searchsorted(cp.event_times, tau, side="right"))
     if keep == 0:
         raise DegenerateVariance("no events at or before tau")
-    y = cp.at_risk[:keep]
-    dn = cp.dn[:, :keep]
-    value = float(_engine.sigma2_cif_from_counts(y, dn[0], dn[1], dn[2], cp.n))
-    return _clamp_policy(value, cp.n)
+    return cp.at_risk[:keep], cp.dn[:, :keep]
 
 
 def _clamp_policy(value: float, n: int) -> float:

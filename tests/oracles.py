@@ -83,3 +83,28 @@ def naive_sigma2(z, eps, n, tau):
                 + inner3 * da_dot[i] * da_dot[j]
             )
     return total
+
+
+def naive_competing_risks(rows, tau):
+    """Competing-risks records ``(z, epsilon)`` of paired rows, from the definitions.
+
+    A margin at or beyond ``tau`` becomes an event at ``tau``. Then ``z`` is
+    the smaller time and ``epsilon`` is 1 (2) when the first (second) margin
+    is an event strictly before the other, 3 when both are events at the same
+    time, and 0 otherwise.
+    """
+    zs, labels = [], []
+    for r in rows:
+        x1, d1 = (tau, 1) if r.x1 >= tau else (r.x1, r.delta1)
+        x2, d2 = (tau, 1) if r.x2 >= tau else (r.x2, r.delta2)
+        if x1 < x2 and d1 == 1:
+            eps = 1
+        elif x2 < x1 and d2 == 1:
+            eps = 2
+        elif x1 == x2 and d1 == 1 and d2 == 1:
+            eps = 3
+        else:
+            eps = 0
+        zs.append(float(min(x1, x2)))
+        labels.append(eps)
+    return np.array(zs), np.array(labels)

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_curves
 
 from pairedrte import (
     Dataset,
     EmptyDataset,
+    InferenceConfig,
     NotFullyObserved,
     PairedObservation,
     StepCurve,
@@ -19,7 +24,15 @@ from pairedrte import (
     mann_whitney_fully_observed,
     nelson_aalen,
     prepare_dataset,
+    read_paired_csv,
+    sigma_theta_cif_plugin,
+    test_and_ci as make_report,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "pairedrte" / "datasets"
+
+# Small competing-risks samples on a lattice, so times tie within and across causes.
+records = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)), min_size=2, max_size=30)
 
 
 @pytest.fixture
@@ -216,6 +229,74 @@ class TestEstimateRte:
             z=four_records.z[perm], epsilon=four_records.epsilon[perm], tau=four_records.tau
         )
         assert estimate_rte(shuffled).theta_hat == estimate_rte(four_records).theta_hat
+
+
+class TestMetamorphic:
+    TAU = 10.0
+
+    @staticmethod
+    def _dataset(recs, tau=TAU, transform=float):
+        z = np.array([transform(float(t)) for t, _ in recs])
+        return Dataset(z=z, epsilon=[e for _, e in recs], tau=tau)
+
+    @given(recs=records, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_record_permutation(self, recs, data):
+        perm = data.draw(st.permutations(range(len(recs))))
+        a = estimate_rte(self._dataset(recs))
+        b = estimate_rte(self._dataset([recs[i] for i in perm]))
+        assert (a.theta_hat, a.sigma2_hat) == (b.theta_hat, b.sigma2_hat)
+
+    @given(
+        recs=records,
+        phi=st.sampled_from([lambda t: 3.0 * t + 1.0, np.sqrt, lambda t: np.expm1(t / 4.0)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_increasing_time_transform(self, recs, phi):
+        a = estimate_rte(self._dataset(recs))
+        b = estimate_rte(self._dataset(recs, tau=float(phi(self.TAU)), transform=phi))
+        assert a.theta_hat == b.theta_hat
+
+    @given(recs=records)
+    @settings(max_examples=100, deadline=None)
+    def test_label_swap_identity(self, recs):
+        est = estimate_rte(self._dataset(recs))
+        swapped = estimate_rte(self._dataset([(t, {1: 2, 2: 1}.get(e, e)) for t, e in recs]))
+        s_tau = est.curves.survival.at(self.TAU)
+        assert abs(est.theta_hat + swapped.theta_hat + s_tau - 1.0) <= 1e-12
+
+
+class TestLazyCurves:
+    def test_estimate_and_test_build_no_curve(self, monkeypatch):
+        built = []
+        post_init = StepCurve.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StepCurve, "__post_init__", counted)
+        rows = [o for o in read_paired_csv(DATA / "diabetic.csv") if o.group == "juvenile"]
+        data = prepare_dataset(rows, 60.0, seed=0)
+        est = estimate_rte(data)
+        cp = counting_processes(data)
+        assert est.sigma2_hat == sigma_theta_cif_plugin(cp, data.tau)
+        make_report(est, None, InferenceConfig(method="asymptotic"))
+        assert built == []
+
+        curves = est.curves
+        assert len(built) == 8 and est.curves is curves
+        pairs = [
+            (curves.survival, kaplan_meier_event(cp)),
+            (curves.censoring_survival, kaplan_meier_censoring(data)),
+            *((curves.cif[j - 1], aalen_johansen(cp, j)) for j in (1, 2, 3)),
+            *((curves.hazard[j - 1], nelson_aalen(cp, j)) for j in (1, 2, 3)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.times, want.times)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.initial == want.initial
+        np.testing.assert_array_equal(curves.cp.dn, cp.dn)
 
 
 class TestRiskSetExhaustion:

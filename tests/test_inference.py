@@ -164,6 +164,23 @@ class TestBootstrapDistribution:
             assert dist.thetas[b] == pytest.approx(est_b.theta_hat, abs=1e-12)
             assert dist.sigmas2[b] == pytest.approx(est_b.sigma2_hat, abs=1e-12)
 
+    def test_counts_match_brute_force_recount(self):
+        # Ties within and across all three causes and censorings; each
+        # replicate's records are rebuilt and recounted on the original grid.
+        rng = np.random.default_rng(17)
+        z = rng.integers(1, 9, 40).astype(float)
+        eps = rng.integers(0, 4, 40)
+        times = counting_processes(Dataset(z=z, epsilon=eps, tau=10.0)).event_times
+        b = 25
+        y, *dn = _engine.bootstrap_counts(z, eps, times, np.random.default_rng(8), b)
+        counts = np.random.default_rng(8).multinomial(40, np.full(40, 1 / 40), size=b)
+        for r in range(b):
+            z_r, eps_r = np.repeat(z, counts[r]), np.repeat(eps, counts[r])
+            np.testing.assert_array_equal(y[r], [np.sum(z_r >= u) for u in times])
+            for j in (1, 2, 3):
+                recount = [np.sum((z_r == u) & (eps_r == j)) for u in times]
+                np.testing.assert_array_equal(dn[j - 1][r], recount)
+
     def test_identical_records_degenerate(self):
         data = Dataset(z=[5.0] * 12, epsilon=[2] * 12, tau=6.0)
         with pytest.raises(DegenerateVariance):

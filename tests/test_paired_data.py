@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import naive_competing_risks
 
 from pairedrte import (
     CompetingRisksRecord,
@@ -13,6 +16,7 @@ from pairedrte import (
     NonFiniteTime,
     NonPositiveTau,
     PairedObservation,
+    PairedSample,
     ParseError,
     ValidationError,
     break_censoring_ties,
@@ -26,6 +30,13 @@ from pairedrte import (
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 deltas = st.sampled_from([0, 1])
 observations = st.builds(PairedObservation, x1=times, delta1=deltas, x2=times, delta2=deltas)
+# Lattice times force within- and between-pair ties.
+lattice = st.integers(0, 6).map(float)
+lattice_rows = st.lists(
+    st.builds(PairedObservation, x1=lattice, delta1=deltas, x2=lattice, delta2=deltas),
+    min_size=1,
+    max_size=30,
+)
 
 
 class TestPairedObservation:
@@ -36,6 +47,39 @@ class TestPairedObservation:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValidationError):
             PairedObservation(x1=1.0, delta1=2, x2=2.0, delta2=0)
+
+
+class TestPairedSample:
+    @pytest.mark.parametrize(
+        "row", [(1.0, 1, -2.0, 1), (-1.0, 1, 2.0, 0), (1.0, 2, 2.0, 0), (1.0, 1, 2.0, 0.5)]
+    )
+    def test_raises_the_row_error(self, row):
+        with pytest.raises(ValidationError) as from_row:
+            PairedObservation(*row)
+        good = (3.0, 1, 4.0, 0)
+        with pytest.raises(ValidationError) as from_columns:
+            PairedSample([good[::2], row[::2]], [good[1::2], row[1::2]])
+        assert str(from_columns.value) == str(from_row.value)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValidationError):
+            PairedSample([[1.0, 2.0]], [[1, 1], [0, 0]])
+        with pytest.raises(ValidationError):
+            PairedSample([1.0, 2.0], [1, 1])
+        with pytest.raises(ValidationError):
+            PairedSample([[1.0, 2.0]], [[1, 1]], group=["a", "b"])
+
+    def test_row_view(self):
+        rows = [PairedObservation(2.0, 1, 1.0, 0, "a"), PairedObservation(4.0, 0, 3.0, 1, "b")]
+        sample = PairedSample.of(rows)
+        assert PairedSample.of(sample) is sample
+        assert len(sample) == 2
+        assert sample[1] == rows[1] and sample[-1] == rows[1]
+        assert list(sample) == rows
+        np.testing.assert_array_equal(sample.x, [[2.0, 1.0], [4.0, 3.0]])
+        np.testing.assert_array_equal(sample.delta, [[1, 0], [0, 1]])
+        assert list(sample.group) == ["a", "b"]
+        assert PairedSample.of([replace(rows[0], group=None)]).group is None
 
 
 class TestTruncateAtTau:
@@ -176,6 +220,23 @@ class TestBreakCensoringTies:
         assert a == b
         assert a != c
 
+    def test_draws_follow_row_order(self):
+        # One draw per censored cell, pair by pair and x1 before x2: the
+        # stream of a row-by-row loop with scalar draws.
+        rng = np.random.default_rng(4)
+        data = [
+            PairedObservation(float(rng.integers(0, 20)), int(rng.integers(0, 2)),
+                              float(rng.integers(0, 20)), int(rng.integers(0, 2)))
+            for _ in range(40)
+        ]
+        draws = np.random.default_rng(9)
+        expected = []
+        for o in data:
+            x1 = o.x1 + draws.uniform(0.0, 1e-6) if o.delta1 == 0 else o.x1
+            x2 = o.x2 + draws.uniform(0.0, 1e-6) if o.delta2 == 0 else o.x2
+            expected.append(replace(o, x1=x1, x2=x2))
+        assert break_censoring_ties(data, 1e-6, seed=9) == expected
+
     def test_order_preservation(self):
         rng = np.random.default_rng(2)
         data = [
@@ -261,6 +322,16 @@ class TestPrepareDataset:
         manual = [to_competing_risks(truncate_at_tau(o, 3.0)) for o in data]
         np.testing.assert_array_equal(ds.z, [r.z for r in manual])
         np.testing.assert_array_equal(ds.epsilon, [r.epsilon for r in manual])
+
+    @given(rows=lattice_rows, tau=st.sampled_from([0.5, 2.0, 3.0, 4.5, 6.0, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_definitions(self, rows, tau):
+        ds = prepare_dataset(rows, tau, jitter=None)
+        z, eps = naive_competing_risks(rows, tau)
+        np.testing.assert_array_equal(ds.z, z)
+        np.testing.assert_array_equal(ds.epsilon, eps)
+        same = prepare_dataset(PairedSample.of(rows), tau, jitter=None)
+        np.testing.assert_array_equal(same.z, z)
 
     def test_auto_jitter_resolves_within_pair_event_censoring_tie(self):
         # Tied (x1 == x2, one event): censoring it would lose the observed

@@ -4,10 +4,12 @@ from scipy.stats import kendalltau, kstest
 
 from pairedrte import (
     BracketError,
+    CompetingRisksRecord,
     Exponential,
     Gompertz,
     InvalidParameter,
     Mixture,
+    PairedObservation,
     Scenario,
     ScenarioError,
     Uniform,
@@ -99,6 +101,37 @@ class TestMarginals:
     def test_uniform_quantile(self):
         assert Uniform(2.0).quantile(0.25) == 0.5
 
+    @staticmethod
+    def _quantile_90_steps(m, p):
+        p = np.asarray(p, dtype=float)
+        q1, q2 = m.first.quantile(p), m.second.quantile(p)
+        lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            below = m.cdf(mid) < p
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize(
+        "marginal",
+        [
+            table1_scenario("gumbel_hougaard", "exp_mix", "medium", n=100).marginal2,
+            power_scenario(1, "gumbel_hougaard", 0.5, 25).marginal1,
+            power_scenario(2, "gumbel_hougaard", 0.5, 25).marginal1,
+        ],
+    )
+    def test_mixture_quantile_equals_full_bisection(self, marginal, monkeypatch):
+        p = 1.0 - np.random.default_rng(31).random(100)
+        expected = self._quantile_90_steps(marginal, p)
+        expected_scalar = self._quantile_90_steps(marginal, 0.3)
+        cdf_calls = []
+        cdf = Mixture.cdf
+        monkeypatch.setattr(Mixture, "cdf", lambda m, t: cdf_calls.append(1) or cdf(m, t))
+        np.testing.assert_array_equal(marginal.quantile(p), expected)
+        assert len(cdf_calls) < 90
+        assert marginal.quantile(0.3) == expected_scalar
+
     @pytest.mark.parametrize(
         "dist",
         [
@@ -154,7 +187,7 @@ class TestApplyMarginalsAndCensoring:
         u = sample_gumbel_hougaard(5.0, 50, seed=13)
         a = apply_marginals_and_censoring(u, simple_scenario, seed=14)
         b = apply_marginals_and_censoring(u, simple_scenario, seed=14)
-        assert a == b
+        assert list(a) == list(b)
 
 
 class TestCensoringRateBands:
@@ -295,6 +328,27 @@ class TestScenarioSerialization:
                 "marginal1",
             )
         assert exc.value.field == "marginal1.second.name"
+
+
+class TestFailureLedger:
+    def test_failed_replicate_is_recorded(self):
+        # Replicate 44 of this run has 15 type-1 events and no others, so its
+        # variance is degenerate.
+        scenario = table1_scenario("clayton", "gompertz_exp", "strong", 25)
+        res = run_size_experiment(
+            scenario, methods=["asymptotic"], transforms=["linear"], r=45, seed=330807576
+        )
+        assert res.failures == ((44, "DegenerateVariance"),)
+        assert res.errors == 1
+        assert res.to_rows()[0]["errors"] == 1
+
+    def test_harness_builds_no_rows(self, simple_scenario, monkeypatch):
+        built = []
+        for row_type in (PairedObservation, CompetingRisksRecord):
+            monkeypatch.setattr(row_type, "__post_init__", built.append)
+        run_size_experiment(simple_scenario, methods=["asymptotic"], transforms=["linear"], r=3)
+        empirical_censoring_rates(simple_scenario, 500, seed=1)
+        assert built == []
 
 
 class TestScenarioBuilders:

@@ -56,7 +56,6 @@ from .estimators import (
 from .variance import (
     VarianceCurves,
     greenwood_curves,
-    sigma_theta_cif_plugin,
     sigma_theta_plugin,
 )
 from .inference import (

@@ -20,10 +20,8 @@ __all__ = [
     "event_grid",
     "survival_left",
     "greenwood_increments",
-    "theta_from_counts",
     "sigma2_from_counts",
     "theta_sigma2_cif_from_counts",
-    "sigma2_cif_from_counts",
     "bootstrap_counts",
     "relabel_counts",
 ]
@@ -106,13 +104,6 @@ def greenwood_increments(Y, dN1, dN2, dN3, n: int):
     return var, cov, dN_dot * (Y - dN_dot) * inv3
 
 
-def theta_from_counts(Y, dN1, dN2, dN3) -> np.ndarray:
-    """Relative treatment effect estimate from counting-process arrays."""
-    _, dA2, dA3, dA_dot = _hazard_increments(Y, dN1, dN2, dN3)
-    s_left = survival_left(dA_dot)
-    return np.sum(s_left * (dA2 + 0.5 * dA3), axis=-1)
-
-
 def sigma2_from_counts(Y, dN1, dN2, dN3, n: int) -> np.ndarray:
     """Plug-in estimate of the asymptotic variance of sqrt(n) * (theta_hat - theta).
 
@@ -162,9 +153,17 @@ def sigma2_from_counts(Y, dN1, dN2, dN3, n: int) -> np.ndarray:
 def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     """Effect estimate and incidence-level variance plug-in from one pass.
 
-    Returns ``(theta, sigma2)``: ``theta`` equals :func:`theta_from_counts`
-    bit for bit (it is the recursion's total credit ``b_tau``) and ``sigma2``
-    is :func:`sigma2_cif_from_counts`.
+    Returns ``(theta, sigma2)``: ``theta = sum S(u-) (dA2 + dA3/2)`` is the
+    recursion's total credit ``b_tau``, and ``sigma2``, returned unclamped,
+    is built on the incidence-estimator covariance recursion. Per event time
+    ``w`` the estimator's increment is a four-cell multinomial over (stay,
+    cause 1, cause 2, cause 3); weighting each cell by the estimated
+    contribution of that transition to ``F2(tau) + F3(tau)/2`` and
+    accumulating the multinomial quadratic forms gives the Greenwood-type
+    variance of the targeted combination. This is the standard recursion for
+    product-limit transition estimators, so it matches reference survival
+    tooling; :func:`sigma2_from_counts` is the hazard-level expansion of the
+    same asymptotic quantity and differs from it in finite samples.
     """
     Y = np.asarray(Y, dtype=float)
     safe_y = np.where(Y > 0, Y, 1.0)
@@ -184,21 +183,6 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     lin = psi1 * dN1 + psi2 * dN2 + psi3 * dN3
     quad = psi1**2 * dN1 + psi2**2 * dN2 + psi3**2 * dN3
     return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
-
-
-def sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int) -> np.ndarray:
-    """Variance plug-in built on the incidence-estimator covariance recursion.
-
-    Per event time ``w`` the estimator's increment is a four-cell multinomial
-    over (stay, cause 1, cause 2, cause 3); weighting each cell by the
-    estimated contribution of that transition to ``F2(tau) + F3(tau)/2`` and
-    accumulating the multinomial quadratic forms gives the Greenwood-type
-    variance of the targeted combination. This is the standard recursion for
-    product-limit transition estimators, so it matches reference survival
-    tooling; :func:`sigma2_from_counts` is the hazard-level expansion of the
-    same asymptotic quantity and differs from it in finite samples.
-    """
-    return theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n)[1]
 
 
 def relabel_counts(dN, rng: np.random.Generator, b: int):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 
 import click
@@ -37,14 +36,6 @@ EXIT_DEGENERATE = 5
 
 _METHOD_NAMES = {"asy": "asymptotic", "boot": "bootstrap", "rand": "randomization"}
 _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
-
-
-def _workers_default() -> int:
-    raw = os.environ.get("PAIREDRTE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fail(exc: Exception) -> int:
@@ -113,7 +104,6 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
     transforms = (
         list(_TRANSFORM_NAMES.values()) if transform_ == "both" else [_TRANSFORM_NAMES[transform_]]
     )
-    workers = _workers_default()
 
     obs, ready = _guard(_load_input, input_path, tau)
     if group_by:
@@ -156,8 +146,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
             entry["theta_hat_unjittered"] = estimate_rte(data_plain).theta_hat
         try:
             reports = run_inference(
-                data, methods, transforms, sided=sided, alpha=alpha, b=b, seed=seed,
-                workers=workers, est=est,
+                data, methods, transforms, sided=sided, alpha=alpha, b=b, seed=seed, est=est,
             )
         except DegenerateVariance as exc:
             entry["inference"] = f"refused: {exc}"
@@ -252,7 +241,7 @@ def _harness_kwargs(opts: dict, given: dict, **defaults) -> dict:
     defaults = dict(b=500, alpha=0.05, sided="right", seed=0, **defaults)
     kwargs = {key: opts.get(key, value) for key, value in defaults.items()}
     kwargs.update({key: value for key, value in given.items() if value is not None})
-    return dict(kwargs, workers=_workers_default())
+    return kwargs
 
 
 def _write_rows(rows: list[dict], output: str | None):

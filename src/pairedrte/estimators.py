@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _engine
-from .errors import DegenerateRiskWarning, DegenerateVariance, EmptyDataset, NotFullyObserved
+from .errors import DegenerateRiskWarning, EmptyDataset, NotFullyObserved
 from .paired_data import Dataset, PairedObservation, PairedSample
 
 __all__ = [
@@ -165,17 +165,22 @@ def _survival_values(cp: CountingProcesses) -> np.ndarray:
     return np.cumprod(1.0 - cp.dn_total / cp.at_risk)
 
 
-def _risk_exhausted(last_time, tau: float, at_risk, dn):
-    """Whether the risk set ends strictly before ``tau`` while survival mass remains.
+def _estimates_from_counts(at_risk, dn, n: int, tau: float, last_time):
+    """``(theta, sigma2, exhausted)`` of samples of ``n`` records from their counts.
 
-    ``last_time`` is the largest record time; ``at_risk`` (shape ``(..., k)``)
-    and ``dn`` (shape ``(3, ..., k)``) are counts on a grid whose cells all have
-    ``at_risk > 0``, so cells without events leave the survival estimate as is.
+    ``at_risk`` (shape ``(..., k)``) and ``dn`` (shape ``(3, ..., k)``) are
+    counts on a grid whose cells all have ``at_risk > 0``, so cells without
+    events change nothing; ``last_time`` is each sample's largest time. The
+    effect is clamped into [0, 1]: where all events are of type 2, or of types
+    2 and 3, the counts can overshoot 1 by round-off. A variance plug-in of
+    zero or below becomes 0, which inference refuses. ``exhausted`` marks risk
+    sets that end strictly before ``tau`` while survival mass remains.
     """
-    if at_risk.shape[-1] == 0:
-        return np.asarray(last_time) < tau
-    survival_last = np.cumprod(1.0 - dn.sum(axis=0) / at_risk, axis=-1)[..., -1]
-    return (last_time < tau) & (survival_last > 0)
+    theta, sigma2 = _engine.theta_sigma2_cif_from_counts(at_risk, *dn, n)
+    theta = np.minimum(np.maximum(theta, 0.0), 1.0)
+    sigma2 = np.where(sigma2 <= 0, 0.0, sigma2)
+    survival_last = np.prod(1.0 - dn.sum(axis=0) / at_risk, axis=-1)
+    return theta, sigma2, (last_time < tau) & (survival_last > 0)
 
 
 def kaplan_meier_event(cp: CountingProcesses) -> StepCurve:
@@ -214,9 +219,9 @@ def estimate_rte(data: Dataset) -> RteEstimate:
 
     ``theta_hat = F2(tau) + F3(tau) / 2`` from the Aalen-Johansen estimators,
     evaluated on the counting processes alone. The attached variance is the
-    incidence-level Greenwood plug-in (see
-    :func:`pairedrte.variance.sigma_theta_cif_plugin`; the hazard-level
-    expansion is available separately). When the sample carries no variance
+    incidence-level Greenwood plug-in of
+    :func:`pairedrte._engine.theta_sigma2_cif_from_counts`; the hazard-level
+    expansion is available separately. When the sample carries no variance
     information the estimate is still returned, with ``sigma2_hat = 0``, and
     inference refuses later. Flags, without failing, samples whose risk set
     is exhausted strictly before ``tau`` while survival mass remains.
@@ -224,27 +229,22 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     if data.n == 0:
         raise EmptyDataset("estimation needs at least one record")
     cp = counting_processes(data)
-    theta = float(_engine.theta_from_counts(cp.at_risk, *cp.dn))
-    theta = min(max(theta, 0.0), 1.0)
-
     # every event time is <= the largest record time, so the survival curve
     # there is its last product-limit value
     last_observed = float(np.max(data.z))
-    if _risk_exhausted(last_observed, data.tau, cp.at_risk, cp.dn):
+    theta, sigma2, exhausted = _estimates_from_counts(
+        cp.at_risk, cp.dn, data.n, data.tau, last_observed
+    )
+    if exhausted:
         warnings.warn(
             "at-risk set exhausted before tau; curves are flat beyond "
             f"t={last_observed:g}",
             DegenerateRiskWarning,
             stacklevel=2,
         )
-
-    from .variance import sigma_theta_cif_plugin
-
-    try:
-        sigma2 = sigma_theta_cif_plugin(cp, data.tau)
-    except DegenerateVariance:
-        sigma2 = 0.0
-    return RteEstimate(theta_hat=theta, sigma2_hat=sigma2, n=data.n, tau=data.tau, data=data)
+    return RteEstimate(
+        theta_hat=float(theta), sigma2_hat=float(sigma2), n=data.n, tau=data.tau, data=data
+    )
 
 
 def mann_whitney_fully_observed(data: PairedSample | Iterable[PairedObservation]) -> float:

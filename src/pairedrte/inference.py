@@ -10,7 +10,6 @@ all support an optional log-log transformation whose intervals stay inside
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from statistics import NormalDist
 from typing import Iterable
@@ -24,7 +23,7 @@ from .errors import (
     ThetaOutOfDomain,
     ValidationError,
 )
-from .estimators import RteEstimate, counting_processes, estimate_rte
+from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
 from .paired_data import Dataset
 
 __all__ = [
@@ -44,8 +43,8 @@ METHODS = ("asymptotic", "bootstrap", "randomization")
 SIDES = ("right", "left", "two")
 TRANSFORMS = ("linear", "loglog")
 
-# Replicates are generated in fixed-size chunks with chunk-derived RNG
-# streams, so results do not depend on the worker count.
+# Replicates are generated in chunks of this size, chunk ``c`` from the RNG
+# stream ``[seed, 7, c]`` (bootstrap) or ``[seed, 13, c]`` (randomization).
 _CHUNK = 512
 
 _NORMAL = NormalDist()
@@ -73,7 +72,6 @@ class InferenceConfig:
     transform: str = "linear"
     b: int = 2000
     seed: int | tuple = 0
-    workers: int = 1
     studentize: bool = True
 
     def __post_init__(self):
@@ -194,30 +192,23 @@ def asymptotic_test(est: RteEstimate, cfg: InferenceConfig) -> InferenceReport:
     return test_and_ci(est, None, cfg)
 
 
-def _collect_replicates(make_counts, b: int, workers: int, n: int):
+def _collect_replicates(make_counts, b: int, n: int):
     """Effect and variance replicates from the counts ``make_counts(chunk, size)`` returns.
 
     Each chunk's counts are evaluated in row blocks of at most
     ``_engine.BLOCK_CELLS`` cells; rows are independent, so the blocking
     changes no value.
     """
-
-    def chunk(job):
-        y, dn1, dn2, dn3 = make_counts(*job)
+    parts = []
+    for c, start in enumerate(range(0, b, _CHUNK)):
+        y, dn1, dn2, dn3 = make_counts(c, min(_CHUNK, b - start))
         step = max(1, _engine.BLOCK_CELLS // max(1, dn1.shape[-1]))
-        return [
+        parts += [
             _engine.theta_sigma2_cif_from_counts(
                 y[s:s + step], dn1[s:s + step], dn2[s:s + step], dn3[s:s + step], n
             )
             for s in range(0, len(dn1), step)
         ]
-
-    jobs = [(c, min(_CHUNK, b - start)) for c, start in enumerate(range(0, b, _CHUNK))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [p for ps in pool.map(chunk, jobs) for p in ps]
-    else:
-        parts = [p for job in jobs for p in chunk(job)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -251,13 +242,15 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
     if data.n < 2:
         raise ValidationError("bootstrap needs at least two records")
     cp = counting_processes(data)
-    theta_hat = float(_engine.theta_from_counts(cp.at_risk, *cp.dn))
+    theta_hat = float(
+        _estimates_from_counts(cp.at_risk, cp.dn, data.n, data.tau, data.z.max())[0]
+    )
 
     def make_counts(c, size):
         rng = np.random.default_rng([*_seed_entropy(cfg.seed), 7, c])
         return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, size)
 
-    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, cfg.workers, data.n)
+    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, data.n)
     wstar = np.sqrt(data.n) * (thetas - theta_hat)
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
@@ -292,7 +285,7 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
         dn1, dn2, dn3 = _engine.relabel_counts(cp.dn, rng, size)
         return np.broadcast_to(cp.at_risk, dn1.shape), dn1, dn2, dn3
 
-    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, cfg.workers, data.n)
+    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, data.n)
     return _finalize_distribution(
         "randomization", thetas, sigmas2, data.n, 0.5, cfg.b, cfg.seed
     )
@@ -459,7 +452,6 @@ def run_inference(
     alpha: float = 0.05,
     b: int = 2000,
     seed: int = 0,
-    workers: int = 1,
     est: RteEstimate | None = None,
 ) -> list[InferenceReport]:
     """Run every requested method/transform combination on one sample.
@@ -471,9 +463,7 @@ def run_inference(
         est = estimate_rte(data)
     reports = []
     for method in methods:
-        cfg = InferenceConfig(
-            method=method, sided=sided, alpha=alpha, b=b, seed=seed, workers=workers
-        )
+        cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
         dist = resample_distribution(data, cfg)
         for transform in transforms:
             reports.append(test_and_ci(est, dist, replace(cfg, transform=transform)))

@@ -300,7 +300,10 @@ def prepare_dataset(
         raise ValidationError("empty dataset")
     x, delta = sample.x, sample.delta
     if jitter == "auto":
-        jitter = DEFAULT_JITTER_FRACTION * x.max() if _event_censoring_ties(x, delta) else None
+        z, eps, errors = _prepare_rows(x[None], delta[None], tau, [seed])
+        if errors:
+            raise errors[0]
+        return Dataset(z=z[0], epsilon=eps[0], tau=float(tau))
     if jitter is not None:
         x = _jitter_censored(x, delta, float(jitter), seed)
     z, eps = _classify(*_truncate(x, delta, tau))
@@ -310,13 +313,18 @@ def prepare_dataset(
 def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):
     """:func:`prepare_dataset` with ``jitter="auto"`` on a block of samples.
 
-    ``x`` and ``delta`` have shape ``(R, n, 2)``; sample ``i`` jitters with
-    seed ``seeds[i]``. Returns the records ``z, eps`` of shape ``(R, n)`` and
-    a dict from each failed sample to its error; a failed sample's records
-    are zeros. ``x`` is jittered in place.
+    ``x`` and ``delta`` have shape ``(R, n, 2)``. Sample ``i`` is jittered,
+    with seed ``seeds[i]`` and width ``DEFAULT_JITTER_FRACTION`` times its
+    largest time, only when one of its censoring times equals one of its
+    event times; ``x`` itself is left as it is. Returns the records ``z, eps``
+    of shape ``(R, n)`` and a dict from each failed sample to its error; a
+    failed sample's records are zeros.
     """
-    errors = {}
-    for i in np.flatnonzero(_event_censoring_ties(x, delta)):
+    x, errors = x.copy(), {}
+    # a sample with a non-finite time has no jitter width; truncation raises
+    # its NonFiniteTime
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    for i in np.flatnonzero(_event_censoring_ties(x, delta) & finite):
         try:
             x[i] = _jitter_censored(x[i], delta[i], DEFAULT_JITTER_FRACTION * x[i].max(), seeds[i])
         except PairedRteError as exc:

@@ -27,7 +27,7 @@ from .errors import (
     QuantileDomain,
     ScenarioError,
 )
-from .estimators import RteEstimate, _risk_exhausted
+from .estimators import RteEstimate, _estimates_from_counts
 from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
 from .paired_data import Dataset, PairedSample, _prepare_rows, prepare_dataset
 
@@ -300,8 +300,7 @@ def apply_marginals_and_censoring(
     if u.ndim != 2 or u.shape[1] != 2:
         raise QuantileDomain("uniforms must have shape (n, 2)")
     c = _censoring_draws(u, scenario, rng)
-    t = _lifetimes(u, scenario)
-    return PairedSample(np.minimum(t, c), t <= c)
+    return PairedSample(*_observe(u, c, scenario))
 
 
 def _censoring_draws(u: np.ndarray, scenario: Scenario, rng) -> np.ndarray:
@@ -316,34 +315,34 @@ def _censoring_draws(u: np.ndarray, scenario: Scenario, rng) -> np.ndarray:
     return rng.uniform(0.0, scenario.censoring.upper, (2, len(u))).T
 
 
-def _lifetimes(u: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Lifetimes ``T_j = Q_j(1 - U_j)`` of uniforms of shape (..., 2); draws nothing."""
-    return np.stack([scenario.marginal1.quantile(1.0 - u[..., 0]),
-                     scenario.marginal2.quantile(1.0 - u[..., 1])], axis=-1)
+def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
+    """Times and indicators of uniforms ``u`` and censoring times ``c`` of shape (..., 2).
+
+    Lifetimes are ``T_j = Q_j(1 - U_j)``; the quantile transforms draw nothing.
+    """
+    t = np.stack([scenario.marginal1.quantile(1.0 - u[..., 0]),
+                  scenario.marginal2.quantile(1.0 - u[..., 1])], axis=-1)
+    return np.minimum(t, c), (t <= c).astype(np.int64)
 
 
 def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
     """Sample one paired dataset of the scenario's size."""
-    rng = _rng_of(seed)
-    uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-    return apply_marginals_and_censoring(uv, scenario, rng)
+    x, delta = _draw_block(scenario, [_rng_of(seed)])
+    return PairedSample(x[0], delta[0])
 
 
-def _draw_block(scenario: Scenario, seed: int, reps: range):
-    """Times and indicators, each (len(reps), n, 2), of the harness replicates ``reps``.
+def _draw_block(scenario: Scenario, rngs):
+    """Times and indicators, each (R, n, 2), of one sample per generator in ``rngs``.
 
-    Replicate ``rep`` is ``draw_paired_sample(scenario, default_rng([seed,
-    rep]))``: its draws run in that stream in the same order, and only the
-    quantile transforms, which draw nothing, run once on the whole block.
+    Each sample draws from its own generator, in this order: the copula, the
+    boundary redraws of column 0 then column 1, and the censoring times. Only
+    the quantile transforms run once on the whole block.
     """
-    u = np.empty((len(reps), scenario.n, 2))
-    c = np.empty_like(u)
-    for i, rep in enumerate(reps):
-        rng = np.random.default_rng([seed, rep])
-        u[i] = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-        c[i] = _censoring_draws(u[i], scenario, rng)
-    t = _lifetimes(u, scenario)
-    return np.minimum(t, c), (t <= c).astype(np.int64)
+    u, c = [], []
+    for rng in rngs:
+        u.append(sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
+        c.append(_censoring_draws(u[-1], scenario, rng))
+    return _observe(np.array(u), np.array(c), scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +510,14 @@ def _estimate_block(scenario: Scenario, seed: int, reps: range):
     before the horizon while survival mass remains. Rows that failed to
     prepare hold placeholder values.
     """
-    n, tau = scenario.n, float(scenario.tau)
-    x, delta = _draw_block(scenario, seed, reps)
+    tau = float(scenario.tau)
+    x, delta = _draw_block(scenario, (np.random.default_rng([seed, rep]) for rep in reps))
     censored = int(_censored_margins(x, delta, tau).sum())
     z, eps, errors = _prepare_rows(x, delta, tau, reps)
     _, at_risk, dn = _engine.sorted_grid(z, eps)
-    theta, sigma2 = _engine.theta_sigma2_cif_from_counts(at_risk, *dn, n)
-    # estimate_rte's clamp, and its zero variance for a nonpositive plug-in
-    theta = np.minimum(np.maximum(theta, 0.0), 1.0)
-    sigma2 = np.where(sigma2 <= 0, 0.0, sigma2)
-    exhausted = _risk_exhausted(z.max(axis=-1), tau, at_risk, dn)
+    theta, sigma2, exhausted = _estimates_from_counts(
+        at_risk, dn, scenario.n, tau, z.max(axis=-1)
+    )
     return censored, z, eps, errors, theta, sigma2, exhausted
 
 
@@ -534,7 +531,6 @@ def run_size_experiment(
     alpha: float = 0.05,
     sided: str = "right",
     seed: int = 0,
-    workers: int = 1,
     label: str = "",
 ) -> ExperimentResult:
     """Monte Carlo rejection rates of the requested tests under the scenario.
@@ -552,8 +548,7 @@ def run_size_experiment(
     settings raise before any replicate runs.
     """
     n, tau = scenario.n, float(scenario.tau)
-    base = {m: InferenceConfig(method=m, sided=sided, alpha=alpha, b=b, workers=workers)
-            for m in methods}
+    base = {m: InferenceConfig(method=m, sided=sided, alpha=alpha, b=b) for m in methods}
     configs = {(m, t): replace(base[m], transform=t) for m in methods for t in transforms}
     rejections = dict.fromkeys(configs, 0)
     failures = []
@@ -624,7 +619,6 @@ def run_power_experiment(
     alpha: float = 0.05,
     sided: str = "right",
     seed: int = 0,
-    workers: int = 1,
 ) -> list[ExperimentResult]:
     """Rejection-rate curve along a grid of scenarios (departure axis)."""
     results = []
@@ -639,7 +633,6 @@ def run_power_experiment(
                 alpha=alpha,
                 sided=sided,
                 seed=int(np.random.SeedSequence([seed, idx]).generate_state(1)[0]),
-                workers=workers,
                 label=label,
             )
         )

@@ -23,7 +23,6 @@ __all__ = [
     "VarianceCurves",
     "greenwood_curves",
     "sigma_theta_plugin",
-    "sigma_theta_cif_plugin",
 ]
 
 # Clamp threshold per unit of n: values in (-1e-12 * n, 0] are round-off.
@@ -90,21 +89,6 @@ def sigma_theta_plugin(curves: RteCurves, variance_curves: VarianceCurves, tau: 
         warnings.warn("all-cause hazard increment of 1 before the last event time; "
                       "the affected increments are skipped", stacklevel=2)
     value = float(_engine.sigma2_from_counts(y, dn[0], dn[1], dn[2], cp.n))
-    return _clamp_policy(value, cp.n)
-
-
-def sigma_theta_cif_plugin(cp: CountingProcesses, tau: float) -> float:
-    """Plug-in variance from the incidence-estimator covariance recursion.
-
-    Same asymptotic target as :func:`sigma_theta_plugin`, but discretized at
-    the level of the cumulative-incidence estimators rather than the
-    cause-specific hazards. In finite samples this version agrees with the
-    classical Greenwood-type recursion of reference survival tooling (for
-    fully observed data it collapses to the exact multinomial variance), so
-    it is the estimator the inference layer studentizes with.
-    """
-    y, dn = _counts_to_tau(cp, tau)
-    value = float(_engine.sigma2_cif_from_counts(y, dn[0], dn[1], dn[2], cp.n))
     return _clamp_policy(value, cp.n)
 
 

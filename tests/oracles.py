@@ -92,6 +92,40 @@ def naive_sigma2(z, eps, n, tau):
     return total
 
 
+def naive_sigma2_cif(z, eps, n):
+    """Loop oracle for the incidence-level variance plug-in that inference studentizes with.
+
+    Per event time ``w``: the at-risk count Y, the events dN_j of each cause,
+    the survival S(w-) just before ``w``, and the credit q of all later event
+    times towards F2 + F3/2, scaled through the atom at ``w`` (zero once the
+    risk set is wiped out). The increment at ``w`` is a multinomial over
+    (stay, cause 1, cause 2, cause 3) whose cells contribute
+    (0, -q, S(w-) - q, S(w-)/2 - q); the quadratic form
+    ``sum_j psi_j^2 dN_j / Y^2 - (sum_j psi_j dN_j)^2 / Y^3``, summed over the
+    event times and times ``n``, is the plug-in. Returned unclamped.
+    """
+    z = np.asarray(z, float)
+    eps = np.asarray(eps)
+    grid = sorted(set(z[eps > 0]))
+    y, dn, s_left = [], [], []
+    s = 1.0
+    for u in grid:
+        y.append(float(np.sum(z >= u)))
+        dn.append({j: float(np.sum((z == u) & (eps == j))) for j in (1, 2, 3)})
+        s_left.append(s)
+        s *= 1.0 - (dn[-1][1] + dn[-1][2] + dn[-1][3]) / y[-1]
+    credit = [s_left[i] * (dn[i][2] + 0.5 * dn[i][3]) / y[i] for i in range(len(grid))]
+    total = 0.0
+    for i in range(len(grid)):
+        stay = 1.0 - (dn[i][1] + dn[i][2] + dn[i][3]) / y[i]
+        q = sum(credit[i + 1:]) / stay if stay > 0 else 0.0
+        psi = {1: -q, 2: s_left[i] - q, 3: 0.5 * s_left[i] - q}
+        lin = sum(psi[j] * dn[i][j] for j in (1, 2, 3))
+        quad = sum(psi[j] ** 2 * dn[i][j] for j in (1, 2, 3))
+        total += quad / y[i] ** 2 - lin ** 2 / y[i] ** 3
+    return n * total
+
+
 def naive_competing_risks(rows, tau):
     """Competing-risks records ``(z, epsilon)`` of paired rows, from the definitions.
 
@@ -131,7 +165,7 @@ def unique_event_grid(z, eps):
 
 
 def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=0.05,
-                              sided="right", seed=0, workers=1):
+                              sided="right", seed=0):
     """The size harness one replicate at a time.
 
     Replicate ``rep`` draws from ``default_rng([seed, rep])``, is prepared
@@ -155,7 +189,7 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
             risk_exhausted += sum(w.category is prt.DegenerateRiskWarning for w in caught)
             for method in methods:
                 cfg = prt.InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
-                                          seed=(seed, rep), workers=workers)
+                                          seed=(seed, rep))
                 dist = prt.inference.resample_distribution(data, cfg)
                 for transform in transforms:
                     report = prt.test_and_ci(est, dist, replace(cfg, transform=transform))

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,29 @@ from pairedrte import cli
 from pairedrte.cli import EXIT_DEGENERATE, EXIT_PARSE, EXIT_VALIDATION, main
 
 DATA = resources.files("pairedrte").joinpath("datasets")
+
+
+GOLDEN = Path(__file__).parent / "golden" / "analyze_diabetic_seed1.json"
+
+
+def _assert_same(got, want, path):
+    """Equal JSON values: same structure and non-floats, floats to 1e-12 relative.
+
+    The tolerance lets another numpy build round the last digits differently.
+    """
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
 
 
 @pytest.fixture
@@ -67,6 +91,26 @@ class TestAnalyze:
         p.write_text("x1,delta1,x2,delta2\n2,7,2,1\n")
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_VALIDATION
+
+    def test_nonfinite_time_beside_a_censoring_tie(self, runner, tmp_path):
+        p = tmp_path / "inf.csv"
+        p.write_text("x1,delta1,x2,delta2\ninf,1,1,0\n1,1,2,1\n3,0,1.5,1\n")
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "x1 is not finite" in res.output
+
+    def test_case_study_json_equals_golden_file(self, runner):
+        # analyze --input src/pairedrte/datasets/diabetic.csv --tau 60 --group-by
+        # --method all --transform both --B 2000 --seed 1 --format json
+        res = invoke(
+            runner, "analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60",
+            "--group-by", "--method", "all", "--transform", "both", "--B", "2000",
+            "--seed", "1", "--format", "json",
+        )
+        got = json.loads(res.output)
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        del got["input"], want["input"]
+        _assert_same(got, want, "doc")
 
     def test_seed_reproducibility(self, runner):
         args = ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60",

@@ -26,6 +26,7 @@ from pairedrte import (
     to_competing_risks,
     truncate_at_tau,
 )
+from pairedrte.paired_data import _prepare_rows
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 deltas = st.sampled_from([0, 1])
@@ -342,6 +343,19 @@ class TestPrepareDataset:
         plain = prepare_dataset(data, tau=10.0, jitter=None)
         assert plain.epsilon[0] == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_beside_a_censoring_tie(self, bad):
+        # the censored x2 = 1 ties the event x1 = 1 of the second pair
+        sample = PairedSample([[bad, 1.0], [1.0, 2.0], [3.0, 1.5]], [[1, 0], [1, 1], [0, 1]])
+        with pytest.raises(NonFiniteTime, match="x1 is not finite"):
+            prepare_dataset(sample, tau=10.0)
+
+    def test_auto_jitter_leaves_the_sample_as_it_is(self):
+        sample = PairedSample([[3.0, 3.0], [1.0, 2.0]], [[1, 0], [1, 1]])
+        ds = prepare_dataset(sample, tau=10.0, seed=0)
+        assert ds.z[0] == 3.0 and ds.epsilon[0] == 1
+        np.testing.assert_array_equal(sample.x, [[3.0, 3.0], [1.0, 2.0]])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_truncation_keeps_z_at_tau(self, seed):
@@ -353,3 +367,23 @@ class TestPrepareDataset:
         ]
         ds = prepare_dataset(data, tau=1.5, seed=seed)
         assert np.all(ds.z <= 1.5)
+
+
+class TestPrepareRows:
+    # pair 1's censored x2 = 1 ties pair 2's event x1 = 1, so auto jitter fires
+    X = [[[2.0, 1.0], [1.0, 2.0], [3.0, 1.5]]] * 2
+    DELTA = [[[1, 0], [1, 1], [0, 1]]] * 2
+
+    def test_rows_are_not_jittered_in_place(self):
+        x = np.array(self.X)
+        _prepare_rows(x, np.array(self.DELTA), 5.0, [0, 1])
+        np.testing.assert_array_equal(x, self.X)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_beside_a_censoring_tie(self, bad):
+        x = np.array(self.X)
+        x[1, 0, 0] = bad
+        z, eps, errors = _prepare_rows(x, np.array(self.DELTA), 5.0, [0, 1])
+        assert list(errors) == [1]
+        assert isinstance(errors[1], NonFiniteTime)
+        assert str(errors[1]) == f"x1 is not finite: {bad}"

@@ -24,7 +24,7 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
-from pairedrte.simulation import marginal_from_dict, scenario_from_dict, scenario_to_dict
+from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict, scenario_to_dict
 
 N_BIG = 100_000
 
@@ -376,6 +376,22 @@ class TestScenarioBuilders:
             power_scenario(3, "clayton", 0.5, 25)
         with pytest.raises(ScenarioError):
             power_scenario(9, "clayton", 0.5, 25)
+
+    @pytest.mark.parametrize("scenario", [
+        table1_scenario("clayton", "gompertz_exp", "strong", 25),
+        table1_scenario("gumbel_hougaard", "exp_mix", "medium", 40),
+        power_scenario(1, "clayton", 0.5, 30),
+        power_scenario(3, "gumbel_hougaard", 1.5, 20),
+    ])
+    def test_draw_is_copula_then_marginals_and_censoring(self, scenario):
+        # the stream every harness replicate and its reference loop draw
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
+            want = apply_marginals_and_censoring(uv, scenario, rng)
+            got = draw_paired_sample(scenario, seed)
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.delta, want.delta)
 
     def test_draw_paired_sample_shapes(self, simple_scenario):
         obs = draw_paired_sample(simple_scenario, seed=23)

@@ -20,22 +20,17 @@ from .errors import (
     NotFullyObserved,
     PairedRteError,
     ParseError,
-    QuantileDomain,
     ScenarioError,
     ThetaOutOfDomain,
     ValidationError,
 )
 from .paired_data import (
-    CompetingRisksRecord,
     Dataset,
     PairedObservation,
     PairedSample,
-    break_censoring_ties,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
-    to_competing_risks,
-    truncate_at_tau,
     write_competing_csv,
 )
 from .estimators import (
@@ -62,7 +57,6 @@ from .inference import (
     InferenceConfig,
     InferenceReport,
     ResampleDistribution,
-    asymptotic_test,
     bootstrap_distribution,
     randomization_distribution,
     randomize_labels,
@@ -77,7 +71,6 @@ from .simulation import (
     Mixture,
     Scenario,
     Uniform,
-    apply_marginals_and_censoring,
     calibrate_null,
     draw_paired_sample,
     empirical_censoring_rates,

@@ -59,10 +59,6 @@ class BracketError(PairedRteError):
     """Calibration bracket does not enclose the target value."""
 
 
-class QuantileDomain(PairedRteError):
-    """A probability hit the boundary of the quantile function's domain."""
-
-
 class ScenarioError(ValidationError):
     """A simulation scenario file or dict is malformed. Carries the field path."""
 

@@ -149,8 +149,6 @@ class RteEstimate:
 
 def counting_processes(data: Dataset) -> CountingProcesses:
     """Exact tie-aware counting and at-risk processes of the sample."""
-    if data.n == 0:
-        raise EmptyDataset("counting processes need at least one record")
     times, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
     return CountingProcesses(event_times=times, at_risk=at_risk, dn=dn, n=data.n)
 
@@ -195,8 +193,6 @@ def kaplan_meier_censoring(data: Dataset) -> StepCurve:
     times the true events are ranked first, so the censoring risk set at ``u``
     excludes records with an observed event at ``u``.
     """
-    if data.n == 0:
-        raise EmptyDataset("censoring estimator needs at least one record")
     z_cens = data.z[data.epsilon == 0]
     times = np.unique(z_cens)
     dn0 = np.bincount(np.searchsorted(times, z_cens), minlength=len(times))
@@ -226,8 +222,6 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     inference refuses later. Flags, without failing, samples whose risk set
     is exhausted strictly before ``tau`` while survival mass remains.
     """
-    if data.n == 0:
-        raise EmptyDataset("estimation needs at least one record")
     cp = counting_processes(data)
     # every event time is <= the largest record time, so the survival curve
     # there is its last product-limit value

@@ -30,7 +30,6 @@ __all__ = [
     "InferenceConfig",
     "InferenceReport",
     "ResampleDistribution",
-    "asymptotic_test",
     "bootstrap_distribution",
     "randomize_labels",
     "randomization_distribution",
@@ -185,11 +184,6 @@ def _normal_pvalue(t_obs: float, sided: str) -> float:
     if sided == "left":
         return _normal_sf(-t_obs)
     return 2.0 * _normal_sf(abs(t_obs))
-
-
-def asymptotic_test(est: RteEstimate, cfg: InferenceConfig) -> InferenceReport:
-    """Wald test and interval from the normal limit of the studentized estimator."""
-    return test_and_ci(est, None, cfg)
 
 
 def _collect_replicates(make_counts, b: int, n: int):

@@ -7,7 +7,8 @@ encodes which member was observed to fail first (1 or 2), whether both failed
 simultaneously (3), or whether the pair minimum is a censoring time (0).
 
 A :class:`PairedSample` carries the pairs as columns from ingest to
-:func:`prepare_dataset`; :class:`PairedObservation` is its row view.
+:func:`prepare_dataset`, which returns the records as the columns of a
+:class:`Dataset`; :class:`PairedObservation` is the pairs' row view.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from .errors import (
 __all__ = [
     "PairedObservation",
     "PairedSample",
-    "CompetingRisksRecord",
     "Dataset",
-    "truncate_at_tau",
-    "to_competing_risks",
-    "break_censoring_ties",
     "read_paired_csv",
     "read_competing_csv",
     "write_competing_csv",
@@ -123,22 +120,12 @@ class PairedSample:
 
 
 @dataclass(frozen=True)
-class CompetingRisksRecord:
-    """Transformed pair: time ``z`` and cause label ``epsilon`` in {0, 1, 2, 3}."""
-
-    z: float
-    epsilon: int
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValidationError(f"z must be nonnegative, got {self.z}")
-        if self.epsilon not in (0, 1, 2, 3):
-            raise ValidationError(f"epsilon must be in {{0,1,2,3}}, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Competing-risks sample: times ``z``, cause labels ``epsilon``, horizon ``tau``."""
+    """Competing-risks sample: times ``z``, cause labels ``epsilon``, horizon ``tau``.
+
+    Each record is one pair's smallest observed time ``z`` in ``[0, tau]``
+    and its label in {0, 1, 2, 3}; ``tau`` is a positive finite number.
+    """
 
     z: np.ndarray
     epsilon: np.ndarray
@@ -149,12 +136,16 @@ class Dataset:
         eps = np.asarray(self.epsilon, dtype=np.int64)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "epsilon", eps)
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise NonPositiveTau(f"tau must be a positive finite number, got {self.tau}")
         if z.ndim != 1 or eps.shape != z.shape:
             raise ValidationError("z and epsilon must be one-dimensional and aligned")
         if len(z) == 0:
             raise EmptyDataset("dataset must contain at least one record")
         if not np.all(np.isfinite(z)):
             raise NonFiniteTime("all record times must be finite")
+        if np.any(z < 0):
+            raise ValidationError(f"z must be nonnegative, got {z[z < 0][0]}")
         if np.any(z > self.tau):
             raise ValidationError("all record times must be <= tau")
         if not np.all(np.isin(eps, (0, 1, 2, 3))):
@@ -164,24 +155,13 @@ class Dataset:
     def n(self) -> int:
         return len(self.z)
 
-    @property
-    def records(self) -> tuple[CompetingRisksRecord, ...]:
-        return tuple(
-            CompetingRisksRecord(float(z), int(e)) for z, e in zip(self.z, self.epsilon)
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[CompetingRisksRecord], tau: float) -> "Dataset":
-        recs = list(records)
-        return cls(
-            z=np.array([r.z for r in recs], dtype=float),
-            epsilon=np.array([r.epsilon for r in recs], dtype=np.int64),
-            tau=float(tau),
-        )
-
 
 def _truncate(x: np.ndarray, delta: np.ndarray, tau: float):
-    """Truncation at the horizon on arrays of shape ``(..., 2)``: ``x >= tau`` becomes ``(tau, 1)``."""
+    """Truncation at the horizon on arrays of shape ``(..., 2)``: ``x >= tau`` becomes ``(tau, 1)``.
+
+    A time equal to the horizon becomes an observed event, so that the tie
+    mass at ``tau`` is credited to both treatments.
+    """
     if not math.isfinite(tau) or tau <= 0:
         raise NonPositiveTau(f"tau must be a positive finite number, got {tau}")
     bad = np.flatnonzero(~np.isfinite(x))
@@ -192,7 +172,13 @@ def _truncate(x: np.ndarray, delta: np.ndarray, tau: float):
 
 
 def _classify(x: np.ndarray, delta: np.ndarray):
-    """Competing-risks records ``(z, epsilon)`` of truncated pairs of shape ``(..., 2)``."""
+    """Competing-risks records ``(z, epsilon)`` of truncated pairs of shape ``(..., 2)``.
+
+    ``epsilon`` is 1 (2) when the first (second) margin is observed to fail
+    strictly before the other, 3 when both are observed to fail at the same
+    time, and 0 otherwise. The pattern ``x1 == x2`` with exactly one event
+    counts as censored; the censoring-tie jitter removes it first.
+    """
     x1, x2 = x[..., 0], x[..., 1]
     e1, e2 = delta[..., 0] == 1, delta[..., 1] == 1
     eps = np.select([(x1 < x2) & e1, (x2 < x1) & e2, (x1 == x2) & e1 & e2], [1, 2, 3], 0)
@@ -242,72 +228,34 @@ def _jitter_censored(x: np.ndarray, delta: np.ndarray, jitter: float, seed: int)
     return out
 
 
-def truncate_at_tau(obs: PairedObservation, tau: float) -> PairedObservation:
-    """Truncate both margins at the horizon: ``x_j >= tau`` becomes ``(tau, 1)``.
-
-    A time equal to the horizon is treated as an observed event so that the
-    tie mass at ``tau`` is credited to both treatments.
-    """
-    row = PairedSample.of([obs])
-    return PairedSample(*_truncate(row.x, row.delta, tau), row.group)[0]
-
-
-def to_competing_risks(obs: PairedObservation) -> CompetingRisksRecord:
-    """Map a truncated pair to its competing-risks record ``(z, epsilon)``.
-
-    ``epsilon`` is 1 (2) when the first (second) margin is observed to fail
-    strictly before the other, 3 when both are observed to fail at the same
-    time, and 0 otherwise. The ambiguous pattern ``x1 == x2`` with exactly one
-    event is classified as censored here; upstream censoring-tie jitter removes
-    the pattern before it reaches this function in the analysis pipeline.
-    """
-    row = PairedSample.of([obs])
-    z, eps = _classify(row.x, row.delta)
-    return CompetingRisksRecord(z=float(z[0]), epsilon=int(eps[0]))
-
-
-def break_censoring_ties(
-    data: Iterable[PairedObservation], jitter: float, seed: int
-) -> list[PairedObservation]:
-    """Add independent uniform(0, jitter) increments to every censored time.
-
-    Event times are untouched, so after jittering every censoring time tied
-    with an event time lies strictly above it, and no event/censoring ordering
-    is altered elsewhere. Deterministic given ``seed``.
-    """
-    sample = PairedSample.of(data)
-    x = _jitter_censored(sample.x, sample.delta, jitter, seed)
-    return list(PairedSample(x, sample.delta, sample.group))
-
-
 def prepare_dataset(
     data: PairedSample | Iterable[PairedObservation],
     tau: float,
     *,
-    jitter: float | str | None = "auto",
+    jitter: str | None = "auto",
     seed: int = 0,
 ) -> Dataset:
     """Run the analysis pipeline: tie-break censored times, truncate, transform.
 
-    ``jitter="auto"`` applies :func:`break_censoring_ties` with the default
-    scale (1e-9 times the largest observed time) only when some censoring time
-    exactly equals an event time; ``jitter=None`` disables tie breaking; a
-    float forces that jitter width. Jitter precedes truncation so that no
-    perturbed time can exceed the horizon.
+    ``jitter="auto"`` adds independent uniform increments, of width 1e-9
+    times the largest observed time and drawn from ``seed``, to every
+    censored time, but only when some censoring time exactly equals an event
+    time; event times are untouched, so each tied censoring time ends up just
+    above its event. ``jitter=None`` disables tie breaking. Jitter precedes
+    truncation so that no perturbed time can exceed the horizon.
     """
+    if jitter not in ("auto", None):
+        raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
     sample = PairedSample.of(data)
     if len(sample) == 0:
         raise ValidationError("empty dataset")
-    x, delta = sample.x, sample.delta
-    if jitter == "auto":
-        z, eps, errors = _prepare_rows(x[None], delta[None], tau, [seed])
-        if errors:
-            raise errors[0]
-        return Dataset(z=z[0], epsilon=eps[0], tau=float(tau))
-    if jitter is not None:
-        x = _jitter_censored(x, delta, float(jitter), seed)
-    z, eps = _classify(*_truncate(x, delta, tau))
-    return Dataset(z=z, epsilon=eps, tau=float(tau))
+    if jitter is None:
+        z, eps = _classify(*_truncate(sample.x, sample.delta, tau))
+        return Dataset(z=z, epsilon=eps, tau=float(tau))
+    z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau, [seed])
+    if errors:
+        raise errors[0]
+    return Dataset(z=z[0], epsilon=eps[0], tau=float(tau))
 
 
 def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):

@@ -24,7 +24,6 @@ from .errors import (
     InvalidParameter,
     NonMonotoneWarning,
     PairedRteError,
-    QuantileDomain,
     ScenarioError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
@@ -42,7 +41,6 @@ __all__ = [
     "sample_gumbel_hougaard",
     "sample_clayton",
     "sample_copula",
-    "apply_marginals_and_censoring",
     "draw_paired_sample",
     "calibrate_null",
     "run_size_experiment",
@@ -285,36 +283,6 @@ class Scenario:
             raise ScenarioError("n", "n must be at least 1")
 
 
-def apply_marginals_and_censoring(
-    uniforms: np.ndarray, scenario: Scenario, seed
-) -> PairedSample:
-    """Turn copula uniforms into censored paired observations.
-
-    Lifetimes are ``T_j = Q_j(1 - U_j)`` through each marginal's quantile
-    function; censoring times are independent uniforms from the scenario's
-    censoring law, shared in distribution by both margins. Uniforms that hit
-    the quantile domain boundary are redrawn.
-    """
-    rng = _rng_of(seed)
-    u = np.array(uniforms, dtype=float)
-    if u.ndim != 2 or u.shape[1] != 2:
-        raise QuantileDomain("uniforms must have shape (n, 2)")
-    c = _censoring_draws(u, scenario, rng)
-    return PairedSample(*_observe(u, c, scenario))
-
-
-def _censoring_draws(u: np.ndarray, scenario: Scenario, rng) -> np.ndarray:
-    """The draws that turn uniforms ``u`` of shape (n, 2) into observations.
-
-    Redraws boundary uniforms in place, then returns censoring times of shape
-    (n, 2); all first-margin censoring times are drawn before the second
-    margin's.
-    """
-    for j in (0, 1):
-        u[:, j] = _open_unit(u[:, j], rng)
-    return rng.uniform(0.0, scenario.censoring.upper, (2, len(u))).T
-
-
 def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
     """Times and indicators of uniforms ``u`` and censoring times ``c`` of shape (..., 2).
 
@@ -335,13 +303,17 @@ def _draw_block(scenario: Scenario, rngs):
     """Times and indicators, each (R, n, 2), of one sample per generator in ``rngs``.
 
     Each sample draws from its own generator, in this order: the copula, the
-    boundary redraws of column 0 then column 1, and the censoring times. Only
-    the quantile transforms run once on the whole block.
+    boundary redraws of column 0 then column 1, and the uniform censoring
+    times, all of column 0's before column 1's. Only the quantile transforms
+    run once on the whole block.
     """
     u, c = [], []
     for rng in rngs:
-        u.append(sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
-        c.append(_censoring_draws(u[-1], scenario, rng))
+        uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
+        for j in (0, 1):
+            uv[:, j] = _open_unit(uv[:, j], rng)
+        u.append(uv)
+        c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
     return _observe(np.array(u), np.array(c), scenario)
 
 

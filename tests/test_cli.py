@@ -99,6 +99,19 @@ class TestAnalyze:
         assert res.exit_code == EXIT_VALIDATION
         assert "x1 is not finite" in res.output
 
+    @pytest.mark.parametrize("rows, tau", [
+        ("1,2\n2,1\n3,0\n", "nan"),
+        ("1,2\n2,1\n3,0\n", "-1"),
+        ("1,2\n-1,1\n3,0\n", "10"),
+    ], ids=["nan-tau", "negative-tau", "negative-z"])
+    def test_competing_input_is_validated(self, runner, tmp_path, rows, tau):
+        p = tmp_path / "records.csv"
+        p.write_text("z,epsilon\n" + rows)
+        res = runner.invoke(main, ["analyze", "--input", str(p), f"--tau={tau}",
+                                   "--format", "json"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith("error: ")
+
     def test_case_study_json_equals_golden_file(self, runner):
         # analyze --input src/pairedrte/datasets/diabetic.csv --tau 60 --group-by
         # --method all --transform both --B 2000 --seed 1 --format json

@@ -19,12 +19,12 @@ from pairedrte import (
     PairedObservation,
     ThetaOutOfDomain,
     ValidationError,
-    asymptotic_test,
     bootstrap_distribution,
     estimate_rte,
     prepare_dataset,
     randomization_distribution,
     randomize_labels,
+    run_inference,
     test_and_ci as make_report,
 )
 from pairedrte.inference import resample_distribution
@@ -61,13 +61,14 @@ class TestAsymptoticTest:
         data = Dataset(z=[1, 2, 3, 4], epsilon=[1, 2, 1, 2], tau=5.0)
         est = estimate_rte(data)
         assert est.theta_hat == pytest.approx(0.5, abs=1e-15)
-        rep = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="right"))
+        rep = make_report(est, None, InferenceConfig(method="asymptotic", sided="right"))
         assert rep.statistic == pytest.approx(0.0, abs=1e-12)
         assert rep.p_value == pytest.approx(0.5, abs=1e-12)
         assert not rep.reject
 
     def test_two_sided_wald_interval(self, est):
-        rep = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="two", alpha=0.05))
+        cfg = InferenceConfig(method="asymptotic", sided="two", alpha=0.05)
+        rep = make_report(est, None, cfg)
         z = norm.ppf(0.975)
         lo = max(est.theta_hat - z * est.se, 0.0)
         hi = min(est.theta_hat + z * est.se, 1.0)
@@ -79,18 +80,18 @@ class TestAsymptoticTest:
         data = Dataset(z=[2.0], epsilon=[2], tau=3.0)
         est = estimate_rte(data)
         with pytest.raises(DegenerateVariance):
-            asymptotic_test(est, InferenceConfig(method="asymptotic"))
+            make_report(est, None, InferenceConfig(method="asymptotic"))
 
     def test_loglog_domain_error(self):
         obs = [PairedObservation(2, 1, 1, 1), PairedObservation(4, 1, 3, 1)]
         est = estimate_rte(prepare_dataset(obs, 100.0))
         assert est.theta_hat == 1.0
         with pytest.raises(ThetaOutOfDomain):
-            asymptotic_test(est, InferenceConfig(method="asymptotic", transform="loglog"))
+            make_report(est, None, InferenceConfig(method="asymptotic", transform="loglog"))
 
     def test_loglog_matches_delta_method_formula(self, est):
-        rep = asymptotic_test(
-            est, InferenceConfig(method="asymptotic", sided="right", transform="loglog")
+        rep = make_report(
+            est, None, InferenceConfig(method="asymptotic", sided="right", transform="loglog")
         )
         th = est.theta_hat
         expected = (np.log(-np.log(th)) - np.log(-np.log(0.5))) / (
@@ -105,7 +106,7 @@ class TestNormalRoute:
         far = replace(est, theta_hat=0.5 + 9.0 * est.se)
         for sided, t_sign in (("right", 1.0), ("left", -1.0), ("two", 1.0)):
             e = far if t_sign > 0 else replace(est, theta_hat=0.5 - 9.0 * est.se)
-            rep = asymptotic_test(e, InferenceConfig(method="asymptotic", sided=sided))
+            rep = make_report(e, None, InferenceConfig(method="asymptotic", sided=sided))
             assert abs(rep.statistic) == pytest.approx(9.0, rel=1e-12)
             ref = norm.sf(abs(rep.statistic)) * (2.0 if sided == "two" else 1.0)
             assert rep.p_value > 0.0
@@ -113,12 +114,12 @@ class TestNormalRoute:
 
     @pytest.mark.parametrize("level", [0.005, 0.025, 0.05, 0.1])
     def test_critical_values_match_reference(self, est, level):
-        right = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="right",
-                                                     alpha=level))
-        left = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="left",
-                                                    alpha=level))
-        two = asymptotic_test(est, InferenceConfig(method="asymptotic", sided="two",
-                                                   alpha=2 * level))
+        right = make_report(est, None, InferenceConfig(method="asymptotic", sided="right",
+                                                       alpha=level))
+        left = make_report(est, None, InferenceConfig(method="asymptotic", sided="left",
+                                                      alpha=level))
+        two = make_report(est, None, InferenceConfig(method="asymptotic", sided="two",
+                                                     alpha=2 * level))
         for got, q in ((right.critical_values[0], 1 - level), (left.critical_values[0], level),
                        (two.critical_values[0], level), (two.critical_values[1], 1 - level)):
             ref = norm.ppf(q)
@@ -259,11 +260,12 @@ class TestRandomizationDistribution:
 
 
 class TestReportConstruction:
-    def test_normal_path_reproduces_asymptotic(self, est):
+    def test_normal_path_reproduces_asymptotic(self, sample, est):
         for sided in ("right", "left", "two"):
             for transform in ("linear", "loglog"):
                 cfg = InferenceConfig(method="asymptotic", sided=sided, transform=transform)
-                assert make_report(est, None, cfg) == asymptotic_test(est, cfg)
+                via_run = run_inference(sample, ["asymptotic"], [transform], sided=sided, est=est)
+                assert make_report(est, None, cfg) == via_run[0]
 
     def test_insufficient_replicates(self, sample, est):
         cfg = InferenceConfig(method="randomization", b=10, seed=1)
@@ -337,7 +339,7 @@ class TestReportConstruction:
             InferenceConfig(method="bootstrap", transform="loglog", studentize=False)
 
     def test_report_serializes(self, est):
-        rep = asymptotic_test(est, InferenceConfig(method="asymptotic"))
+        rep = make_report(est, None, InferenceConfig(method="asymptotic"))
         d = rep.to_dict()
         assert d["method"] == "asymptotic"
         assert set(d) >= {"theta_hat", "statistic", "p_value", "ci_lower", "ci_upper", "reject"}

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import naive_competing_risks
 
 from pairedrte import (
-    CompetingRisksRecord,
     Dataset,
     EmptyDataset,
     JitterTooLarge,
@@ -19,12 +19,9 @@ from pairedrte import (
     PairedSample,
     ParseError,
     ValidationError,
-    break_censoring_ties,
     counting_processes,
     prepare_dataset,
     read_paired_csv,
-    to_competing_risks,
-    truncate_at_tau,
 )
 from pairedrte.paired_data import _prepare_rows
 
@@ -83,37 +80,33 @@ class TestPairedSample:
         assert PairedSample.of([replace(rows[0], group=None)]).group is None
 
 
+def records(rows, tau, **kwargs):
+    """The records ``(z, epsilon)`` that :func:`prepare_dataset` makes of ``rows``."""
+    ds = prepare_dataset([PairedObservation(*r) for r in rows], tau, **kwargs)
+    return [(float(z), int(e)) for z, e in zip(ds.z, ds.epsilon)]
+
+
 class TestTruncateAtTau:
     def test_censored_margin_above_tau_becomes_event_at_tau(self):
-        obs = PairedObservation(5, 0, 2, 1)
-        out = truncate_at_tau(obs, 3.0)
-        assert (out.x1, out.delta1, out.x2, out.delta2) == (3.0, 1, 2, 1)
+        # (5, 0) becomes (3, 1), which ties the event of the other margin
+        assert records([(5, 0, 4, 1)], 3.0, jitter=None) == [(3.0, 3)]
+        assert records([(5, 0, 2, 1)], 3.0, jitter=None) == [(2.0, 2)]
 
     def test_below_tau_unchanged(self):
-        obs = PairedObservation(1, 1, 2, 0)
-        assert truncate_at_tau(obs, 10.0) == obs
+        assert records([(1, 1, 2, 0)], 10.0, jitter=None) == [(1.0, 1)]
 
     def test_time_equal_tau_is_event(self):
-        obs = PairedObservation(3, 0, 3, 0)
-        out = truncate_at_tau(obs, 3.0)
-        assert (out.x1, out.delta1, out.x2, out.delta2) == (3.0, 1, 3.0, 1)
+        assert records([(3, 0, 3, 0)], 3.0, jitter=None) == [(3.0, 3)]
 
     def test_nonfinite_time(self):
-        with pytest.raises(NonFiniteTime):
-            truncate_at_tau(PairedObservation(math.inf, 1, 1, 1), 5.0)
-        with pytest.raises(NonFiniteTime):
-            truncate_at_tau(PairedObservation(math.nan, 1, 1, 1), 5.0)
+        for bad, jitter in itertools.product((math.inf, math.nan), ("auto", None)):
+            with pytest.raises(NonFiniteTime):
+                records([(bad, 1, 1, 1)], 5.0, jitter=jitter)
 
     def test_nonpositive_tau(self):
-        with pytest.raises(NonPositiveTau):
-            truncate_at_tau(PairedObservation(1, 1, 1, 1), 0.0)
-        with pytest.raises(NonPositiveTau):
-            truncate_at_tau(PairedObservation(1, 1, 1, 1), -2.0)
-
-    @given(obs=observations, tau=st.floats(min_value=0.01, max_value=150.0))
-    def test_idempotent(self, obs, tau):
-        once = truncate_at_tau(obs, tau)
-        assert truncate_at_tau(once, tau) == once
+        for tau, jitter in itertools.product((0.0, -2.0, math.nan, math.inf), ("auto", None)):
+            with pytest.raises(NonPositiveTau):
+                records([(1, 1, 1, 1)], tau, jitter=jitter)
 
 
 class TestToCompetingRisks:
@@ -127,17 +120,15 @@ class TestToCompetingRisks:
         ],
     )
     def test_examples(self, pair, expected):
-        rec = to_competing_risks(PairedObservation(*pair))
-        assert (rec.z, rec.epsilon) == expected
+        assert records([pair], 10.0, jitter=None) == [expected]
 
     def test_ambiguous_tie_is_censored(self):
-        # x1 == x2 with exactly one event: the raw transform censors the pair.
-        rec = to_competing_risks(PairedObservation(3, 1, 3, 0))
-        assert (rec.z, rec.epsilon) == (3, 0)
+        # x1 == x2 with exactly one event: without the jitter the pair is censored.
+        assert records([(3, 1, 3, 0)], 10.0, jitter=None) == [(3.0, 0)]
 
     def test_exhaustive_classification_on_lattice(self):
         # Lattice times force plenty of ties; compare against an independent
-        # vectorized classifier and check exactly one case fires per pair.
+        # classifier and check exactly one case fires per pair.
         rng = np.random.default_rng(7)
         n = 100_000
         x1 = rng.integers(0, 12, n).astype(float)
@@ -149,52 +140,44 @@ class TestToCompetingRisks:
         c3 = (x1 == x2) & (d1 == 1) & (d2 == 1)
         c0 = ~(c1 | c2 | c3)
         assert np.all(c1.astype(int) + c2 + c3 + c0 == 1)
-        expected = np.select([c1, c2, c3], [1, 2, 3], default=0)
-        got = np.array(
-            [
-                to_competing_risks(PairedObservation(a, int(b), c, int(d))).epsilon
-                for a, b, c, d in zip(x1[:2000], d1[:2000], x2[:2000], d2[:2000])
-            ]
+        ds = prepare_dataset(
+            PairedSample(np.column_stack([x1, x2]), np.column_stack([d1, d2])), 12.0, jitter=None
         )
-        np.testing.assert_array_equal(got, expected[:2000])
-        z = np.minimum(x1, x2)
-        got_z = np.array(
-            [
-                to_competing_risks(PairedObservation(a, int(b), c, int(d))).z
-                for a, b, c, d in zip(x1[:2000], d1[:2000], x2[:2000], d2[:2000])
-            ]
-        )
-        np.testing.assert_array_equal(got_z, z[:2000])
+        np.testing.assert_array_equal(ds.epsilon, np.select([c1, c2, c3], [1, 2, 3], default=0))
+        np.testing.assert_array_equal(ds.z, np.minimum(x1, x2))
 
     @given(obs=observations)
     def test_z_is_min(self, obs):
-        rec = to_competing_risks(obs)
-        assert rec.z == min(obs.x1, obs.x2)
+        ds = prepare_dataset([obs], 101.0, jitter=None)
+        assert ds.z[0] == min(obs.x1, obs.x2)
 
     @pytest.mark.parametrize("phi", [lambda t: 2.0 * t, lambda t: t**2, lambda t: np.expm1(t / 50.0)])
     def test_monotone_invariance(self, phi):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            x1, x2 = rng.integers(0, 8, 2).astype(float)
-            d1, d2 = rng.integers(0, 2, 2)
-            base = to_competing_risks(PairedObservation(x1, int(d1), x2, int(d2)))
-            mapped = to_competing_risks(
-                PairedObservation(float(phi(x1)), int(d1), float(phi(x2)), int(d2))
-            )
-            assert mapped.epsilon == base.epsilon
-            assert mapped.z == pytest.approx(phi(base.z))
+        x = rng.integers(0, 8, (200, 2)).astype(float)
+        delta = rng.integers(0, 2, (200, 2))
+        base = prepare_dataset(PairedSample(x, delta), 100.0, jitter=None)
+        mapped = prepare_dataset(PairedSample(phi(x), delta), 100.0, jitter=None)
+        np.testing.assert_array_equal(mapped.epsilon, base.epsilon)
+        np.testing.assert_allclose(mapped.z, phi(base.z), rtol=1e-12)
+
+
+def lattice_sample(seed, n):
+    rng = np.random.default_rng(seed)
+    return PairedSample(rng.integers(0, 20, (n, 2)).astype(float), rng.integers(0, 2, (n, 2)))
 
 
 class TestBreakCensoringTies:
     def test_no_censored_rows_unchanged(self):
-        data = [PairedObservation(1, 1, 2, 1), PairedObservation(3, 1, 4, 1)]
-        assert break_censoring_ties(data, 1e-9, seed=1) == data
+        rows = [(1, 1, 2, 1), (3, 1, 1, 1)]
+        assert records(rows, 10.0, seed=1) == records(rows, 10.0, jitter=None)
 
     def test_increment_within_bounds(self):
-        data = [PairedObservation(2, 0, 5, 1)]
-        out = break_censoring_ties(data, 1e-9, seed=5)[0]
-        assert 2.0 < out.x1 < 2.0 + 1e-9
-        assert out.x2 == 5.0
+        # the censored 2 ties the event 2 of the second pair; width 1e-9 * 6
+        ds = prepare_dataset([PairedObservation(2, 0, 5, 1), PairedObservation(2, 1, 6, 1)],
+                             tau=10.0, seed=5)
+        assert 2.0 < ds.z[0] < 2.0 + 6e-9 and ds.epsilon[0] == 0
+        assert (ds.z[1], ds.epsilon[1]) == (2.0, 1)
 
     def test_at_risk_counts_after_tie_break(self):
         # Event at 2.0 in one pair, censoring at 2.0 in another: after the
@@ -208,53 +191,64 @@ class TestBreakCensoringTies:
         assert cp.dn_cause(1)[0] == 1.0
 
     def test_jitter_too_large(self):
-        data = [PairedObservation(2.0, 1, 5.0, 0), PairedObservation(2.5, 0, 9.0, 1)]
+        # the censoring tie at 1.0 fires the jitter; the censoring time 2e-8
+        # above the event is the smallest gap, and the width is 1e-9 times
+        # the largest time
+        def rows(largest):
+            return [PairedObservation(1.0, 1, largest, 1), PairedObservation(1.0, 0, 1.0 + 2e-8, 0)]
+
+        prepare_dataset(rows(10.0), tau=100.0)
         with pytest.raises(JitterTooLarge):
-            break_censoring_ties(data, jitter=0.5, seed=0)
-        break_censoring_ties(data, jitter=0.4999, seed=0)
+            prepare_dataset(rows(30.0), tau=100.0)
 
     def test_deterministic_given_seed(self):
-        data = [PairedObservation(2, 0, 3, 0), PairedObservation(4, 0, 7, 1)]
-        a = break_censoring_ties(data, 1e-6, seed=11)
-        b = break_censoring_ties(data, 1e-6, seed=11)
-        c = break_censoring_ties(data, 1e-6, seed=12)
-        assert a == b
-        assert a != c
+        sample = lattice_sample(0, 20)
+        a = prepare_dataset(sample, 30.0, seed=11)
+        b = prepare_dataset(sample, 30.0, seed=11)
+        c = prepare_dataset(sample, 30.0, seed=12)
+        np.testing.assert_array_equal(a.z, b.z)
+        assert not np.array_equal(a.z, c.z)
 
     def test_draws_follow_row_order(self):
         # One draw per censored cell, pair by pair and x1 before x2: the
         # stream of a row-by-row loop with scalar draws.
-        rng = np.random.default_rng(4)
-        data = [
-            PairedObservation(float(rng.integers(0, 20)), int(rng.integers(0, 2)),
-                              float(rng.integers(0, 20)), int(rng.integers(0, 2)))
-            for _ in range(40)
-        ]
+        data = list(lattice_sample(4, 40))
+        width = 1e-9 * max(max(o.x1, o.x2) for o in data)
         draws = np.random.default_rng(9)
         expected = []
         for o in data:
-            x1 = o.x1 + draws.uniform(0.0, 1e-6) if o.delta1 == 0 else o.x1
-            x2 = o.x2 + draws.uniform(0.0, 1e-6) if o.delta2 == 0 else o.x2
+            x1 = o.x1 + draws.uniform(0.0, width) if o.delta1 == 0 else o.x1
+            x2 = o.x2 + draws.uniform(0.0, width) if o.delta2 == 0 else o.x2
             expected.append(replace(o, x1=x1, x2=x2))
-        assert break_censoring_ties(data, 1e-6, seed=9) == expected
+        ds = prepare_dataset(data, 30.0, seed=9)
+        z, eps = naive_competing_risks(expected, 30.0)
+        np.testing.assert_array_equal(ds.z, z)
+        np.testing.assert_array_equal(ds.epsilon, eps)
 
     def test_order_preservation(self):
-        rng = np.random.default_rng(2)
-        data = [
-            PairedObservation(float(rng.integers(0, 20)), int(rng.integers(0, 2)),
-                              float(rng.integers(0, 20)), int(rng.integers(0, 2)))
-            for _ in range(60)
-        ]
-        out = break_censoring_ties(data, 1e-9, seed=3)
-        ev_before = sorted(x for o in data for x, d in ((o.x1, o.delta1), (o.x2, o.delta2)) if d == 1)
-        ev_after = sorted(x for o in out for x, d in ((o.x1, o.delta1), (o.x2, o.delta2)) if d == 1)
-        assert ev_before == ev_after
-        for o_new, o_old in zip(out, data):
-            for x_new, x_old, d in ((o_new.x1, o_old.x1, o_old.delta1), (o_new.x2, o_old.x2, o_old.delta2)):
-                if d == 0:
-                    assert x_old < x_new < x_old + 1e-9
-                    # strictly later than any event at the old (tied) time
-                    assert all(x_new > e for e in ev_before if e <= x_old)
+        sample = lattice_sample(2, 60)
+        width = 1e-9 * sample.x.max()
+        out = prepare_dataset(sample, 30.0, seed=3)
+        plain = prepare_dataset(sample, 30.0, jitter=None)
+        x, delta = sample.x, sample.delta
+        # the jitter only orders within-pair ties of an event and a censoring
+        # time, putting the event first
+        tie = (x[:, 0] == x[:, 1]) & (delta[:, 0] != delta[:, 1])
+        assert tie.any()
+        np.testing.assert_array_equal(out.epsilon[~tie], plain.epsilon[~tie])
+        np.testing.assert_array_equal(out.epsilon[tie], np.where(delta[tie, 0] == 1, 1, 2))
+        # event times are untouched; each censoring time moves up by less
+        # than the width, strictly past every event at or before it
+        events = out.epsilon > 0
+        np.testing.assert_array_equal(out.z[events], plain.z[events])
+        for z_new, z_old in zip(out.z[~events], plain.z[~events]):
+            assert z_old < z_new < z_old + width
+            assert all(z_new > e for e in x[delta == 1] if e <= z_old)
+
+    @pytest.mark.parametrize("jitter", [0.5, 1e-9, 0.0, "fixed"])
+    def test_only_auto_or_none(self, jitter):
+        with pytest.raises(ValidationError, match="jitter must be 'auto' or None"):
+            prepare_dataset([PairedObservation(2, 0, 5, 1)], 10.0, jitter=jitter)
 
 
 class TestDataset:
@@ -266,12 +260,14 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(z=[2.0], epsilon=[1], tau=1.0)
 
-    def test_records_roundtrip(self):
-        ds = Dataset(z=[1.0, 2.0], epsilon=[1, 0], tau=5.0)
-        assert ds.records == (CompetingRisksRecord(1.0, 1), CompetingRisksRecord(2.0, 0))
-        again = Dataset.from_records(ds.records, tau=5.0)
-        np.testing.assert_array_equal(again.z, ds.z)
-        np.testing.assert_array_equal(again.epsilon, ds.epsilon)
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValidationError, match="z must be nonnegative, got -1.0"):
+            Dataset(z=[2.0, -1.0], epsilon=[1, 0], tau=5.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, tau):
+        with pytest.raises(NonPositiveTau, match="tau must be a positive finite number"):
+            Dataset(z=[0.0], epsilon=[1], tau=tau)
 
 
 class TestReadPairedCsv:
@@ -318,11 +314,12 @@ class TestReadPairedCsv:
 
 class TestPrepareDataset:
     def test_pipeline_matches_manual_steps(self):
+        # pair 1 truncates to (3, 1, 2, 1); the censored 2 of pair 2 ties the
+        # event 2 of pair 1, so the jitter fires without changing a record
         data = [PairedObservation(5, 0, 2, 1), PairedObservation(1, 1, 2, 0)]
         ds = prepare_dataset(data, tau=3.0)
-        manual = [to_competing_risks(truncate_at_tau(o, 3.0)) for o in data]
-        np.testing.assert_array_equal(ds.z, [r.z for r in manual])
-        np.testing.assert_array_equal(ds.epsilon, [r.epsilon for r in manual])
+        np.testing.assert_array_equal(ds.z, [2.0, 1.0])
+        np.testing.assert_array_equal(ds.epsilon, [2, 1])
 
     @given(rows=lattice_rows, tau=st.sampled_from([0.5, 2.0, 3.0, 4.5, 6.0, 10.0]))
     @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
 from pairedrte import (
     BracketError,
-    CompetingRisksRecord,
     Exponential,
     Gompertz,
     InvalidParameter,
@@ -13,7 +14,6 @@ from pairedrte import (
     Scenario,
     ScenarioError,
     Uniform,
-    apply_marginals_and_censoring,
     calibrate_null,
     draw_paired_sample,
     empirical_censoring_rates,
@@ -24,6 +24,7 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
+from pairedrte import simulation
 from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict, scenario_to_dict
 
 N_BIG = 100_000
@@ -170,24 +171,27 @@ def simple_scenario():
 
 class TestApplyMarginalsAndCensoring:
     def test_no_censoring_when_support_is_huge(self, simple_scenario):
-        from dataclasses import replace
+        obs = draw_paired_sample(replace(simple_scenario, censoring=Uniform(1e9), n=500), seed=11)
+        assert (obs.delta == 1).all()
 
-        scenario = replace(simple_scenario, censoring=Uniform(1e9))
-        u = sample_gumbel_hougaard(5.0, 500, seed=10)
-        obs = apply_marginals_and_censoring(u, scenario, seed=11)
-        assert all(o.delta1 == 1 and o.delta2 == 1 for o in obs)
-
-    def test_boundary_uniforms_are_redrawn(self, simple_scenario):
+    def test_boundary_uniforms_are_redrawn(self, simple_scenario, monkeypatch):
         u = np.array([[0.0, 0.5], [0.5, 1.0], [0.25, 0.75]])
-        obs = apply_marginals_and_censoring(u, simple_scenario, seed=12)
-        assert len(obs) == 3
-        assert all(np.isfinite([o.x1, o.x2]).all() for o in obs)
+        monkeypatch.setattr(simulation, "sample_copula", lambda *args: u.copy())
+        obs = draw_paired_sample(replace(simple_scenario, n=3), seed=12)
+        # the 0 of column 0, then the 1 of column 1, take the next draws
+        rng = np.random.default_rng(12)
+        want = u.copy()
+        want[0, 0], want[1, 1] = rng.random(), rng.random()
+        c = rng.uniform(0.0, simple_scenario.censoring.upper, (2, 3)).T
+        t = Exponential(2.0).quantile(1.0 - want)
+        np.testing.assert_array_equal(obs.x, np.minimum(t, c))
+        assert np.isfinite(obs.x).all()
 
     def test_deterministic(self, simple_scenario):
-        u = sample_gumbel_hougaard(5.0, 50, seed=13)
-        a = apply_marginals_and_censoring(u, simple_scenario, seed=14)
-        b = apply_marginals_and_censoring(u, simple_scenario, seed=14)
-        assert list(a) == list(b)
+        a = draw_paired_sample(simple_scenario, seed=14)
+        b = draw_paired_sample(simple_scenario, seed=14)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.delta, b.delta)
 
 
 class TestCensoringRateBands:
@@ -344,8 +348,7 @@ class TestFailureLedger:
 
     def test_harness_builds_no_rows(self, simple_scenario, monkeypatch):
         built = []
-        for row_type in (PairedObservation, CompetingRisksRecord):
-            monkeypatch.setattr(row_type, "__post_init__", built.append)
+        monkeypatch.setattr(PairedObservation, "__post_init__", built.append)
         run_size_experiment(simple_scenario, methods=["asymptotic"], transforms=["linear"], r=3)
         empirical_censoring_rates(simple_scenario, 500, seed=1)
         assert built == []
@@ -387,11 +390,17 @@ class TestScenarioBuilders:
         # the stream every harness replicate and its reference loop draw
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-            want = apply_marginals_and_censoring(uv, scenario, rng)
+            u = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
+            for j in (0, 1):
+                while not ((u[:, j] > 0) & (u[:, j] < 1)).all():
+                    bad = ~((u[:, j] > 0) & (u[:, j] < 1))
+                    u[bad, j] = rng.random(int(bad.sum()))
+            c = rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T
+            t = np.column_stack([scenario.marginal1.quantile(1.0 - u[:, 0]),
+                                 scenario.marginal2.quantile(1.0 - u[:, 1])])
             got = draw_paired_sample(scenario, seed)
-            np.testing.assert_array_equal(got.x, want.x)
-            np.testing.assert_array_equal(got.delta, want.delta)
+            np.testing.assert_array_equal(got.x, np.minimum(t, c))
+            np.testing.assert_array_equal(got.delta, (t <= c).astype(int))
 
     def test_draw_paired_sample_shapes(self, simple_scenario):
         obs = draw_paired_sample(simple_scenario, seed=23)

@@ -6,6 +6,12 @@ each of shape ``(..., k)`` where leading axes enumerate replicates. A cell
 whose event counts are all zero contributes nothing, whatever its ``Y``; a
 cell with ``Y == 0`` must be such a cell. Bootstrap replicates that miss late
 records have them, and :func:`sorted_grid` pads every tie run with them.
+
+Estimates and bootstrap replicates go through the fused kernel
+:func:`theta_sigma2_cif_from_counts`. Relabeling replicates change only how
+type-1/2 events split, so :func:`relabel_counts` draws just their type-2
+counts and :func:`relabel_kernel` evaluates them from the sample's
+invariants.
 """
 
 from __future__ import annotations
@@ -24,12 +30,20 @@ __all__ = [
     "theta_sigma2_cif_from_counts",
     "bootstrap_counts",
     "relabel_counts",
+    "relabel_kernel",
 ]
 
 # Cells one kernel evaluation covers at most: the Monte Carlo harness sizes
 # its replicate blocks and the resampling code its row blocks by it, so the
 # kernel temporaries stay linear in n and bounded per block.
 BLOCK_CELLS = 2**16
+
+# Share of its nonnegative part at or below which :func:`relabel_kernel`
+# takes a variance plug-in for zero. On random samples of up to 3,000 records
+# and near-degenerate ones of up to 20,000, the round-off of variances that
+# are zero in exact arithmetic stayed below 3e-16 of that part, and the
+# smallest nonzero variance found was about 1/(2n) of it.
+ZERO_VARIANCE_RTOL = 1e-12
 
 
 def sorted_grid(z: np.ndarray, eps: np.ndarray):
@@ -185,21 +199,84 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
 
 
-def relabel_counts(dN, rng: np.random.Generator, b: int):
-    """Counting arrays for ``b`` within-pair relabelings of type-1/2 events.
+def relabel_counts(dN, rng: np.random.Generator, b: int) -> np.ndarray:
+    """Type-2 counts of ``b`` within-pair relabelings of type-1/2 events, shape ``(b, k)``.
 
     Each type-1/2 event flips to type 1 or 2 with probability one half,
     independently across events and replicates; type-3 events and the at-risk
-    process are untouched. Uses one uniform draw per (replicate, event) in
-    grid order so a record-level relabeling with the same draws agrees exactly.
+    process are untouched, and the type-1 counts are ``dN1 + dN2`` minus the
+    returned rows. Uses one uniform draw per (replicate, event) in grid order,
+    a draw below one half making the event type 1, so a record-level
+    relabeling with the same draws agrees exactly.
     """
     m = (dN[0] + dN[1]).astype(np.int64)
     k = len(m)
     flip_slots = np.repeat(np.arange(k), m)
-    coins = rng.random((b, len(flip_slots))) < 0.5
+    type2 = rng.random((b, len(flip_slots))) >= 0.5
     cells = np.arange(b)[:, None] * k + flip_slots[None, :]
-    dN1_new = np.bincount(cells.ravel(), weights=coins.ravel(), minlength=b * k).reshape(b, k)
-    return dN1_new, m - dN1_new, np.broadcast_to(dN[2], (b, k)).copy()
+    return np.bincount(cells.ravel(), weights=type2.ravel(), minlength=b * k).reshape(b, k)
+
+
+def relabel_kernel(Y, dN, n: int):
+    """Effect and variance plug-in of relabeled samples from their invariants.
+
+    ``Y`` (shape ``(k,)``) and ``dN`` (shape ``(3, k)``) are the counts of
+    the observed sample on its event grid. Relabeling moves only how type-1/2
+    events split, so ``Y``, ``dN. = dN1 + dN2 + dN3``, ``dN3``, ``S(u-)`` and
+    ``1 - dA.`` are the same for every replicate, and the kernel of
+    :func:`theta_sigma2_cif_from_counts` reduces to a function of the type-2
+    row ``dN2`` alone. With ``g = dN2 + dN3/2`` its credit increments are
+    ``(S(u-)/Y) g``, ``b`` their cumulative sum and ``q = (b_tau - b) /
+    (1 - dA.)`` (zero where ``1 - dA. = 0``), so ``theta = b_tau`` and, since
+    the multinomial cells' weights are ``(-q, S(u-) - q, S(u-)/2 - q)``::
+
+        sigma2 = n sum [alpha q^2 - 2 beta q g - delta g^2 + gamma (dN2 + dN3/4)]
+
+    with ``alpha = dN. (Y - dN.) / Y^3``, ``beta = S(u-) (Y - dN.) / Y^3``,
+    ``delta = S(u-)^2 / Y^3`` and ``gamma = S(u-)^2 / Y^2``. These per-cell
+    vectors are built here once; a replicate then costs one cumulative sum and
+    four weighted reductions, and ``dN1`` is never formed.
+
+    Returns ``evaluate(dn2) -> (theta, sigma2)`` for type-2 rows of shape
+    ``(..., k)``. The terms ``alpha q^2`` and ``gamma (dN2 + dN3/4)`` are
+    nonnegative and the other two nonpositive. A variance at most
+    :data:`ZERO_VARIANCE_RTOL` times its nonnegative part is zero in exact
+    arithmetic, for instance when every type-1/2 event is relabeled type 2 and
+    the last event time empties the risk set; it is returned as exactly 0, as
+    the variance of an all-type-1 relabeling is, so such a replicate is
+    skipped whatever the sign of its round-off.
+    """
+    Y = np.asarray(Y, dtype=float)
+    dN = np.asarray(dN, dtype=float)
+    safe_y = np.where(Y > 0, Y, 1.0)
+    dn_dot = dN.sum(axis=0)
+    dA_dot = dn_dot / safe_y
+    s_left = survival_left(dA_dot)
+    stay = 1.0 - dA_dot
+    inv_stay = np.where(stay > 0, 1.0 / np.where(stay > 0, stay, 1.0), 0.0)
+    weight = s_left / safe_y
+    half3 = 0.5 * dN[2]
+    y3 = safe_y**3
+    # q = (b_tau - b) * inv_stay; its factors fold into the weights of q^2 and q g
+    alpha = n * dn_dot * (Y - dn_dot) / y3 * inv_stay**2
+    beta2 = 2.0 * n * s_left * (Y - dn_dot) / y3 * inv_stay
+    delta = n * s_left**2 / y3
+    gamma = n * weight**2
+    gamma_type3 = float(np.sum(gamma * 0.25 * dN[2]))
+
+    def evaluate(dn2):
+        g = dn2 + half3
+        b = g * weight
+        np.cumsum(b, axis=-1, out=b)
+        theta = b[..., -1:].sum(axis=-1)  # 0 on an empty grid
+        rest = np.subtract(theta[..., None], b, out=b)
+        positive = (np.einsum("...k,...k,k->...", rest, rest, alpha)
+                    + np.einsum("...k,k->...", dn2, gamma) + gamma_type3)
+        sigma2 = positive - (np.einsum("...k,...k,k->...", rest, g, beta2)
+                             + np.einsum("...k,...k,k->...", g, g, delta))
+        return theta, np.where(sigma2 <= ZERO_VARIANCE_RTOL * positive, 0.0, sigma2)
+
+    return evaluate
 
 
 def bootstrap_counts(z, eps, times, rng: np.random.Generator, b: int):

@@ -48,6 +48,12 @@ _CHUNK = 512
 
 _NORMAL = NormalDist()
 
+# Studentized statistics this close, relative to the larger of 1 and their
+# size, are ties: far above the round-off of a statistic (about 1e-14), far
+# below the gaps between the distinct statistics of a sample. P-values count
+# such ties, and a critical value that ties the statistic does not reject.
+_TIE_TOL = 1e-9
+
 
 def _seed_entropy(seed) -> list[int]:
     """Flatten an int or tuple-of-ints seed into RNG entropy words."""
@@ -186,23 +192,19 @@ def _normal_pvalue(t_obs: float, sided: str) -> float:
     return 2.0 * _normal_sf(abs(t_obs))
 
 
-def _collect_replicates(make_counts, b: int, n: int):
-    """Effect and variance replicates from the counts ``make_counts(chunk, size)`` returns.
+def _collect_replicates(make_counts, evaluate, b: int):
+    """Effect and variance replicates: ``evaluate`` of the counts ``make_counts(chunk, size)`` returns.
 
-    Each chunk's counts are evaluated in row blocks of at most
-    ``_engine.BLOCK_CELLS`` cells; rows are independent, so the blocking
-    changes no value.
+    Each chunk's count arrays, of shape ``(size, k)``, are evaluated in row
+    blocks of at most ``_engine.BLOCK_CELLS`` cells; rows are independent, so
+    the blocking changes no value.
     """
     parts = []
     for c, start in enumerate(range(0, b, _CHUNK)):
-        y, dn1, dn2, dn3 = make_counts(c, min(_CHUNK, b - start))
-        step = max(1, _engine.BLOCK_CELLS // max(1, dn1.shape[-1]))
-        parts += [
-            _engine.theta_sigma2_cif_from_counts(
-                y[s:s + step], dn1[s:s + step], dn2[s:s + step], dn3[s:s + step], n
-            )
-            for s in range(0, len(dn1), step)
-        ]
+        counts = make_counts(c, min(_CHUNK, b - start))
+        rows, k = counts[0].shape
+        step = max(1, _engine.BLOCK_CELLS // max(1, k))
+        parts += [evaluate(*(a[s:s + step] for a in counts)) for s in range(0, rows, step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -244,7 +246,10 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
         rng = np.random.default_rng([*_seed_entropy(cfg.seed), 7, c])
         return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, size)
 
-    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, data.n)
+    def evaluate(y, dn1, dn2, dn3):
+        return _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, data.n)
+
+    thetas, sigmas2 = _collect_replicates(make_counts, evaluate, cfg.b)
     wstar = np.sqrt(data.n) * (thetas - theta_hat)
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
@@ -269,30 +274,43 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
 
     The relabeled samples share the original times, at-risk process, and
     type-3 events; each replicate's effect targets one half by construction,
-    so the studentized statistics are centered there. Estimates and variances
-    are recomputed per replicate through the shared kernels.
+    so the studentized statistics are centered there. Only the type-2 counts
+    of a replicate are drawn, and :func:`pairedrte._engine.relabel_kernel`
+    evaluates them against the invariants of the sample, built once.
     """
     cp = counting_processes(data)
+    evaluate = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)
 
     def make_counts(c, size):
         rng = np.random.default_rng([*_seed_entropy(cfg.seed), 13, c])
-        dn1, dn2, dn3 = _engine.relabel_counts(cp.dn, rng, size)
-        return np.broadcast_to(cp.at_risk, dn1.shape), dn1, dn2, dn3
+        return (_engine.relabel_counts(cp.dn, rng, size),)
 
-    thetas, sigmas2 = _collect_replicates(make_counts, cfg.b, data.n)
+    thetas, sigmas2 = _collect_replicates(make_counts, evaluate, cfg.b)
     return _finalize_distribution(
         "randomization", thetas, sigmas2, data.n, 0.5, cfg.b, cfg.seed
     )
 
 
+def _tie_tolerance(t):
+    """Distance within which a studentized statistic ties ``t``."""
+    return _TIE_TOL * np.maximum(1.0, np.abs(t))
+
+
 def _resample_pvalue(values: np.ndarray, t_obs: float, sided: str) -> float:
+    """``(1 + count) / (b + 1)``, counting the replicates at least as extreme as ``t_obs``.
+
+    A replicate within :func:`_tie_tolerance` of ``t_obs`` counts as a tie:
+    its statistic equals ``t_obs`` in exact arithmetic and differs only by the
+    round-off of its own evaluation.
+    """
     b = len(values)
+    tol = _tie_tolerance(t_obs)
     if sided == "right":
-        count = int((values >= t_obs).sum())
+        count = int((values >= t_obs - tol).sum())
     elif sided == "left":
-        count = int((values <= t_obs).sum())
+        count = int((values <= t_obs + tol).sum())
     else:
-        count = int((np.abs(values) >= abs(t_obs)).sum())
+        count = int((np.abs(values) >= abs(t_obs) - tol).sum())
     return (1 + count) / (b + 1)
 
 
@@ -302,13 +320,17 @@ def _test_arithmetic(theta, se, transform: str, sided: str, alpha: float, quanti
     Elementwise on scalars or on equal-shape arrays of estimates and standard
     errors; ``quantile`` maps a probability to a critical value. Interval
     endpoints invert the studentized statistic on the transform scale and
-    are mapped back, so the decision and the interval are exact duals.
+    are mapped back, so the decision and the interval are exact duals. A
+    critical value that ties the statistic, as :func:`_resample_pvalue`
+    counts ties, puts its endpoint on 1/2 exactly, where exact arithmetic
+    puts it, so round-off cannot turn such a tie into a rejection.
     """
     psi, dpsi, psi_inv = _transform_funcs(transform)
     t_obs = (psi(theta) - psi(0.5)) / (dpsi(theta) * se)
 
     def endpoint(c):
-        return np.minimum(np.maximum(psi_inv(psi(theta) - dpsi(theta) * se * c), 0.0), 1.0)
+        inverted = np.minimum(np.maximum(psi_inv(psi(theta) - dpsi(theta) * se * c), 0.0), 1.0)
+        return np.where(np.abs(c - t_obs) <= _tie_tolerance(t_obs), 0.5, inverted)
 
     if sided == "right":
         critical = (quantile(1.0 - alpha),)

@@ -208,14 +208,18 @@ def _event_censoring_ties(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return ((times[..., 1:] == times[..., :-1]) & (kinds[..., 1:] != kinds[..., :-1])).any(axis=-1)
 
 
-def _jitter_censored(x: np.ndarray, delta: np.ndarray, jitter: float, seed: int) -> np.ndarray:
-    """Censoring-tie jitter on columns.
+def _jitter_censored(x: np.ndarray, delta: np.ndarray, seed: int) -> np.ndarray:
+    """Censoring-tie jitter on columns, of width ``DEFAULT_JITTER_FRACTION`` times the largest time.
 
     One draw per censored cell in C order (pair 1 x1, pair 1 x2, pair 2 x1,
     ...), which is the stream a row-by-row loop draws.
     """
-    if not (jitter > 0):
-        raise ValidationError(f"jitter must be positive, got {jitter}")
+    jitter = DEFAULT_JITTER_FRACTION * x.max()
+    if jitter == 0:
+        raise ValidationError(
+            "every time is 0, so the automatic jitter width (a fraction of the largest "
+            "time) is 0 and cannot break a censoring time tied with an event time"
+        )
     gaps = _event_censoring_gaps(x, delta)
     gap = float(gaps[gaps > 0].min(initial=math.inf))
     if jitter >= gap:
@@ -274,7 +278,7 @@ def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):
     finite = np.isfinite(x).all(axis=(-2, -1))
     for i in np.flatnonzero(_event_censoring_ties(x, delta) & finite):
         try:
-            x[i] = _jitter_censored(x[i], delta[i], DEFAULT_JITTER_FRACTION * x[i].max(), seeds[i])
+            x[i] = _jitter_censored(x[i], delta[i], seeds[i])
         except PairedRteError as exc:
             errors[i] = exc
     try:

@@ -8,7 +8,9 @@ functions, which is the reference for the batched harness.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,26 +106,85 @@ def naive_sigma2_cif(z, eps, n):
     ``sum_j psi_j^2 dN_j / Y^2 - (sum_j psi_j dN_j)^2 / Y^3``, summed over the
     event times and times ``n``, is the plug-in. Returned unclamped.
     """
-    z = np.asarray(z, float)
-    eps = np.asarray(eps)
-    grid = sorted(set(z[eps > 0]))
+    return _cif_loops(z, eps, n, float)[1]
+
+
+def exact_theta_sigma2_cif(z, eps):
+    """``(theta, sigma2)`` of :func:`naive_sigma2_cif`'s loops in exact rational arithmetic."""
+    return _cif_loops(z, eps, len(z), Fraction)
+
+
+def _cif_loops(z, eps, n, num):
+    z = np.asarray(z, float).tolist()
+    counts = Counter(zip(z, np.asarray(eps).tolist()))
+    grid = sorted({u for u, e in counts if e > 0})
     y, dn, s_left = [], [], []
-    s = 1.0
+    s = num(1)
     for u in grid:
-        y.append(float(np.sum(z >= u)))
-        dn.append({j: float(np.sum((z == u) & (eps == j))) for j in (1, 2, 3)})
+        y.append(num(sum(1 for t in z if t >= u)))
+        dn.append({j: counts[(u, j)] for j in (1, 2, 3)})
         s_left.append(s)
-        s *= 1.0 - (dn[-1][1] + dn[-1][2] + dn[-1][3]) / y[-1]
-    credit = [s_left[i] * (dn[i][2] + 0.5 * dn[i][3]) / y[i] for i in range(len(grid))]
-    total = 0.0
+        s *= 1 - (dn[-1][1] + dn[-1][2] + dn[-1][3]) / y[-1]
+    half = num(1) / 2
+    credit = [s_left[i] * (dn[i][2] + half * dn[i][3]) / y[i] for i in range(len(grid))]
+    total = num(0)
     for i in range(len(grid)):
-        stay = 1.0 - (dn[i][1] + dn[i][2] + dn[i][3]) / y[i]
-        q = sum(credit[i + 1:]) / stay if stay > 0 else 0.0
-        psi = {1: -q, 2: s_left[i] - q, 3: 0.5 * s_left[i] - q}
+        stay = 1 - (dn[i][1] + dn[i][2] + dn[i][3]) / y[i]
+        q = sum(credit[i + 1:], num(0)) / stay if stay > 0 else num(0)
+        psi = {1: -q, 2: s_left[i] - q, 3: half * s_left[i] - q}
         lin = sum(psi[j] * dn[i][j] for j in (1, 2, 3))
         quad = sum(psi[j] ** 2 * dn[i][j] for j in (1, 2, 3))
         total += quad / y[i] ** 2 - lin ** 2 / y[i] ** 3
-    return n * total
+    return sum(credit, num(0)), n * total
+
+
+def relabeling_pvalues(data, b, seed):
+    """Randomization p-values of each side from explicitly relabeled records, in exact arithmetic.
+
+    Chunk ``c`` of the ``b`` relabelings draws ``default_rng([*seed, 13,
+    c]).random((size, m)) < 0.5``: one coin per type-1/2 record in ascending
+    time order, True making it type 1. Each relabeled sample's effect and
+    variance come from :func:`exact_theta_sigma2_cif`; those with variance 0
+    are skipped. Statistics are compared through the sign-preserving square
+    ``(theta - 1/2) |theta - 1/2| / sigma2``, which orders them as the
+    studentized statistics, so ties are ties in exact arithmetic. The observed
+    sample must have a positive variance. Returns ``{"right": p, "left": p,
+    "two": p}``, or raises the error inference raises:
+    :class:`DegenerateVariance` past 10 % skipped replicates,
+    :class:`InsufficientReplicates` below 20 usable ones.
+    """
+    seed = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    z, eps = data.z, data.epsilon
+    flip_records = [i for i in np.argsort(z, kind="stable") if eps[i] in (1, 2)]
+    memo = {}
+
+    def signed_square(labels):
+        key = tuple(sorted(zip(z.tolist(), labels.tolist())))
+        if key not in memo:
+            theta, sigma2 = exact_theta_sigma2_cif(z, labels)
+            half = Fraction(1, 2)
+            memo[key] = None if sigma2 == 0 else (theta - half) * abs(theta - half) / sigma2
+        return memo[key]
+
+    stats = []
+    for c, start in enumerate(range(0, b, 512)):
+        rng = np.random.default_rng([*seed, 13, c])
+        for row in rng.random((min(512, b - start), len(flip_records))) < 0.5:
+            labels = eps.copy()
+            labels[flip_records] = np.where(row, 1, 2)
+            stats.append(signed_square(labels))
+    usable = [v for v in stats if v is not None]
+    if len(stats) - len(usable) > 0.1 * b:
+        raise prt.DegenerateVariance("too many degenerate relabelings")
+    if len(usable) < 20:
+        raise prt.InsufficientReplicates("too few usable relabelings")
+    t = signed_square(eps)
+    counts = {
+        "right": sum(v >= t for v in usable),
+        "left": sum(v <= t for v in usable),
+        "two": sum(abs(v) >= abs(t) for v in usable),
+    }
+    return {side: (1 + count) / (len(usable) + 1) for side, count in counts.items()}
 
 
 def naive_competing_risks(rows, tau):

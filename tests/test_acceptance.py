@@ -14,6 +14,7 @@ from scipy.stats import kendalltau, kstest
 from oracles import naive_sigma2
 
 import pairedrte.simulation as sim
+from pairedrte import _engine
 from pairedrte import (
     Dataset,
     InferenceConfig,
@@ -192,13 +193,14 @@ def test_04_sign_test_reduction():
 def test_05_variance_consistency_under_simulation():
     t0 = time.perf_counter()
     scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=200)
-    thetas, sig2 = [], []
-    for rep in range(2000):
-        rng = np.random.default_rng([505, rep])
-        obs = sim.draw_paired_sample(scenario, rng)
-        est = estimate_rte(prepare_dataset(obs, scenario.tau, seed=rep))
-        thetas.append(est.theta_hat)
-        sig2.append(est.sigma2_hat)
+    # replicate rep is drawn from default_rng([505, rep]), prepared with
+    # jitter seed rep and estimated as estimate_rte does, a block at a time
+    step = _engine.BLOCK_CELLS // scenario.n
+    blocks = [sim._estimate_block(scenario, 505, range(start, min(2000, start + step)))
+              for start in range(0, 2000, step)]
+    assert all(block[3] == {} for block in blocks)
+    thetas = np.concatenate([block[4] for block in blocks])
+    sig2 = np.concatenate([block[5] for block in blocks])
     emp = scenario.n * float(np.var(thetas, ddof=1))
     mean_plugin = float(np.mean(sig2))
     elapsed = time.perf_counter() - t0

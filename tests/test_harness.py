@@ -76,7 +76,9 @@ class TestEquivalence:
 
     @pytest.mark.parametrize(
         "seed, rep, error, gained",
-        [(3, 1, "InsufficientReplicates", (1, 1, 0, 0)),
+        # at seed 3, 3 of replicate 1's 20 relabelings put every type-1/2
+        # event on type 2, whose variance is zero: over the 10 % cap
+        [(3, 1, "DegenerateVariance", (1, 1, 0, 0)),
          (7, 1, "InsufficientReplicates", (1, 1, 0, 0)),
          (10, 4, "ThetaOutOfDomain", (1, 0, 0, 0))],
     )
@@ -132,6 +134,30 @@ class TestBlockEstimates:
             assert abs(theta[i] - est.theta_hat) <= 1e-12
             assert abs(sigma2[i] - est.sigma2_hat) <= 1e-12
             assert exhausted[i] == any(w.category is prt.DegenerateRiskWarning for w in caught)
+
+    def test_randomization_tests_do_not_depend_on_the_grid(self):
+        # the harness estimates on each row's sorted times, estimate_rte on the
+        # unique event times; the two differ in the last bits of sigma2
+        scenario = sim.Scenario(
+            copula="gumbel_hougaard", copula_param=5.0, marginal1=sim.Exponential(2.0),
+            marginal2=sim.Exponential(2.0), censoring=sim.Uniform(2.7), tau=1.0, n=50,
+        )
+        reps = range(300)
+        _, z, eps, errors, theta, sigma2, _ = sim._estimate_block(scenario, 107, reps)
+        assert errors == {}
+        for i in reps:
+            data = prt.Dataset(z=z[i], epsilon=eps[i], tau=scenario.tau)
+            block = prt.RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]),
+                                    n=scenario.n, tau=scenario.tau, data=data)
+            cfg = prt.InferenceConfig(method="randomization", sided="right", b=500,
+                                      seed=(107, i))
+            dist = prt.randomization_distribution(data, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", prt.DegenerateRiskWarning)
+                single = prt.estimate_rte(data)
+            reports = [prt.test_and_ci(est, dist, cfg) for est in (block, single)]
+            assert reports[0].p_value == reports[1].p_value
+            assert reports[0].reject == reports[1].reject
 
     @pytest.mark.parametrize(
         "marginal",

@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import norm
 
 import pairedrte
+from oracles import exact_theta_sigma2_cif, relabeling_pvalues
 
 from pairedrte import (
     Dataset,
@@ -43,6 +44,13 @@ def censored_sample(seed=0, n=80, rate2=1.3, cens=2.5, tau=1.8):
         for a, b, c, d in zip(t1, c1, t2, c2)
     ]
     return prepare_dataset(obs, tau)
+
+
+def lattice_sample(rng):
+    """6 to 13 records on the times 1 to 4, where relabelings often tie in exact arithmetic."""
+    n = int(rng.integers(6, 14))
+    return Dataset(z=rng.integers(1, 5, n).astype(float),
+                   epsilon=rng.choice(4, n, p=[0.2, 0.3, 0.3, 0.2]), tau=10.0)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +257,33 @@ class TestRandomizationDistribution:
             assert dist.thetas[b] == pytest.approx(est_b.theta_hat, abs=1e-12)
             assert dist.sigmas2[b] == pytest.approx(est_b.sigma2_hat, abs=1e-12)
 
+    def test_pvalues_equal_exact_relabeling_oracle(self):
+        # Lattice times make many relabelings tie with the observed labeling,
+        # or with its mirror image, in exact arithmetic.
+        rng = np.random.default_rng(2026)
+        tested = 0
+        while tested < 300:
+            data = lattice_sample(rng)
+            if exact_theta_sigma2_cif(data.z, data.epsilon)[1] == 0:
+                continue
+            tested += 1
+            est = estimate_rte(data)
+            cfg = InferenceConfig(method="randomization", b=100, seed=tested)
+            try:
+                want = relabeling_pvalues(data, cfg.b, cfg.seed)
+            except (DegenerateVariance, InsufficientReplicates) as exc:
+                with pytest.raises(type(exc)):
+                    make_report(est, randomization_distribution(data, cfg), cfg)
+                continue
+            dist = randomization_distribution(data, cfg)
+            for sided, p_value in want.items():
+                assert make_report(est, dist, replace(cfg, sided=sided)).p_value == p_value
+
+    def test_sample_without_events_is_degenerate(self):
+        data = Dataset(z=[1.0, 2.0, 3.0], epsilon=[0, 0, 0], tau=5.0)
+        with pytest.raises(DegenerateVariance):
+            randomization_distribution(data, InferenceConfig(method="randomization", b=50))
+
     def test_at_risk_and_type3_preserved(self, sample):
         cfg = InferenceConfig(method="randomization", b=64, seed=2)
         dist = randomization_distribution(sample, cfg)
@@ -257,6 +292,36 @@ class TestRandomizationDistribution:
         out = randomize_labels(sample, seed=5)
         assert int((out.epsilon == 3).sum()) == int((sample.epsilon == 3).sum())
         assert int((out.epsilon == 0).sum()) == int((sample.epsilon == 0).sum())
+
+
+class TestRelabelKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fused_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        n = (12, 40, 300, 3000)[seed % 4]
+        z = rng.integers(1, 8, n).astype(float) if seed % 2 else rng.exponential(1.0, n)
+        data = Dataset(z=z, epsilon=rng.choice(4, n, p=rng.dirichlet(np.ones(4))), tau=100.0)
+        cp = counting_processes(data)
+        dn2 = _engine.relabel_counts(cp.dn, np.random.default_rng(seed), 64)
+        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, n)(dn2)
+        dn1 = cp.dn[0] + cp.dn[1] - dn2
+        y, dn3 = (np.broadcast_to(a, dn2.shape) for a in (cp.at_risk, cp.dn[2]))
+        theta0, sigma20 = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, n)
+        np.testing.assert_allclose(theta, theta0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sigma2, sigma20, rtol=1e-12, atol=1e-15)
+
+    def test_zero_variance_relabelings_are_exactly_zero(self):
+        # no type-3 events and the last time an event: every type-1/2 event
+        # on type 2 gives theta = 1 and variance 0, on type 1 theta = 0
+        # (without the rule, this sample's all-type-2 variance is 2.2e-16)
+        data = Dataset(z=[4.0, 2.0, 4.0, 4.0, 2.0, 3.0], epsilon=[2, 2, 2, 2, 1, 0], tau=9.0)
+        cp = counting_processes(data)
+        m = cp.dn[0] + cp.dn[1]
+        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)(
+            np.stack([m, 0 * m, cp.dn[1]]))
+        assert theta[:2] == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert sigma2[0] == 0.0 and sigma2[1] == 0.0
+        assert sigma2[2] > 0
 
 
 class TestReportConstruction:
@@ -296,6 +361,30 @@ class TestReportConstruction:
             dist = randomization_distribution(sample, cfg)
         rep = make_report(est, dist, cfg)
         assert rep.reject == (not rep.ci_lower <= 0.5 <= rep.ci_upper)
+
+    def test_critical_value_tying_the_statistic_does_not_reject(self):
+        # on lattice samples the quantile of tied relabelings often equals the
+        # statistic in exact arithmetic, while their floats differ by ulps
+        rng = np.random.default_rng(77)
+        ties = 0
+        for i in range(200):
+            data = lattice_sample(rng)
+            est = estimate_rte(data)
+            cfg = InferenceConfig(method="randomization", b=400, seed=i)
+            try:
+                dist = randomization_distribution(data, cfg)
+            except DegenerateVariance:
+                continue
+            for sided in ("right", "left", "two"):
+                try:
+                    rep = make_report(est, dist, replace(cfg, sided=sided))
+                except DegenerateVariance:
+                    continue
+                tol = 1e-9 * max(1.0, abs(rep.statistic))
+                if any(abs(c - rep.statistic) <= tol for c in rep.critical_values):
+                    ties += 1
+                    assert 0.5 in (rep.ci_lower, rep.ci_upper) and not rep.reject
+        assert ties >= 20
 
     def test_monotone_in_alpha(self, sample, est):
         # Smaller alpha -> wider interval: the CIs are nested.
@@ -351,9 +440,10 @@ class TestReplicateSeedDerivation:
         dist = randomization_distribution(sample, cfg)
         rng = np.random.default_rng([3, 5, 13, 0])
         cp = counting_processes(sample)
-        dn1, dn2, dn3 = _engine.relabel_counts(cp.dn, rng, 40)
+        dn2 = _engine.relabel_counts(cp.dn, rng, 40)
+        dn1 = cp.dn[0] + cp.dn[1] - dn2
         y = np.broadcast_to(cp.at_risk, dn1.shape)
-        thetas, _ = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, sample.n)
+        thetas, _ = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, cp.dn[2], sample.n)
         np.testing.assert_allclose(dist.thetas, thetas)
 
 
@@ -387,18 +477,22 @@ class TestReplicateBlocks:
         np.testing.assert_array_equal(blocked.thetas, whole.thetas)
         np.testing.assert_array_equal(blocked.sigmas2, whole.sigmas2)
 
-    def test_bootstrap_memory_is_linear_in_n(self):
+    @staticmethod
+    def peak_memory(method, n):
         sim = pairedrte.simulation
+        scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=n)
+        data = prepare_dataset(sim.draw_paired_sample(scenario, 46), scenario.tau, seed=46)
+        cfg = InferenceConfig(method=method, b=64, seed=47)
+        tracemalloc.start()
+        try:
+            resample_distribution(data, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(n):
-            scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=n)
-            data = prepare_dataset(sim.draw_paired_sample(scenario, 46), scenario.tau, seed=46)
-            cfg = InferenceConfig(method="bootstrap", b=64, seed=47)
-            tracemalloc.start()
-            try:
-                bootstrap_distribution(data, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_bootstrap_memory_is_linear_in_n(self):
+        assert self.peak_memory("bootstrap", 20_000) <= 2.5 * self.peak_memory("bootstrap", 10_000)
 
-        assert peak(20_000) <= 2.5 * peak(10_000)
+    def test_randomization_memory_is_linear_in_n(self):
+        assert (self.peak_memory("randomization", 20_000)
+                <= 2.5 * self.peak_memory("randomization", 10_000))

@@ -201,6 +201,16 @@ class TestBreakCensoringTies:
         with pytest.raises(JitterTooLarge):
             prepare_dataset(rows(30.0), tau=100.0)
 
+    def test_all_times_zero_name_the_cause(self):
+        # the censoring time ties the event at 0, and the width, a fraction of
+        # the largest time, is 0
+        with pytest.raises(ValidationError, match="every time is 0") as info:
+            prepare_dataset([PairedObservation(0, 1, 0, 0)], 5.0)
+        assert "jitter must be positive" not in str(info.value)
+        with pytest.raises(ValidationError, match="every time is 0"):
+            prepare_dataset(PairedSample(np.zeros((3, 2)), [[1, 0], [0, 0], [1, 1]]), 5.0)
+        assert records([(0, 1, 0, 0)], 5.0, jitter=None) == [(0.0, 0)]
+
     def test_deterministic_given_seed(self):
         sample = lattice_sample(0, 20)
         a = prepare_dataset(sample, 30.0, seed=11)

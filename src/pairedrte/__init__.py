@@ -48,11 +48,6 @@ from .estimators import (
     mann_whitney_fully_observed,
     nelson_aalen,
 )
-from .variance import (
-    VarianceCurves,
-    greenwood_curves,
-    sigma_theta_plugin,
-)
 from .inference import (
     InferenceConfig,
     InferenceReport,

@@ -1,4 +1,4 @@
-"""Array kernels shared by the estimator, variance, and resampling code paths.
+"""Array kernels shared by the estimator and resampling code paths.
 
 All kernels operate on counting-process arrays over the event-time grid:
 ``Y`` (at-risk counts) and ``dN1, dN2, dN3`` (cause-specific event counts),
@@ -25,8 +25,6 @@ __all__ = [
     "sorted_grid",
     "event_grid",
     "survival_left",
-    "greenwood_increments",
-    "sigma2_from_counts",
     "theta_sigma2_cif_from_counts",
     "bootstrap_counts",
     "relabel_counts",
@@ -93,77 +91,6 @@ def survival_left(dA_dot: np.ndarray) -> np.ndarray:
     return s_left
 
 
-def _hazard_increments(Y, dN1, dN2, dN3):
-    safe_y = np.where(Y > 0, Y, 1.0)
-    dA1 = dN1 / safe_y
-    dA2 = dN2 / safe_y
-    dA3 = dN3 / safe_y
-    return dA1, dA2, dA3, dA1 + dA2 + dA3
-
-
-def greenwood_increments(Y, dN1, dN2, dN3, n: int):
-    """Greenwood-type variance and covariance increments of the hazard estimators.
-
-    Returns ``(var, cov, var_all)``: ``var`` holds ``n dN_j (Y - dN_j) / Y^3``
-    for causes 1, 2, 3, ``cov`` holds ``-n dN_j dN_l / Y^3`` for the cause
-    pairs (1, 2), (1, 3), (2, 3), and ``var_all`` is the all-cause variance
-    increment. Cells with ``Y == 0`` contribute zero.
-    """
-    Y = np.asarray(Y, dtype=float)
-    inv3 = np.where(Y > 0, n / np.where(Y > 0, Y, 1.0) ** 3, 0.0)
-    dN = (dN1, dN2, dN3)
-    var = tuple(d * (Y - d) * inv3 for d in dN)
-    cov = tuple(-dN[j] * dN[l] * inv3 for j, l in ((0, 1), (0, 2), (1, 2)))
-    dN_dot = dN1 + dN2 + dN3
-    return var, cov, dN_dot * (Y - dN_dot) * inv3
-
-
-def sigma2_from_counts(Y, dN1, dN2, dN3, n: int) -> np.ndarray:
-    """Plug-in estimate of the asymptotic variance of sqrt(n) * (theta_hat - theta).
-
-    Evaluates the double sum over event times ``u, v`` of
-    ``S(u-) S(v-) [ I1(min(u,v)-) dB(u) dB(v)
-                    - 2 I2(min(u,v)-) dB(u) dA.(v)
-                    + K(min(u,v)) dA.(u) dA.(v) ]``
-    where ``dB = dA2 + dA3/2``, ``dA.`` is the all-cause hazard increment,
-    ``I1``/``I2`` accumulate the Greenwood-type variance/covariance increments
-    scaled by 1/(1 - dA.) with an exclusive upper limit, and ``K`` is the
-    cumulative variance combination for the targeted causes (inclusive limit).
-    The double sum collapses to a single pass over the grid by splitting on
-    ``min(u, v)`` and using suffix sums. Returned unclamped; callers decide
-    how to treat nonpositive values.
-    """
-    Y = np.asarray(Y, dtype=float)
-    dA1, dA2, dA3, dA_dot = _hazard_increments(Y, dN1, dN2, dN3)
-    s_left = survival_left(dA_dot)
-    dB = dA2 + 0.5 * dA3
-
-    (_, ds2_2, ds2_3), (dc12, dc13, dc23), ds2_dot = greenwood_increments(Y, dN1, dN2, dN3, n)
-
-    # 1 - dA. == 0 only at the final grid point; its increment never feeds the
-    # exclusive inner sums, so masking it changes nothing beyond avoiding 0/0.
-    one_minus = 1.0 - dA_dot
-    ok = one_minus > 0
-    safe = np.where(ok, one_minus, 1.0)
-    c1 = np.where(ok, ds2_dot / safe, 0.0)
-    c2 = np.where(ok, (dc12 + 0.5 * dc13 + ds2_2 + 1.5 * dc23 + 0.5 * ds2_3) / safe, 0.0)
-    kc = ds2_2 + dc23 + 0.25 * ds2_3
-
-    i1_ex = np.cumsum(c1, axis=-1) - c1
-    i2_ex = np.cumsum(c2, axis=-1) - c2
-    k_in = np.cumsum(kc, axis=-1)
-
-    g = s_left * dB
-    h = s_left * dA_dot
-    g_suf = np.flip(np.cumsum(np.flip(g, -1), -1), -1)
-    h_suf = np.flip(np.cumsum(np.flip(h, -1), -1), -1)
-
-    t1 = np.sum(i1_ex * g * (2.0 * g_suf - g), axis=-1)
-    t2 = np.sum(i2_ex * (g * h_suf + h * (g_suf - g)), axis=-1)
-    t3 = np.sum(k_in * h * (2.0 * h_suf - h), axis=-1)
-    return t1 - 2.0 * t2 + t3
-
-
 def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     """Effect estimate and incidence-level variance plug-in from one pass.
 
@@ -176,12 +103,13 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     accumulating the multinomial quadratic forms gives the Greenwood-type
     variance of the targeted combination. This is the standard recursion for
     product-limit transition estimators, so it matches reference survival
-    tooling; :func:`sigma2_from_counts` is the hazard-level expansion of the
-    same asymptotic quantity and differs from it in finite samples.
+    tooling.
     """
     Y = np.asarray(Y, dtype=float)
     safe_y = np.where(Y > 0, Y, 1.0)
-    dA1, dA2, dA3, dA_dot = _hazard_increments(Y, dN1, dN2, dN3)
+    dA2 = dN2 / safe_y
+    dA3 = dN3 / safe_y
+    dA_dot = dN1 / safe_y + dA2 + dA3
     s_left = survival_left(dA_dot)
     incr = s_left * (dA2 + 0.5 * dA3)
     b_tau = np.sum(incr, axis=-1, keepdims=True)

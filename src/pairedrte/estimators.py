@@ -216,10 +216,10 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     ``theta_hat = F2(tau) + F3(tau) / 2`` from the Aalen-Johansen estimators,
     evaluated on the counting processes alone. The attached variance is the
     incidence-level Greenwood plug-in of
-    :func:`pairedrte._engine.theta_sigma2_cif_from_counts`; the hazard-level
-    expansion is available separately. When the sample carries no variance
-    information the estimate is still returned, with ``sigma2_hat = 0``, and
-    inference refuses later. Flags, without failing, samples whose risk set
+    :func:`pairedrte._engine.theta_sigma2_cif_from_counts`, the package's one
+    variance estimate. When the sample carries no variance information the
+    estimate is still returned, with ``sigma2_hat = 0``, and inference refuses
+    later. Flags, without failing, samples whose risk set
     is exhausted strictly before ``tau`` while survival mass remains.
     """
     cp = counting_processes(data)

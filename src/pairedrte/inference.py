@@ -192,19 +192,22 @@ def _normal_pvalue(t_obs: float, sided: str) -> float:
     return 2.0 * _normal_sf(abs(t_obs))
 
 
-def _collect_replicates(make_counts, evaluate, b: int):
-    """Effect and variance replicates: ``evaluate`` of the counts ``make_counts(chunk, size)`` returns.
+def _collect_replicates(seed, tag: int, k: int, draw, evaluate, b: int):
+    """Effect and variance replicates: ``evaluate`` of the counts ``draw(rng, rows)`` returns.
 
-    Each chunk's count arrays, of shape ``(size, k)``, are evaluated in row
-    blocks of at most ``_engine.BLOCK_CELLS`` cells; rows are independent, so
-    the blocking changes no value.
+    Chunk ``c`` of the ``b`` replicates comes from the generator ``[*seed,
+    tag, c]``. Each chunk is drawn and evaluated in row blocks of at most
+    ``_engine.BLOCK_CELLS`` cells of the ``k``-cell grid, one block after the
+    other from the chunk's generator. The count generators fill rows in
+    order, so the blocking changes no value; it bounds the temporaries of the
+    draws and of the kernel alike.
     """
+    step = max(1, _engine.BLOCK_CELLS // max(1, k))
     parts = []
     for c, start in enumerate(range(0, b, _CHUNK)):
-        counts = make_counts(c, min(_CHUNK, b - start))
-        rows, k = counts[0].shape
-        step = max(1, _engine.BLOCK_CELLS // max(1, k))
-        parts += [evaluate(*(a[s:s + step] for a in counts)) for s in range(0, rows, step)]
+        rng = np.random.default_rng([*_seed_entropy(seed), tag, c])
+        size = min(_CHUNK, b - start)
+        parts += [evaluate(*draw(rng, min(step, size - s))) for s in range(0, size, step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -242,14 +245,15 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
         _estimates_from_counts(cp.at_risk, cp.dn, data.n, data.tau, data.z.max())[0]
     )
 
-    def make_counts(c, size):
-        rng = np.random.default_rng([*_seed_entropy(cfg.seed), 7, c])
-        return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, size)
+    def draw(rng, rows):
+        return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, rows)
 
     def evaluate(y, dn1, dn2, dn3):
         return _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, data.n)
 
-    thetas, sigmas2 = _collect_replicates(make_counts, evaluate, cfg.b)
+    thetas, sigmas2 = _collect_replicates(
+        cfg.seed, 7, len(cp.event_times), draw, evaluate, cfg.b
+    )
     wstar = np.sqrt(data.n) * (thetas - theta_hat)
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
@@ -281,11 +285,12 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
     cp = counting_processes(data)
     evaluate = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)
 
-    def make_counts(c, size):
-        rng = np.random.default_rng([*_seed_entropy(cfg.seed), 13, c])
-        return (_engine.relabel_counts(cp.dn, rng, size),)
+    def draw(rng, rows):
+        return (_engine.relabel_counts(cp.dn, rng, rows),)
 
-    thetas, sigmas2 = _collect_replicates(make_counts, evaluate, cfg.b)
+    thetas, sigmas2 = _collect_replicates(
+        cfg.seed, 13, len(cp.event_times), draw, evaluate, cfg.b
+    )
     return _finalize_distribution(
         "randomization", thetas, sigmas2, data.n, 0.5, cfg.b, cfg.seed
     )

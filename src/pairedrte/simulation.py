@@ -205,16 +205,18 @@ def sample_gumbel_hougaard(param: float, n: int, seed) -> np.ndarray:
     Frailty construction: a positive stable variate ``V`` with index
     ``1/param`` and independent unit exponentials ``E_j`` give
     ``U_j = exp(-(E_j / V) ** (1/param))``. ``param == 1`` is independence.
+    Uniforms that land on 0 or 1 are redrawn, column 0's before column 1's.
     """
     if not param >= 1.0:
         raise InvalidParameter(f"Gumbel-Hougaard parameter must be >= 1, got {param}")
     rng = _rng_of(seed)
     if param == 1.0:
-        return rng.random((n, 2))
-    alpha = 1.0 / param
-    v = _positive_stable(alpha, n, rng)
-    e = rng.exponential(1.0, (n, 2))
-    u = np.exp(-((e / v[:, None]) ** alpha))
+        u = rng.random((n, 2))
+    else:
+        alpha = 1.0 / param
+        v = _positive_stable(alpha, n, rng)
+        e = rng.exponential(1.0, (n, 2))
+        u = np.exp(-((e / v[:, None]) ** alpha))
     for j in (0, 1):
         u[:, j] = _open_unit(u[:, j], rng)
     return u
@@ -247,6 +249,7 @@ COPULAS = ("gumbel_hougaard", "clayton")
 
 
 def sample_copula(name: str, param: float, n: int, seed) -> np.ndarray:
+    """Draw ``n`` pairs from the named copula, each uniform strictly inside (0, 1)."""
     if name == "gumbel_hougaard":
         return sample_gumbel_hougaard(param, n, seed)
     if name == "clayton":
@@ -302,17 +305,14 @@ def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
 def _draw_block(scenario: Scenario, rngs):
     """Times and indicators, each (R, n, 2), of one sample per generator in ``rngs``.
 
-    Each sample draws from its own generator, in this order: the copula, the
-    boundary redraws of column 0 then column 1, and the uniform censoring
-    times, all of column 0's before column 1's. Only the quantile transforms
-    run once on the whole block.
+    Each sample draws from its own generator, in this order: the copula with
+    its boundary redraws, then the uniform censoring times, all of column 0's
+    before column 1's. Only the quantile transforms run once on the whole
+    block.
     """
     u, c = [], []
     for rng in rngs:
-        uv = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-        for j in (0, 1):
-            uv[:, j] = _open_unit(uv[:, j], rng)
-        u.append(uv)
+        u.append(sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
         c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
     return _observe(np.array(u), np.array(c), scenario)
 
@@ -353,9 +353,7 @@ def calibrate_null(
         raise BracketError(f"invalid bracket {bracket}")
     probe = make_scenario(lo)
     rng = np.random.default_rng(seed)
-    uv = sample_copula(probe.copula, probe.copula_param, n_draws, rng)
-    u1 = _open_unit(uv[:, 0], rng)
-    u2 = _open_unit(uv[:, 1], rng)
+    u1, u2 = sample_copula(probe.copula, probe.copula_param, n_draws, rng).T
 
     def theta_of(param: float) -> float:
         s = make_scenario(param)

@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 from scipy.stats import kendalltau, kstest
 
-from oracles import naive_sigma2
+from oracles import naive_sigma2_cif
 
 import pairedrte.simulation as sim
 from pairedrte import _engine
@@ -21,14 +21,12 @@ from pairedrte import (
     PairedObservation,
     bootstrap_distribution,
     estimate_rte,
-    greenwood_curves,
     ipcw_identity_check,
     mann_whitney_fully_observed,
     prepare_dataset,
     randomization_distribution,
     read_paired_csv,
     run_inference,
-    sigma_theta_plugin,
     test_and_ci as make_report,
 )
 
@@ -156,9 +154,8 @@ def test_03_variance_oracle_equivalence():
         if not (eps > 0).any():
             eps[0] = 2
         data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1.0)
-        est = estimate_rte(data)
-        got = sigma_theta_plugin(est.curves, greenwood_curves(est.curves.cp), data.tau)
-        want = max(naive_sigma2(z, eps, n, data.tau), 0.0)
+        got = estimate_rte(data).sigma2_hat
+        want = max(naive_sigma2_cif(z, eps, n), 0.0)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0

@@ -276,6 +276,34 @@ class TestEstimateRte:
         )
         assert estimate_rte(shuffled).theta_hat == estimate_rte(four_records).theta_hat
 
+    def test_single_record_clamps_to_zero(self):
+        data = Dataset(z=[2.0], epsilon=[2], tau=3.0)
+        est = estimate_rte(data)
+        assert est.sigma2_hat == 0.0
+
+
+class TestMonteCarloConsistency:
+    def test_variance_tracks_replicate_spread(self):
+        # Mean plug-in variance across replicates within 10% of the empirical
+        # variance of sqrt(n) theta_hat under a fixed censored scenario.
+        rng = np.random.default_rng(7)
+        n, reps = 200, 2000
+        sig2, th = [], []
+        for _ in range(reps):
+            t1 = rng.exponential(1.0, n)
+            t2 = np.minimum(rng.exponential(1.2, n), rng.exponential(1.2, n))
+            c1 = rng.uniform(0, 3.0, n)
+            c2 = rng.uniform(0, 3.0, n)
+            obs = [
+                PairedObservation(min(a, b), int(a <= b), min(c, d), int(c <= d))
+                for a, b, c, d in zip(t1, c1, t2, c2)
+            ]
+            est = estimate_rte(prepare_dataset(obs, tau=1.5))
+            sig2.append(est.sigma2_hat)
+            th.append(est.theta_hat)
+        emp = n * np.var(th, ddof=1)
+        assert abs(np.mean(sig2) - emp) <= 0.10 * emp
+
 
 class TestMetamorphic:
     TAU = 10.0
@@ -302,6 +330,7 @@ class TestMetamorphic:
         a = estimate_rte(self._dataset(recs))
         b = estimate_rte(self._dataset(recs, tau=float(phi(self.TAU)), transform=phi))
         assert a.theta_hat == b.theta_hat
+        assert a.sigma2_hat == b.sigma2_hat
 
     @given(recs=records)
     @settings(max_examples=100, deadline=None)

@@ -24,7 +24,6 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
-from pairedrte import simulation
 from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict, scenario_to_dict
 
 N_BIG = 100_000
@@ -32,6 +31,37 @@ N_BIG = 100_000
 
 def kendall(u):
     return kendalltau(u[:, 0], u[:, 1]).statistic
+
+
+class FirstDraw(np.random.Generator):
+    """A generator whose first ``random`` call returns ``first`` (zeros when ``None``).
+
+    Every later draw comes from ``default_rng(seed)``'s stream, untouched by
+    that first call.
+    """
+
+    def __init__(self, seed, first=None):
+        super().__init__(np.random.PCG64(seed))
+        self.pending = True
+        self.first = first
+
+    def random(self, size=None, *args, **kwargs):
+        if self.pending:
+            self.pending = False
+            return np.zeros(size) if self.first is None else self.first.copy()
+        return super().random(size, *args, **kwargs)
+
+
+@pytest.mark.parametrize("copula, param", [
+    ("gumbel_hougaard", 1.0), ("gumbel_hougaard", 5.0),
+    ("clayton", -1.0), ("clayton", -0.6), ("clayton", 2.0),
+])
+def test_copula_uniforms_stay_inside_the_unit_interval(copula, param):
+    # the first uniform draws all 0: the sampler must redraw them itself
+    for rng in (FirstDraw(1), np.random.default_rng(2)):
+        u = sample_copula(copula, param, 2000, rng)
+        assert u.shape == (2000, 2)
+        assert np.all((u > 0.0) & (u < 1.0)), (copula, param)
 
 
 class TestGumbelHougaard:
@@ -174,15 +204,19 @@ class TestApplyMarginalsAndCensoring:
         obs = draw_paired_sample(replace(simple_scenario, censoring=Uniform(1e9), n=500), seed=11)
         assert (obs.delta == 1).all()
 
-    def test_boundary_uniforms_are_redrawn(self, simple_scenario, monkeypatch):
+    def test_boundary_uniforms_are_redrawn(self, simple_scenario):
+        # independence draws its uniforms in one call; the sampler redraws the
+        # 0 of column 0, then the 1 of column 1, from the draws that follow,
+        # and the censoring times come after them
         u = np.array([[0.0, 0.5], [0.5, 1.0], [0.25, 0.75]])
-        monkeypatch.setattr(simulation, "sample_copula", lambda *args: u.copy())
-        obs = draw_paired_sample(replace(simple_scenario, n=3), seed=12)
-        # the 0 of column 0, then the 1 of column 1, take the next draws
         rng = np.random.default_rng(12)
         want = u.copy()
         want[0, 0], want[1, 1] = rng.random(), rng.random()
         c = rng.uniform(0.0, simple_scenario.censoring.upper, (2, 3)).T
+        np.testing.assert_array_equal(
+            sample_copula("gumbel_hougaard", 1.0, 3, FirstDraw(12, u)), want)
+        obs = draw_paired_sample(replace(simple_scenario, copula_param=1.0, n=3),
+                                 FirstDraw(12, u))
         t = Exponential(2.0).quantile(1.0 - want)
         np.testing.assert_array_equal(obs.x, np.minimum(t, c))
         assert np.isfinite(obs.x).all()

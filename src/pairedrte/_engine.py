@@ -8,10 +8,15 @@ cell with ``Y == 0`` must be such a cell. Bootstrap replicates that miss late
 records have them, and :func:`sorted_grid` pads every tie run with them.
 
 Estimates and bootstrap replicates go through the fused kernel
-:func:`theta_sigma2_cif_from_counts`. Relabeling replicates change only how
-type-1/2 events split, so :func:`relabel_counts` draws just their type-2
-counts and :func:`relabel_kernel` evaluates them from the sample's
-invariants.
+:func:`theta_sigma2_cif_from_counts`. Resampling builds a sample's invariants
+once per distribution and returns a draw and an evaluator of row blocks.
+:func:`bootstrap_kernel` maps each record to its cell of the record-slot
+counts (cause by at-risk slot), so :func:`bootstrap_counts` is one
+multinomial draw and one bincount per block, and the fused kernel runs in a
+workspace reused across blocks; its blocks are sized by the draw's ``n``
+cells per replicate. Relabeling replicates change only how type-1/2 events
+split, so :func:`relabel_counts` draws just their type-2 counts and
+:func:`relabel_kernel` evaluates them from the sample's invariants.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ __all__ = [
     "event_grid",
     "survival_left",
     "theta_sigma2_cif_from_counts",
+    "bootstrap_kernel",
     "bootstrap_counts",
     "relabel_counts",
     "relabel_kernel",
 ]
 
-# Cells one kernel evaluation covers at most: the Monte Carlo harness sizes
-# its replicate blocks and the resampling code its row blocks by it, so the
-# kernel temporaries stay linear in n and bounded per block.
+# Cells one block covers at most: the Monte Carlo harness sizes its replicate
+# blocks and the resampling code its row blocks by it (per record for the
+# bootstrap draw, per grid time for relabeling), so the temporaries of the
+# draws and the kernels stay linear in n and bounded per block.
 BLOCK_CELLS = 2**16
 
 # Share of its nonnegative part at or below which :func:`relabel_kernel`
@@ -91,7 +98,12 @@ def survival_left(dA_dot: np.ndarray) -> np.ndarray:
     return s_left
 
 
-def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
+def _workspace(shape):
+    """Temporaries of :func:`theta_sigma2_cif_from_counts` for counts of ``shape``."""
+    return np.empty((6,) + shape), np.empty(shape, dtype=bool)
+
+
+def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     """Effect estimate and incidence-level variance plug-in from one pass.
 
     Returns ``(theta, sigma2)``: ``theta = sum S(u-) (dA2 + dA3/2)`` is the
@@ -104,27 +116,70 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int):
     variance of the targeted combination. This is the standard recursion for
     product-limit transition estimators, so it matches reference survival
     tooling.
+
+    The temporaries go into ``work``, the arrays :func:`_workspace` makes for
+    the broadcast shape of the counts; a caller evaluating block after block
+    passes the same arrays (or leading-row slices of them) each time, so the
+    kernel allocates nothing of their size. Without ``work`` it allocates
+    them. The arithmetic is the same either way.
     """
     Y = np.asarray(Y, dtype=float)
-    safe_y = np.where(Y > 0, Y, 1.0)
-    dA2 = dN2 / safe_y
-    dA3 = dN3 / safe_y
-    dA_dot = dN1 / safe_y + dA2 + dA3
-    s_left = survival_left(dA_dot)
-    incr = s_left * (dA2 + 0.5 * dA3)
+    shape = np.broadcast_shapes(Y.shape, np.shape(dN1), np.shape(dN2), np.shape(dN3))
+    if work is None:
+        work = _workspace(shape)
+    (safe_y, w1, w2, w3, w4, w5), mask = work
+    # each step below is one operation of the formulas, in their order, with
+    # its result in a buffer whose earlier content is no longer needed
+    positive = np.greater(Y, 0, out=mask)
+    safe_y[...] = 1.0
+    np.copyto(safe_y, Y, where=positive)
+    dA2 = np.divide(dN2, safe_y, out=w1)
+    dA3 = np.divide(dN3, safe_y, out=w2)
+    dA_dot = np.divide(dN1, safe_y, out=w3)
+    dA_dot += dA2
+    dA_dot += dA3
+    one_minus = np.subtract(1.0, dA_dot, out=w4)
+    # S(u-), as survival_left computes it
+    s_left = w5
+    s_left[..., :1] = 1.0
+    np.cumprod(one_minus[..., :-1], axis=-1, out=s_left[..., 1:])
+    # credit increments S(u-) (dA2 + dA3/2)
+    dA3 *= 0.5
+    dA2 += dA3
+    incr = np.multiply(s_left, dA2, out=w1)
     b_tau = np.sum(incr, axis=-1, keepdims=True)
-    b_at = np.cumsum(incr, axis=-1)
-    one_minus = 1.0 - dA_dot
-    ok = one_minus > 0
     # remaining credit, scaled through the atom at w; zero when the risk set
     # is wiped out (no mass can remain beyond that point)
-    q = np.where(ok, (b_tau - b_at) / np.where(ok, one_minus, 1.0), 0.0)
-    psi1 = -q
-    psi2 = s_left - q
-    psi3 = 0.5 * s_left - q
-    lin = psi1 * dN1 + psi2 * dN2 + psi3 * dN3
-    quad = psi1**2 * dN1 + psi2**2 * dN2 + psi3**2 * dN3
-    return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
+    q = np.cumsum(incr, axis=-1, out=w2)
+    np.subtract(b_tau, q, out=q)
+    wiped = np.logical_not(np.greater(one_minus, 0, out=mask), out=mask)
+    np.copyto(one_minus, 1.0, where=wiped)
+    q /= one_minus
+    np.copyto(q, 0.0, where=wiped)
+    # cell weights (psi1, psi2, psi3) = (-q, S(u-) - q, S(u-)/2 - q)
+    psi2 = np.subtract(s_left, q, out=w1)
+    psi3 = np.multiply(0.5, s_left, out=w5)
+    psi3 -= q
+    psi1 = np.negative(q, out=w2)
+    # lin = sum_j psi_j dN_j, quad = sum_j psi_j^2 dN_j
+    lin = np.multiply(psi1, dN1, out=w3)
+    term = np.multiply(psi2, dN2, out=w4)
+    lin += term
+    lin += np.multiply(psi3, dN3, out=term)
+    quad = np.square(psi1, out=psi1)
+    quad *= dN1
+    np.square(psi2, out=psi2)
+    psi2 *= dN2
+    quad += psi2
+    np.square(psi3, out=psi3)
+    psi3 *= dN3
+    quad += psi3
+    # n sum (quad / Y^2 - lin^2 / Y^3)
+    quad /= np.square(safe_y, out=term)
+    np.square(lin, out=lin)
+    lin /= np.power(safe_y, 3, out=term)
+    quad -= lin
+    return b_tau[..., 0], n * np.sum(quad, axis=-1)
 
 
 def relabel_counts(dN, rng: np.random.Generator, b: int) -> np.ndarray:
@@ -207,30 +262,61 @@ def relabel_kernel(Y, dN, n: int):
     return evaluate
 
 
-def bootstrap_counts(z, eps, times, rng: np.random.Generator, b: int):
-    """Counting arrays for ``b`` bootstrap resamples of the records.
+def bootstrap_kernel(z, eps, times, n: int):
+    """Draw and evaluate bootstrap resamples of the ``n`` records ``(z, eps)``.
 
-    Each replicate draws ``n`` records with replacement; its at-risk and
-    cause-specific counts live on the original event-time grid (times missing
-    from a resample simply carry zero counts). Event counts are bincounts over
-    the cells ``(replicate, cause, slot)`` weighted by the resampling counts,
-    so memory stays linear in ``b * n``.
+    The invariants of the sample are built once: each record's at-risk slot
+    on the ``k``-time grid ``times``, the last grid time at or before its
+    time (``-1`` before the first), and its cause (0 if censored) name the
+    one cell of a replicate's ``(4, k + 1)`` record-slot counts the record
+    falls in. Returns ``(draw, evaluate)``. ``draw(rng, rows)`` is
+    :func:`bootstrap_counts` on these cells, giving ``(Y, dN1, dN2, dN3)`` of
+    ``rows`` resamples, each ``(rows, k)``. ``evaluate`` of those counts is
+    :func:`theta_sigma2_cif_from_counts`, run in one workspace sized by the
+    first, largest, block and reused for every later one.
     """
-    z = np.asarray(z, dtype=float)
-    eps = np.asarray(eps)
-    n = len(z)
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=b).astype(float)
+    slot = np.searchsorted(times, np.asarray(z, dtype=float), side="right") - 1
+    cells = np.asarray(eps).astype(np.int64) * (len(times) + 1) + slot + 1
+    pvals = np.full(n, 1.0 / n)
+    work = []
 
-    order = np.argsort(z, kind="stable")
-    z_sorted = z[order]
-    suffix = np.flip(np.cumsum(np.flip(counts[:, order], -1), -1), -1)
-    pos = np.searchsorted(z_sorted, times, side="left")
-    at_risk = np.where(pos[None, :] < n, suffix[:, np.minimum(pos, n - 1)], 0.0)
+    def draw(rng, rows):
+        return bootstrap_counts(cells, pvals, times, rng, rows)
 
-    k = len(times)
-    events = eps > 0
-    slots = (eps[events].astype(np.int64) - 1) * k + np.searchsorted(times, z[events])
-    cells = np.arange(b)[:, None] * (3 * k) + slots[None, :]
-    dN = np.bincount(cells.ravel(), weights=counts[:, events].ravel(), minlength=3 * b * k)
-    dN = dN.reshape(b, 3, k)
-    return at_risk, dN[:, 0], dN[:, 1], dN[:, 2]
+    def evaluate(Y, dN1, dN2, dN3):
+        if not work:
+            work.extend(_workspace(Y.shape))
+        rows = len(Y)
+        return theta_sigma2_cif_from_counts(
+            Y, dN1, dN2, dN3, n, (work[0][:, :rows], work[1][:rows]))
+
+    return draw, evaluate
+
+
+def bootstrap_counts(cells, pvals, times, rng: np.random.Generator, rows: int):
+    """Counting arrays ``(Y, dN1, dN2, dN3)`` of ``rows`` bootstrap resamples, each ``(rows, k)``.
+
+    Each resample draws ``len(pvals)`` records with replacement, one row of
+    ``rng.multinomial(n, pvals, size=rows)``. Record ``i`` falls in cell
+    ``cells[i]`` of a replicate's ``(4, k + 1)`` record-slot counts, ``k =
+    len(times)``: row ``j`` holds the records of cause ``j`` (0 for
+    censored), column ``s + 1`` those whose last grid time at or before
+    their time is ``times[s]``, and column 0 those before the first. One
+    bincount over the ``(replicate, 4, k + 1)`` cells, weighted by the drawn
+    counts, gives them all. Rows 1 to 3 are the event counts; the records of
+    a column summed over the four rows, cumulated from the last column down,
+    are the at-risk counts (times missing from a resample carry zero counts).
+    The sums are of whole numbers, so they are exact in any order. Memory is
+    linear in ``rows * (len(pvals) + k)``.
+    """
+    n, width = len(pvals), len(times) + 1
+    counts = rng.multinomial(n, pvals, size=rows)
+    flat = cells + np.arange(rows)[:, None] * (4 * width)
+    tally = np.bincount(flat.ravel(), weights=counts.ravel(), minlength=rows * 4 * width)
+    tally = tally.reshape(rows, 4, width)
+    at_risk = tally[:, 0]
+    for cause in (1, 2, 3):
+        at_risk += tally[:, cause]
+    suffix = at_risk[:, ::-1]
+    np.cumsum(suffix, axis=-1, out=suffix)
+    return tally[:, 0, 1:], tally[:, 1, 1:], tally[:, 2, 1:], tally[:, 3, 1:]

@@ -192,17 +192,18 @@ def _normal_pvalue(t_obs: float, sided: str) -> float:
     return 2.0 * _normal_sf(abs(t_obs))
 
 
-def _collect_replicates(seed, tag: int, k: int, draw, evaluate, b: int):
+def _collect_replicates(seed, tag: int, width: int, draw, evaluate, b: int):
     """Effect and variance replicates: ``evaluate`` of the counts ``draw(rng, rows)`` returns.
 
     Chunk ``c`` of the ``b`` replicates comes from the generator ``[*seed,
     tag, c]``. Each chunk is drawn and evaluated in row blocks of at most
-    ``_engine.BLOCK_CELLS`` cells of the ``k``-cell grid, one block after the
-    other from the chunk's generator. The count generators fill rows in
-    order, so the blocking changes no value; it bounds the temporaries of the
-    draws and of the kernel alike.
+    ``_engine.BLOCK_CELLS // width`` rows, one block after the other from the
+    chunk's generator; ``width`` is the cells a draw spends per row, one per
+    record for the bootstrap and one per grid time for relabeling. The count
+    generators fill rows in order, so the blocking changes no value; it
+    bounds the temporaries of the draws and of the kernel alike.
     """
-    step = max(1, _engine.BLOCK_CELLS // max(1, k))
+    step = max(1, _engine.BLOCK_CELLS // max(1, width))
     parts = []
     for c, start in enumerate(range(0, b, _CHUNK)):
         rng = np.random.default_rng([*_seed_entropy(seed), tag, c])
@@ -235,8 +236,11 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
     """Studentized bootstrap replicates: resample records with replacement.
 
     Each replicate recomputes the effect and its plug-in variance on the
-    resampled records through the same counting-process kernels as the
-    original estimate. Deterministic given ``cfg.seed``.
+    resampled records through the same fused kernel as the original
+    estimate; :func:`pairedrte._engine.bootstrap_kernel` builds the sample's
+    invariants once and draws the counts of each row block from them. Row
+    blocks are sized by the draw, which spends one cell per record and row.
+    Deterministic given ``cfg.seed``.
     """
     if data.n < 2:
         raise ValidationError("bootstrap needs at least two records")
@@ -245,15 +249,8 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
         _estimates_from_counts(cp.at_risk, cp.dn, data.n, data.tau, data.z.max())[0]
     )
 
-    def draw(rng, rows):
-        return _engine.bootstrap_counts(data.z, data.epsilon, cp.event_times, rng, rows)
-
-    def evaluate(y, dn1, dn2, dn3):
-        return _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, data.n)
-
-    thetas, sigmas2 = _collect_replicates(
-        cfg.seed, 7, len(cp.event_times), draw, evaluate, cfg.b
-    )
+    draw, evaluate = _engine.bootstrap_kernel(data.z, data.epsilon, cp.event_times, data.n)
+    thetas, sigmas2 = _collect_replicates(cfg.seed, 7, data.n, draw, evaluate, cfg.b)
     wstar = np.sqrt(data.n) * (thetas - theta_hat)
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar

@@ -2,9 +2,13 @@
 
 Everything here is written straight from first principles with plain loops,
 deliberately ignoring the package's optimized kernels, so that agreement is
-meaningful. The exception is :func:`reference_size_experiment`, the size
+meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
-functions, which is the reference for the batched harness.
+functions, which is the reference for the batched harness, and
+:func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
+the earlier array formulations of the bootstrap counts and of the fused
+kernel, which the record-slot counts and the in-place kernel must reproduce
+bit for bit.
 """
 
 import warnings
@@ -165,6 +169,54 @@ def unique_event_grid(z, eps):
     cells = (eps[events].astype(np.int64) - 1) * k + np.searchsorted(times, z[events])
     dN = np.bincount(cells, minlength=3 * k).reshape(3, k).astype(float)
     return times, at_risk.astype(float), dN
+
+
+def reference_bootstrap_counts(z, eps, times, rng, b):
+    """``(Y, dN1, dN2, dN3)`` of ``b`` bootstrap resamples by suffix sums over sorted records.
+
+    Draws ``rng.multinomial(n, 1/n, size=b)`` as the package does. The
+    at-risk count at each grid time is the suffix sum of the counts of the
+    records sorted by time, read at the first record not before it; the
+    event counts are bincounts over the cells ``(replicate, cause, slot)``.
+    """
+    z = np.asarray(z, dtype=float)
+    eps = np.asarray(eps)
+    n = len(z)
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=b).astype(float)
+    order = np.argsort(z, kind="stable")
+    suffix = np.flip(np.cumsum(np.flip(counts[:, order], -1), -1), -1)
+    pos = np.searchsorted(z[order], times, side="left")
+    at_risk = np.where(pos[None, :] < n, suffix[:, np.minimum(pos, n - 1)], 0.0)
+    k = len(times)
+    events = eps > 0
+    slots = (eps[events].astype(np.int64) - 1) * k + np.searchsorted(times, z[events])
+    cells = np.arange(b)[:, None] * (3 * k) + slots[None, :]
+    dN = np.bincount(cells.ravel(), weights=counts[:, events].ravel(), minlength=3 * b * k)
+    dN = dN.reshape(b, 3, k)
+    return at_risk, dN[:, 0], dN[:, 1], dN[:, 2]
+
+
+def reference_theta_sigma2_cif(Y, dN1, dN2, dN3, n):
+    """``(theta, sigma2)`` of the fused kernel, one fresh array per operation."""
+    Y = np.asarray(Y, dtype=float)
+    safe_y = np.where(Y > 0, Y, 1.0)
+    dA2 = dN2 / safe_y
+    dA3 = dN3 / safe_y
+    dA_dot = dN1 / safe_y + dA2 + dA3
+    one_minus = 1.0 - dA_dot
+    s_left = np.ones_like(one_minus)
+    s_left[..., 1:] = np.cumprod(one_minus[..., :-1], axis=-1)
+    incr = s_left * (dA2 + 0.5 * dA3)
+    b_tau = np.sum(incr, axis=-1, keepdims=True)
+    b_at = np.cumsum(incr, axis=-1)
+    ok = one_minus > 0
+    q = np.where(ok, (b_tau - b_at) / np.where(ok, one_minus, 1.0), 0.0)
+    psi1 = -q
+    psi2 = s_left - q
+    psi3 = 0.5 * s_left - q
+    lin = psi1 * dN1 + psi2 * dN2 + psi3 * dN3
+    quad = psi1**2 * dN1 + psi2**2 * dN2 + psi3**2 * dN3
+    return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
 
 
 def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=0.05,

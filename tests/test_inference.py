@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from scipy.stats import norm
 
 import pairedrte
-from oracles import exact_theta_sigma2_cif, relabeling_pvalues
+from oracles import (exact_theta_sigma2_cif, reference_bootstrap_counts,
+                     reference_theta_sigma2_cif, relabeling_pvalues)
 
 from pairedrte import (
     Dataset,
@@ -182,7 +185,8 @@ class TestBootstrapDistribution:
         eps = rng.integers(0, 4, 40)
         times = counting_processes(Dataset(z=z, epsilon=eps, tau=10.0)).event_times
         b = 25
-        y, *dn = _engine.bootstrap_counts(z, eps, times, np.random.default_rng(8), b)
+        draw, _ = _engine.bootstrap_kernel(z, eps, times, 40)
+        y, *dn = draw(np.random.default_rng(8), b)
         counts = np.random.default_rng(8).multinomial(40, np.full(40, 1 / 40), size=b)
         for r in range(b):
             z_r, eps_r = np.repeat(z, counts[r]), np.repeat(eps, counts[r])
@@ -200,6 +204,50 @@ class TestBootstrapDistribution:
         data = Dataset(z=[1.0], epsilon=[1], tau=2.0)
         with pytest.raises(ValidationError):
             bootstrap_distribution(data, InferenceConfig(method="bootstrap", b=5))
+
+
+class TestBootstrapKernel:
+    SAMPLES = {
+        # ties within and across causes, censorings among them
+        "ties": ([1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6], [1, 1, 2, 0, 3, 2, 0, 1, 3, 2, 2, 0]),
+        # records censored before the first event time have no at-risk slot
+        "early_censoring": ([0.5, 0.2, 1.0, 2.0, 2.0, 3.0, 0.7], [0, 0, 2, 1, 0, 3, 0]),
+        "one_time": ([1.0, 2.0, 2.0, 3.0, 0.5], [0, 2, 1, 0, 0]),
+        "all_censored": ([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0]),
+        "two_records": ([1.0, 2.0], [2, 1]),
+        "all_type_2": ([1.0, 2.0, 2.0, 3.0, 4.0], [2, 2, 2, 2, 2]),
+        "n_300": (np.random.default_rng(3).integers(1, 60, 300),
+                  np.random.default_rng(4).integers(0, 4, 300)),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_counts_and_estimates_equal_the_reference(self, name):
+        # blocks of falling size, as the row blocks of a distribution come,
+        # so later blocks run in a slice of the first block's workspace
+        z, eps = (np.asarray(a) for a in self.SAMPLES[name])
+        z = z.astype(float)
+        times = counting_processes(Dataset(z=z, epsilon=eps, tau=100.0)).event_times
+        draw, evaluate = _engine.bootstrap_kernel(z, eps, times, len(z))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for rows in (40, 7, 1):
+            got = draw(rng, rows)
+            want = reference_bootstrap_counts(z, eps, times, ref_rng, rows)
+            for g, w in zip(got, want):
+                assert g.shape == (rows, len(times))
+                np.testing.assert_array_equal(g, w)
+            ref = reference_theta_sigma2_cif(*want, len(z))
+            for g, w in zip(evaluate(*got), ref):
+                np.testing.assert_array_equal(g, w)
+            # the estimate and the harness call the kernel without a workspace
+            for g, w in zip(_engine.theta_sigma2_cif_from_counts(*want, len(z)), ref):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("name, skipped", [("all_censored", 50), ("all_type_2", 16)])
+    def test_degenerate_samples_raise(self, name, skipped):
+        z, eps = self.SAMPLES[name]
+        data = Dataset(z=z, epsilon=eps, tau=10.0)
+        with pytest.raises(DegenerateVariance, match=f"^{skipped} of 50 replicates"):
+            bootstrap_distribution(data, InferenceConfig(method="bootstrap", b=50, seed=0))
 
 
 class TestRandomizeLabels:
@@ -472,17 +520,24 @@ class TestReplicateBlocks:
     def test_row_blocks_change_nothing(self, sample, method, monkeypatch):
         cfg = InferenceConfig(method=method, b=600, seed=45)
         whole = resample_distribution(sample, cfg)
-        monkeypatch.setattr(_engine, "BLOCK_CELLS", 7 * len(counting_processes(sample).at_risk))
+        # 7-row blocks: a bootstrap draw spends one cell per record and row,
+        # a relabeling one per grid time
+        width = sample.n if method == "bootstrap" else len(counting_processes(sample).at_risk)
+        monkeypatch.setattr(_engine, "BLOCK_CELLS", 7 * width)
         blocked = resample_distribution(sample, cfg)
         np.testing.assert_array_equal(blocked.thetas, whole.thetas)
         np.testing.assert_array_equal(blocked.sigmas2, whole.sigmas2)
 
     @staticmethod
-    def peak_memory(method, n):
+    def workload(method, n):
         sim = pairedrte.simulation
         scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=n)
         data = prepare_dataset(sim.draw_paired_sample(scenario, 46), scenario.tau, seed=46)
-        cfg = InferenceConfig(method=method, b=64, seed=47)
+        return data, InferenceConfig(method=method, b=64, seed=47)
+
+    @classmethod
+    def peak_memory(cls, method, n):
+        data, cfg = cls.workload(method, n)
         tracemalloc.start()
         try:
             resample_distribution(data, cfg)
@@ -492,6 +547,18 @@ class TestReplicateBlocks:
 
     def test_bootstrap_memory_is_linear_in_n(self):
         assert self.peak_memory("bootstrap", 20_000) <= 2.5 * self.peak_memory("bootstrap", 10_000)
+
+    def test_bootstrap_time_is_linear_in_n(self):
+        def seconds(n):
+            data, cfg = self.workload("bootstrap", n)
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                bootstrap_distribution(data, cfg)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(20_000) <= 2.5 * seconds(10_000)
 
     def test_randomization_memory_is_linear_in_n(self):
         assert (self.peak_memory("randomization", 20_000)

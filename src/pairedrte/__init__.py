@@ -41,7 +41,6 @@ from .estimators import (
     aalen_johansen,
     counting_processes,
     estimate_rte,
-    ipcw_form,
     ipcw_identity_check,
     kaplan_meier_censoring,
     kaplan_meier_event,
@@ -54,7 +53,6 @@ from .inference import (
     ResampleDistribution,
     bootstrap_distribution,
     randomization_distribution,
-    randomize_labels,
     run_inference,
     test_and_ci,
 )

@@ -32,7 +32,6 @@ __all__ = [
     "estimate_rte",
     "mann_whitney_fully_observed",
     "ipcw_identity_check",
-    "ipcw_form",
 ]
 
 
@@ -61,28 +60,10 @@ class StepCurve:
 
     def at(self, t):
         """Value at time ``t`` (right-continuous)."""
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self._pick(idx)
-
-    def at_left(self, t):
-        """Left limit at time ``t``."""
-        idx = np.searchsorted(self.times, t, side="left") - 1
-        return self._pick(idx)
-
-    def _pick(self, idx):
-        idx = np.asarray(idx)
+        idx = np.asarray(np.searchsorted(self.times, t, side="right") - 1)
         padded = np.concatenate(([self.initial], self.values))
         out = padded[idx + 1]
         return float(out) if out.ndim == 0 else out
-
-    def __call__(self, t):
-        return self.at(t)
-
-    def to_text(self) -> str:
-        """Two-column time/value listing for plotting, including the origin."""
-        lines = [f"{0.0:.17g}\t{self.initial:.17g}"]
-        lines += [f"{t:.17g}\t{v:.17g}" for t, v in zip(self.times, self.values)]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -92,16 +73,6 @@ class CountingProcesses:
     event_times: np.ndarray
     at_risk: np.ndarray
     dn: np.ndarray  # shape (3, k): causes 1, 2, 3
-    n: int
-
-    def dn_cause(self, cause: int) -> np.ndarray:
-        if cause not in (1, 2, 3):
-            raise ValueError(f"cause must be 1, 2, or 3, got {cause}")
-        return self.dn[cause - 1]
-
-    @property
-    def dn_total(self) -> np.ndarray:
-        return self.dn.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -150,17 +121,19 @@ class RteEstimate:
 def counting_processes(data: Dataset) -> CountingProcesses:
     """Exact tie-aware counting and at-risk processes of the sample."""
     times, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
-    return CountingProcesses(event_times=times, at_risk=at_risk, dn=dn, n=data.n)
+    return CountingProcesses(event_times=times, at_risk=at_risk, dn=dn)
+
+
+def _cause_counts(cp: CountingProcesses, cause: int) -> np.ndarray:
+    if cause not in (1, 2, 3):
+        raise ValueError(f"cause must be 1, 2, or 3, got {cause}")
+    return cp.dn[cause - 1]
 
 
 def nelson_aalen(cp: CountingProcesses, cause: int) -> StepCurve:
     """Cause-specific Nelson-Aalen cumulative hazard ``sum dN_j(u) / Y(u)``."""
-    increments = cp.dn_cause(cause) / cp.at_risk
+    increments = _cause_counts(cp, cause) / cp.at_risk
     return StepCurve(times=cp.event_times, values=np.cumsum(increments), initial=0.0)
-
-
-def _survival_values(cp: CountingProcesses) -> np.ndarray:
-    return np.cumprod(1.0 - cp.dn_total / cp.at_risk)
 
 
 def _estimates_from_counts(at_risk, dn, n: int, tau: float, last_time):
@@ -183,7 +156,8 @@ def _estimates_from_counts(at_risk, dn, n: int, tau: float, last_time):
 
 def kaplan_meier_event(cp: CountingProcesses) -> StepCurve:
     """Product-limit estimator of the pair-minimum survival function."""
-    return StepCurve(times=cp.event_times, values=_survival_values(cp), initial=1.0)
+    values = np.cumprod(1.0 - cp.dn.sum(axis=0) / cp.at_risk)
+    return StepCurve(times=cp.event_times, values=values, initial=1.0)
 
 
 def kaplan_meier_censoring(data: Dataset) -> StepCurve:
@@ -203,10 +177,9 @@ def kaplan_meier_censoring(data: Dataset) -> StepCurve:
 
 def aalen_johansen(cp: CountingProcesses, cause: int) -> StepCurve:
     """Aalen-Johansen cumulative incidence ``sum S(u-) dN_j(u) / Y(u)``."""
-    dn = cp.dn_cause(cause)
-    dA_dot = cp.dn_total / cp.at_risk
+    dA_dot = cp.dn.sum(axis=0) / cp.at_risk
     s_left = _engine.survival_left(dA_dot)
-    increments = s_left * dn / cp.at_risk
+    increments = s_left * _cause_counts(cp, cause) / cp.at_risk
     return StepCurve(times=cp.event_times, values=np.cumsum(increments), initial=0.0)
 
 
@@ -274,13 +247,3 @@ def ipcw_identity_check(data: Dataset) -> tuple[float, float]:
     lhs = 1.0 - 2.0 * est.theta_hat
     rhs = float(f1 - f2)
     return lhs, rhs
-
-
-def ipcw_form(data: Dataset) -> float:
-    """IPCW evaluation of ``F1(tau) - F2(tau)``: increments weighted by 1/G(u-)."""
-    cp = counting_processes(data)
-    g_curve = kaplan_meier_censoring(data)
-    g_left = np.asarray(g_curve.at_left(cp.event_times), dtype=float)
-    diff = cp.dn_cause(1) - cp.dn_cause(2)
-    ok = g_left > 0
-    return float(np.sum(diff[ok] / (cp.n * g_left[ok])))

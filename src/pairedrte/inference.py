@@ -31,7 +31,6 @@ __all__ = [
     "InferenceReport",
     "ResampleDistribution",
     "bootstrap_distribution",
-    "randomize_labels",
     "randomization_distribution",
     "resample_distribution",
     "test_and_ci",
@@ -138,7 +137,7 @@ class ResampleDistribution:
     positive; degenerate replicates are counted in ``skipped``. ``values``
     are the studentized statistics on the linear scale; ``statistics`` also
     provides the log-log-transformed version. For bootstrap runs ``wstar``
-    retains the unstudentized ``sqrt(n) (theta* - theta_hat)`` diagnostics.
+    holds ``sqrt(n) (theta* - theta_hat)`` of all replicates, skipped ones too.
     """
 
     kind: str
@@ -255,19 +254,6 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
     return _finalize_distribution(
         "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
     )
-
-
-def randomize_labels(data: Dataset, seed: int) -> Dataset:
-    """One within-pair relabeling: each type-1/2 record flips to 1 or 2 fairly.
-
-    Times and type-0/3 records are untouched. Deterministic given ``seed``.
-    """
-    rng = np.random.default_rng(seed)
-    eps = data.epsilon.copy()
-    flip = (eps == 1) | (eps == 2)
-    coins = rng.random(int(flip.sum())) < 0.5
-    eps[flip] = np.where(coins, 1, 2)
-    return Dataset(z=data.z.copy(), epsilon=eps, tau=data.tau)
 
 
 def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution:

@@ -17,6 +17,7 @@ import csv
 import math
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -133,9 +134,8 @@ class Dataset:
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
-        eps = np.asarray(self.epsilon, dtype=np.int64)
+        eps = np.asarray(self.epsilon)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "epsilon", eps)
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise NonPositiveTau(f"tau must be a positive finite number, got {self.tau}")
         if z.ndim != 1 or eps.shape != z.shape:
@@ -148,8 +148,10 @@ class Dataset:
             raise ValidationError(f"z must be nonnegative, got {z[z < 0][0]}")
         if np.any(z > self.tau):
             raise ValidationError("all record times must be <= tau")
+        # checked before the integer cast, which would truncate a label like 1.5
         if not np.all(np.isin(eps, (0, 1, 2, 3))):
             raise ValidationError("epsilon labels must be in {0,1,2,3}")
+        object.__setattr__(self, "epsilon", eps.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -321,58 +323,65 @@ def _parse_delta(raw: str, row: int, column: str) -> int:
     return int(raw)
 
 
-def read_paired_csv(path) -> PairedSample:
-    """Read paired observations from a CSV with header ``x1,delta1,x2,delta2[,group]``."""
+@contextmanager
+def _csv_rows(path):
+    """The open CSV as its lower-cased header and its non-blank ``(row number, cells)``.
+
+    Cells are stripped. An empty file raises :class:`ValidationError`; a row
+    whose cell count is not the header's raises :class:`ParseError`.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
+
+        def rows():
+            for i, cells in enumerate(reader, start=2):
+                cells = [c.strip() for c in cells]
+                if not any(cells):
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(i, "*", f"expected {len(header)} cells, got {len(cells)}")
+                yield i, cells
+
+        yield header, rows()
+
+
+def read_paired_csv(path) -> PairedSample:
+    """Read paired observations from a CSV with header ``x1,delta1,x2,delta2[,group]``."""
+    xs, ds, groups = [], [], []
+    with _csv_rows(path) as (header, rows):
         if tuple(header[:4]) != _PAIRED_HEADER or len(header) > 5:
             raise ParseError(1, ",".join(header), "expected header x1,delta1,x2,delta2[,group]")
-        has_group = len(header) == 5
-        xs, ds, groups = [], [], []
-        for i, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != len(header):
-                raise ParseError(i, "*", f"expected {len(header)} cells, got {len(cells)}")
-            x1 = _parse_time(cells[0].strip(), i, "x1")
-            d1 = _parse_delta(cells[1].strip(), i, "delta1")
-            x2 = _parse_time(cells[2].strip(), i, "x2")
-            d2 = _parse_delta(cells[3].strip(), i, "delta2")
-            group = cells[4].strip() if has_group and cells[4].strip() else None
+        for i, cells in rows:
+            x1 = _parse_time(cells[0], i, "x1")
+            d1 = _parse_delta(cells[1], i, "delta1")
+            x2 = _parse_time(cells[2], i, "x2")
+            d2 = _parse_delta(cells[3], i, "delta2")
             for name, x in (("x1", x1), ("x2", x2)):
                 if math.isnan(x) or x < 0:
                     raise ValidationError(f"row {i}: {name} must be a nonnegative time, got {x}")
             xs.append((x1, x2))
             ds.append((d1, d2))
-            groups.append(group)
+            groups += [g or None for g in cells[4:]]  # the optional group label
     if not xs:
         raise ValidationError(f"{path}: empty dataset")
-    return PairedSample(xs, ds, groups if has_group else None)
+    return PairedSample(xs, ds, groups or None)
 
 
 def read_competing_csv(path, tau: float) -> Dataset:
     """Read an already-transformed competing-risks sample (header ``z,epsilon``)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+    zs, eps = [], []
+    with _csv_rows(path) as (header, rows):
         if header[:2] != ["z", "epsilon"]:
             raise ParseError(1, ",".join(header), "expected header z,epsilon")
-        zs, eps = [], []
-        for i, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            zs.append(_parse_time(cells[0].strip(), i, "z"))
-            raw = cells[1].strip()
-            if raw not in ("0", "1", "2", "3"):
-                raise ValidationError(f"row {i}: epsilon must be in {{0,1,2,3}}, got {raw!r}")
-            eps.append(int(raw))
+        for i, cells in rows:
+            zs.append(_parse_time(cells[0], i, "z"))
+            if cells[1] not in ("0", "1", "2", "3"):
+                raise ValidationError(f"row {i}: epsilon must be in {{0,1,2,3}}, got {cells[1]!r}")
+            eps.append(int(cells[1]))
     if not zs:
         raise ValidationError(f"{path}: empty dataset")
     return Dataset(z=np.array(zs), epsilon=np.array(eps), tau=tau)

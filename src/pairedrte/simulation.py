@@ -47,7 +47,6 @@ __all__ = [
     "run_power_experiment",
     "empirical_censoring_rates",
     "scenario_from_dict",
-    "scenario_to_dict",
     "marginal_from_dict",
     "load_calibrated_params",
     "table1_scenario",
@@ -280,8 +279,8 @@ class Scenario:
             raise ScenarioError("copula_param", "Gumbel-Hougaard parameter must be >= 1")
         if self.copula == "clayton" and (self.copula_param == 0 or self.copula_param < -1):
             raise ScenarioError("copula_param", "Clayton parameter must be in [-1, inf) \\ {0}")
-        if not self.tau > 0:
-            raise ScenarioError("tau", "tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ScenarioError("tau", "tau must be a positive finite number")
         if not self.n >= 1:
             raise ScenarioError("n", "n must be at least 1")
 
@@ -619,7 +618,7 @@ def empirical_censoring_rates(scenario: Scenario, n_draws: int, seed) -> tuple[f
 
 
 # ---------------------------------------------------------------------------
-# Scenario (de)serialization
+# Scenario parsing
 
 
 _MARGINALS = {"exponential", "gompertz", "uniform", "mixture"}
@@ -644,28 +643,9 @@ def marginal_from_dict(d: dict, path: str):
             )
     except KeyError as exc:
         raise ScenarioError(f"{path}.{exc.args[0]}", "missing field") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(path, str(exc)) from None
-    except InvalidParameter as exc:
+    except (TypeError, ValueError, InvalidParameter) as exc:
         raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(f"{path}.name", f"unknown marginal {name!r}; expected one of {sorted(_MARGINALS)}")
-
-
-def marginal_to_dict(m) -> dict:
-    if isinstance(m, Exponential):
-        return {"name": "exponential", "rate": m.rate}
-    if isinstance(m, Gompertz):
-        return {"name": "gompertz", "shape": m.shape, "rate": m.rate}
-    if isinstance(m, Uniform):
-        return {"name": "uniform", "upper": m.upper}
-    if isinstance(m, Mixture):
-        return {
-            "name": "mixture",
-            "weight": m.weight,
-            "first": marginal_to_dict(m.first),
-            "second": marginal_to_dict(m.second),
-        }
-    raise TypeError(f"not a marginal: {m!r}")
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -690,18 +670,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         tau=float(d["tau"]),
         n=int(d["n"]),
     )
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "copula": s.copula,
-        "copula_param": s.copula_param,
-        "marginal1": marginal_to_dict(s.marginal1),
-        "marginal2": marginal_to_dict(s.marginal2),
-        "censoring": {"name": "uniform", "upper": s.censoring.upper},
-        "tau": s.tau,
-        "n": s.n,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Everything here is written straight from first principles with plain loops,
 deliberately ignoring the package's optimized kernels, so that agreement is
 meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
-functions, which is the reference for the batched harness, and
+functions, which is the reference for the batched harness;
 :func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
 the earlier array formulations of the bootstrap counts and of the fused
 kernel, which the record-slot counts and the in-place kernel must reproduce
-bit for bit.
+bit for bit; and :func:`ipcw_form`, the weighted form of ``F1(tau) -
+F2(tau)`` from the package's counting processes and censoring curve.
 """
 
 import warnings
@@ -131,6 +132,35 @@ def relabeling_pvalues(data, b, seed):
         "two": sum(abs(v) >= abs(t) for v in usable),
     }
     return {side: (1 + count) / (len(usable) + 1) for side, count in counts.items()}
+
+
+def randomize_labels(data, seed):
+    """One within-pair relabeling of the records: each type-1/2 record flips to 1 or 2 fairly.
+
+    One uniform per type-1/2 record in record order, below one half making it
+    type 1; times and type-0/3 records are untouched. On records sorted by
+    time these are the draws of ``_engine.relabel_counts`` for one replicate.
+    """
+    rng = np.random.default_rng(seed)
+    eps = data.epsilon.copy()
+    flip = (eps == 1) | (eps == 2)
+    coins = rng.random(int(flip.sum())) < 0.5
+    eps[flip] = np.where(coins, 1, 2)
+    return prt.Dataset(z=data.z.copy(), epsilon=eps, tau=data.tau)
+
+
+def ipcw_form(data):
+    """IPCW evaluation of ``F1(tau) - F2(tau)``: ``sum (dN1(u) - dN2(u)) / (n G(u-))``.
+
+    ``G`` is the censoring product-limit curve, read just before each event
+    time; event times where ``G(u-) = 0`` add nothing.
+    """
+    cp = prt.counting_processes(data)
+    g = prt.kaplan_meier_censoring(data)
+    before = np.searchsorted(g.times, cp.event_times, side="left")
+    g_left = np.concatenate(([g.initial], g.values))[before]
+    ok = g_left > 0
+    return float(np.sum((cp.dn[0] - cp.dn[1])[ok] / (data.n * g_left[ok])))
 
 
 def naive_competing_risks(rows, tau):

@@ -86,6 +86,16 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_PARSE
 
+    @pytest.mark.parametrize("rows, cells", [("1.0,1\n2.0\n", 1), ("1.0,1\n2.0,1,7\n", 3)],
+                             ids=["short", "long"])
+    def test_competing_row_of_wrong_length_is_a_parse_error(self, runner, tmp_path, rows, cells):
+        p = tmp_path / "records.csv"
+        p.write_text("z,epsilon\n" + rows)
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "5",
+                                   "--method", "asy"])
+        assert res.exit_code == EXIT_PARSE
+        assert res.output == f"error: row 3, column '*': expected 2 cells, got {cells}\n"
+
     def test_validation_error_exit_code(self, runner, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x1,delta1,x2,delta2\n2,7,2,1\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_curves, naive_sigma2_cif, unique_event_grid
+from oracles import ipcw_form, naive_curves, naive_sigma2_cif, unique_event_grid
 
 from pairedrte import _engine
 from pairedrte import (
@@ -18,7 +18,6 @@ from pairedrte import (
     aalen_johansen,
     counting_processes,
     estimate_rte,
-    ipcw_form,
     ipcw_identity_check,
     kaplan_meier_censoring,
     kaplan_meier_event,
@@ -48,17 +47,11 @@ class TestStepCurve:
         assert c.at(1.0) == 0.5
         assert c.at(2.9) == 0.5
         assert c.at(3.0) == 0.2
-        assert c.at_left(3.0) == 0.5
-        assert c.at_left(1.0) == 1.0
         np.testing.assert_array_equal(c.at([0.0, 1.0, 10.0]), [1.0, 0.5, 0.2])
 
     def test_rejects_unordered_times(self):
         with pytest.raises(ValueError):
             StepCurve(times=[2.0, 1.0], values=[0.1, 0.2])
-
-    def test_to_text(self):
-        c = StepCurve(times=[1.0], values=[0.25], initial=1.0)
-        assert c.to_text() == "0\t1\n1\t0.25\n"
 
 
 class TestCountingProcesses:
@@ -66,9 +59,7 @@ class TestCountingProcesses:
         cp = counting_processes(four_records)
         np.testing.assert_array_equal(cp.event_times, [1, 3, 4])
         np.testing.assert_array_equal(cp.at_risk, [4, 2, 1])
-        np.testing.assert_array_equal(cp.dn_cause(1), [1, 0, 0])
-        np.testing.assert_array_equal(cp.dn_cause(2), [0, 1, 0])
-        np.testing.assert_array_equal(cp.dn_cause(3), [0, 0, 1])
+        np.testing.assert_array_equal(cp.dn, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_all_censored(self):
         cp = counting_processes(Dataset(z=[1, 2], epsilon=[0, 0], tau=3.0))
@@ -76,13 +67,13 @@ class TestCountingProcesses:
 
     def test_tie_multiplicities(self):
         cp = counting_processes(Dataset(z=[2, 2], epsilon=[1, 1], tau=3.0))
-        np.testing.assert_array_equal(cp.dn_cause(1), [2])
+        np.testing.assert_array_equal(cp.dn[0], [2])
         np.testing.assert_array_equal(cp.at_risk, [2])
 
     def test_monotone_at_risk(self, four_records):
         cp = counting_processes(four_records)
         assert np.all(np.diff(cp.at_risk) <= 0)
-        assert np.all(cp.dn_total <= cp.at_risk)
+        assert np.all(cp.dn.sum(axis=0) <= cp.at_risk)
 
 
 class TestEventGrid:
@@ -123,6 +114,13 @@ class TestNelsonAalen:
     def test_single_record_jumps_to_one(self):
         cp = counting_processes(Dataset(z=[5], epsilon=[2], tau=6.0))
         assert nelson_aalen(cp, cause=2).at(5.0) == 1.0
+
+    @pytest.mark.parametrize("cause", [0, 4])
+    def test_unknown_cause_raises(self, four_records, cause):
+        cp = counting_processes(four_records)
+        for curve in (nelson_aalen, aalen_johansen):
+            with pytest.raises(ValueError, match="cause must be 1, 2, or 3"):
+                curve(cp, cause)
 
 
 class TestKaplanMeier:
@@ -303,6 +301,40 @@ class TestMonteCarloConsistency:
             th.append(est.theta_hat)
         emp = n * np.var(th, ddof=1)
         assert abs(np.mean(sig2) - emp) <= 0.10 * emp
+
+
+def random_dataset(rng, max_events=10):
+    n = int(rng.integers(2, 40))
+    z = rng.integers(1, max_events + 1, n).astype(float)
+    eps = rng.integers(0, 4, n)
+    if not (eps > 0).any():
+        eps[0] = 1
+    return Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1.0)
+
+
+class TestSigmaThetaPlugin:
+    """The plug-in variance ``estimate_rte`` reports as ``sigma2_hat``."""
+
+    def test_sign_test_variance_at_large_n(self):
+        # Fully observed tie-free pairs: the effect estimate is the sign
+        # fraction, whose binomial variance is the oracle.
+        rng = np.random.default_rng(5)
+        n = 1000
+        x1 = rng.exponential(1.0, n)
+        x2 = rng.exponential(1.3, n)
+        obs = [PairedObservation(a, 1, b, 1) for a, b in zip(x1, x2)]
+        est = estimate_rte(prepare_dataset(obs, 1e9))
+        assert abs(est.sigma2_hat - est.theta_hat * (1 - est.theta_hat)) <= 0.02
+
+    def test_scale_invariance(self):
+        # Depends only on counts and ordering: common strictly increasing
+        # time transformations leave the estimate unchanged.
+        rng = np.random.default_rng(6)
+        data = random_dataset(rng)
+        base = estimate_rte(data).sigma2_hat
+        for phi in (lambda t: 2.0 * t, lambda t: t**2, lambda t: np.log1p(t)):
+            mapped = Dataset(z=phi(data.z), epsilon=data.epsilon, tau=float(phi(data.tau)))
+            assert estimate_rte(mapped).sigma2_hat == pytest.approx(base, rel=1e-12)
 
 
 class TestMetamorphic:

@@ -1,6 +1,5 @@
 """The batched Monte Carlo harness against the replicate-at-a-time reference."""
 
-import math
 import warnings
 from dataclasses import replace
 
@@ -14,6 +13,14 @@ from pairedrte import _engine
 from pairedrte.paired_data import _prepare_rows
 
 sim = prt.simulation
+
+
+class NanLifetime:
+    """A marginal lifetime whose quantile transform gives NaN."""
+
+    def quantile(self, p):
+        return np.full(np.shape(p), np.nan)
+
 
 CELL_06B = sim.table1_scenario("clayton", "gompertz_exp", "strong", 25)
 # At n = 12 some replicates fail after part of their tests were counted.
@@ -92,12 +99,14 @@ class TestEquivalence:
         assert tuple(after["rejections"][k] - before["rejections"][k] for k in keys) == gained
 
     def test_block_that_fails_validation(self):
-        scenario = replace(CELL_06B, tau=math.inf)
+        # a scenario refuses an infinite horizon, but a marginal whose
+        # quantile transform is not finite still fails every sample's checks
+        scenario = replace(CELL_06B, marginal1=NanLifetime())
         kwargs = dict(methods=["asymptotic"], transforms=["linear"], seed=2)
         res = batched(scenario, r=1, **kwargs)
         assert res == reference_size_experiment(scenario, r=1, **kwargs)
-        assert res["failures"] == ((0, "NonPositiveTau"),)
-        with pytest.raises(prt.NonPositiveTau):
+        assert res["failures"] == ((0, "NonFiniteTime"),)
+        with pytest.raises(prt.NonFiniteTime):
             sim.run_size_experiment(scenario, r=3, **kwargs)
 
     def test_block_size_changes_nothing(self, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import norm
 
 import pairedrte
-from oracles import (exact_theta_sigma2_cif, reference_bootstrap_counts,
+from oracles import (exact_theta_sigma2_cif, randomize_labels, reference_bootstrap_counts,
                      reference_theta_sigma2_cif, relabeling_pvalues)
 
 from pairedrte import (
@@ -27,7 +27,6 @@ from pairedrte import (
     estimate_rte,
     prepare_dataset,
     randomization_distribution,
-    randomize_labels,
     run_inference,
     test_and_ci as make_report,
 )
@@ -275,6 +274,16 @@ class TestRandomizeLabels:
         mc_se = np.std(thetas, ddof=1) / np.sqrt(len(thetas))
         assert abs(np.mean(thetas) - 0.5) <= 3 * mc_se
 
+    def test_is_the_record_level_reference_for_relabel_counts(self):
+        rng = np.random.default_rng(3)
+        z = np.sort(rng.integers(1, 6, 40).astype(float))
+        data = Dataset(z=z, epsilon=rng.integers(0, 4, 40), tau=10.0)
+        cp = counting_processes(data)
+        for seed in range(20):
+            relabeled = counting_processes(randomize_labels(data, seed=seed))
+            dn2 = _engine.relabel_counts(cp.dn, np.random.default_rng(seed), 1)
+            np.testing.assert_array_equal(dn2[0], relabeled.dn[1])
+
 
 class TestRandomizationDistribution:
     def test_deterministic(self, sample):
@@ -474,6 +483,22 @@ class TestReportConstruction:
             InferenceConfig(method="randomization", studentize=False)
         with pytest.raises(ValidationError):
             InferenceConfig(method="bootstrap", transform="loglog", studentize=False)
+
+    def test_unstudentized_bootstrap_uses_every_replicate(self):
+        # 14 of the 400 resamples have a zero variance: the studentized route
+        # skips them, while W* = sqrt(n)(theta* - theta_hat) keeps all 400
+        rng = np.random.default_rng(1)
+        z = rng.integers(1, 6, 10).astype(float)
+        eps = rng.choice([0, 1, 2, 2, 2], 10)
+        data = Dataset(z=z, epsilon=eps, tau=10.0)
+        cfg = InferenceConfig(method="bootstrap", b=400, seed=1, studentize=False)
+        dist = bootstrap_distribution(data, cfg)
+        assert dist.skipped == 14
+        assert len(dist.thetas) == 386
+        assert len(dist.wstar) == 400
+        rep = make_report(estimate_rte(data), dist, cfg)
+        assert rep.critical_values == (np.quantile(dist.wstar, 0.025),
+                                       np.quantile(dist.wstar, 0.975))
 
     def test_report_serializes(self, est):
         rep = make_report(est, None, InferenceConfig(method="asymptotic"))

@@ -21,6 +21,7 @@ from pairedrte import (
     ValidationError,
     counting_processes,
     prepare_dataset,
+    read_competing_csv,
     read_paired_csv,
 )
 from pairedrte.paired_data import _prepare_rows
@@ -188,7 +189,7 @@ class TestBreakCensoringTies:
         # Hand enumeration: grid {2.0}; both records have z >= 2.0.
         assert list(cp.event_times) == [2.0]
         assert list(cp.at_risk) == [2.0]
-        assert cp.dn_cause(1)[0] == 1.0
+        assert cp.dn[0, 0] == 1.0
 
     def test_jitter_too_large(self):
         # the censoring tie at 1.0 fires the jitter; the censoring time 2e-8
@@ -279,6 +280,14 @@ class TestDataset:
         with pytest.raises(NonPositiveTau, match="tau must be a positive finite number"):
             Dataset(z=[0.0], epsilon=[1], tau=tau)
 
+    def test_non_integer_labels_rejected(self):
+        # the int64 cast alone would store [1, 2]
+        with pytest.raises(ValidationError, match="epsilon labels must be in"):
+            Dataset(z=[1.0, 2.0], epsilon=[1.5, 2.7], tau=3.0)
+        data = Dataset(z=[1.0, 2.0], epsilon=[1.0, 3.0], tau=3.0)
+        assert data.epsilon.dtype == np.int64
+        np.testing.assert_array_equal(data.epsilon, [1, 3])
+
 
 class TestReadPairedCsv:
     def test_reads_example_file(self, tmp_path):
@@ -320,6 +329,23 @@ class TestReadPairedCsv:
         p.write_text("x1,delta1,x2,delta2\n-2,1,1,1\n")
         with pytest.raises(ValidationError):
             read_paired_csv(p)
+
+
+class TestReadCompetingCsv:
+    def test_reads_records_and_skips_blank_rows(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_text("Z, Epsilon\n1.5,1\n\n , \n2, 0\n")
+        data = read_competing_csv(p, tau=3.0)
+        np.testing.assert_array_equal(data.z, [1.5, 2.0])
+        np.testing.assert_array_equal(data.epsilon, [1, 0])
+
+    @pytest.mark.parametrize("reader", [read_paired_csv, lambda p: read_competing_csv(p, 1.0)],
+                             ids=["paired", "competing"])
+    def test_empty_file(self, tmp_path, reader):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ValidationError, match="empty file"):
+            reader(p)
 
 
 class TestPrepareDataset:

@@ -24,7 +24,7 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
-from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict, scenario_to_dict
+from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict
 
 N_BIG = 100_000
 
@@ -331,15 +331,28 @@ class TestExperiments:
 
 class TestScenarioSerialization:
     def test_roundtrip(self, simple_scenario):
-        d = scenario_to_dict(simple_scenario)
-        again = scenario_from_dict(d)
-        assert again == simple_scenario
+        # the scenario file's form of simple_scenario parses back to it
+        d = {
+            "copula": "gumbel_hougaard",
+            "copula_param": 5.0,
+            "marginal1": {"name": "exponential", "rate": 2.0},
+            "marginal2": {"name": "exponential", "rate": 2.0},
+            "censoring": {"name": "uniform", "upper": 2.7},
+            "tau": 1.0,
+            "n": 60,
+        }
+        assert scenario_from_dict(d) == simple_scenario
 
     def test_unknown_copula_names_field(self):
-        d = scenario_to_dict(
-            Scenario("clayton", -0.6, Exponential(1), Exponential(1), Uniform(1), 1.0, 5)
-        )
-        d["copula"] = "frank"
+        d = {
+            "copula": "frank",
+            "copula_param": -0.6,
+            "marginal1": {"name": "exponential", "rate": 1},
+            "marginal2": {"name": "exponential", "rate": 1},
+            "censoring": {"name": "uniform", "upper": 1},
+            "tau": 1.0,
+            "n": 5,
+        }
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(d)
         assert exc.value.field == "copula"
@@ -389,6 +402,14 @@ class TestFailureLedger:
 
 
 class TestScenarioBuilders:
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, tau):
+        # an infinite horizon would surface only as NonPositiveTau from the
+        # harness's samples, after the failure cap
+        with pytest.raises(ScenarioError, match="tau must be a positive finite number") as exc:
+            Scenario("clayton", 2.0, Exponential(1), Exponential(1), Uniform(2), tau, 20)
+        assert exc.value.field == "tau"
+
     def test_table1_scenarios_build_with_pinned_params(self):
         for copula in ("gumbel_hougaard", "clayton"):
             for family, tau in (("exp_mix", 1.0), ("gompertz_exp", 0.6)):

@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import (
     DegenerateVariance,
+    InsufficientReplicates,
     PairedRteError,
     ParseError,
     ScenarioError,
+    ThetaOutOfDomain,
     ValidationError,
 )
 from .estimators import estimate_rte
@@ -34,6 +36,9 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_DEGENERATE = 5
 
+# What refuses a sample's inference but leaves its estimate standing.
+_REFUSALS = (DegenerateVariance, InsufficientReplicates, ThetaOutOfDomain)
+
 _METHOD_NAMES = {"asy": "asymptotic", "boot": "bootstrap", "rand": "randomization"}
 _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
 
@@ -41,19 +46,23 @@ _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
 def _fail(exc: Exception) -> int:
     if isinstance(exc, ParseError):
         return EXIT_PARSE
-    if isinstance(exc, DegenerateVariance):
+    if isinstance(exc, _REFUSALS):
         return EXIT_DEGENERATE
-    if isinstance(exc, (ValidationError, ScenarioError)):
+    if isinstance(exc, ValidationError):
         return EXIT_VALIDATION
     return 1
+
+
+def _exit_on(exc: PairedRteError):
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(_fail(exc))
 
 
 def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except PairedRteError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_fail(exc))
+        _exit_on(exc)
 
 
 def _format_table(rows: list[dict], columns: list[str]) -> str:
@@ -123,7 +132,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
 
     doc = {"input": input_path, "tau": tau, "alpha": alpha, "sided": sided,
            "b": b, "seed": seed, "groups": []}
-    degenerate = False
+    refused = False
     for label, group_obs in partitions:
         data_plain = None
         if ready is not None:
@@ -148,9 +157,11 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
             reports = run_inference(
                 data, methods, transforms, sided=sided, alpha=alpha, b=b, seed=seed, est=est,
             )
-        except DegenerateVariance as exc:
+        except _REFUSALS as exc:
             entry["inference"] = f"refused: {exc}"
-            degenerate = True
+            refused = True
+        except PairedRteError as exc:
+            _exit_on(exc)
         else:
             entry["reports"] = [r.to_dict() for r in reports]
         doc["groups"].append(entry)
@@ -194,7 +205,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    if degenerate:
+    if refused:
         sys.exit(EXIT_DEGENERATE)
 
 

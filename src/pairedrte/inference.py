@@ -2,15 +2,14 @@
 
 Three routes to critical values: the normal limit, bootstrap resampling of
 competing-risks records, and within-pair treatment relabeling. All routes
-studentize by default, so their critical values are quantile-comparable, and
-all support an optional log-log transformation whose intervals stay inside
-(0, 1).
+studentize, so their critical values are quantile-comparable, and all support
+an optional log-log transformation whose intervals stay inside (0, 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
 from typing import Iterable
 
@@ -65,9 +64,7 @@ def _seed_entropy(seed) -> list[int]:
 class InferenceConfig:
     """How to test: method, sidedness, level, transform, replication, seed.
 
-    ``studentize=False`` switches the bootstrap to the plain normalized
-    replicates ``sqrt(n) (theta* - theta_hat)``; the default studentizes so
-    critical values are quantile-comparable across all three methods.
+    ``b`` and ``seed`` matter only to the resampling methods.
     """
 
     method: str
@@ -76,7 +73,6 @@ class InferenceConfig:
     transform: str = "linear"
     b: int = 2000
     seed: int | tuple = 0
-    studentize: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -91,10 +87,6 @@ class InferenceConfig:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.method != "asymptotic" and self.b < 1:
             raise ValidationError("resampling methods need b >= 1")
-        if not self.studentize and (self.method != "bootstrap" or self.transform != "linear"):
-            raise ValidationError(
-                "the unstudentized variant exists only for the linear bootstrap"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,8 +128,8 @@ class ResampleDistribution:
     ``thetas``/``sigmas2`` hold the replicates whose variance estimate was
     positive; degenerate replicates are counted in ``skipped``. ``values``
     are the studentized statistics on the linear scale; ``statistics`` also
-    provides the log-log-transformed version. For bootstrap runs ``wstar``
-    holds ``sqrt(n) (theta* - theta_hat)`` of all replicates, skipped ones too.
+    provides the log-log-transformed version. Replicates center on
+    ``theta_ref``: the estimate for the bootstrap, one half for relabeling.
     """
 
     kind: str
@@ -147,8 +139,6 @@ class ResampleDistribution:
     theta_ref: float
     b_requested: int
     skipped: int
-    seed: int
-    wstar: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -211,7 +201,7 @@ def _collect_replicates(seed, tag: int, width: int, draw, evaluate, b: int):
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _finalize_distribution(kind, thetas, sigmas2, n, theta_ref, b, seed, wstar=None):
+def _finalize_distribution(kind, thetas, sigmas2, n, theta_ref, b):
     valid = sigmas2 > 0
     skipped = int((~valid).sum())
     if skipped > 0.1 * b:
@@ -226,8 +216,6 @@ def _finalize_distribution(kind, thetas, sigmas2, n, theta_ref, b, seed, wstar=N
         theta_ref=theta_ref,
         b_requested=b,
         skipped=skipped,
-        seed=seed,
-        wstar=wstar,
     )
 
 
@@ -250,10 +238,7 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
 
     draw, evaluate = _engine.bootstrap_kernel(data.z, data.epsilon, cp.event_times, data.n)
     thetas, sigmas2 = _collect_replicates(cfg.seed, 7, data.n, draw, evaluate, cfg.b)
-    wstar = np.sqrt(data.n) * (thetas - theta_hat)
-    return _finalize_distribution(
-        "bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b, cfg.seed, wstar
-    )
+    return _finalize_distribution("bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b)
 
 
 def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution:
@@ -274,9 +259,7 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
     thetas, sigmas2 = _collect_replicates(
         cfg.seed, 13, len(cp.event_times), draw, evaluate, cfg.b
     )
-    return _finalize_distribution(
-        "randomization", thetas, sigmas2, data.n, 0.5, cfg.b, cfg.seed
-    )
+    return _finalize_distribution("randomization", thetas, sigmas2, data.n, 0.5, cfg.b)
 
 
 def _tie_tolerance(t):
@@ -368,48 +351,37 @@ def test_and_ci(
 ) -> InferenceReport:
     """Test ``theta = 1/2`` and build the dual confidence interval.
 
-    ``dist=None`` uses standard normal quantiles (the Wald route); otherwise
-    the empirical quantiles of the studentized replicates (linear
-    interpolation between order statistics); see :func:`_test_arithmetic`.
-    ``cfg.studentize=False`` is the linear case with ``se = 1/sqrt(n)``
-    against the bootstrap's ``W* = sqrt(n)(theta* - theta_hat)``.
+    The estimate is studentized with ``est.se``, or refused: log-log with
+    ``theta_hat`` outside (0, 1) raises :class:`ThetaOutOfDomain`, a variance
+    of zero :class:`DegenerateVariance`. ``dist=None`` then uses standard
+    normal quantiles (the Wald route); otherwise the empirical quantiles of
+    the studentized replicates (linear interpolation between order
+    statistics), of which at least 20 must be usable; see
+    :func:`_test_arithmetic`.
     """
-    if cfg.studentize:
-        in_domain, has_variance = _studentizable(est.theta_hat, est.sigma2_hat, cfg.transform)
-        if not in_domain:
-            raise ThetaOutOfDomain(
-                f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}"
-            )
-        if not has_variance:
-            raise DegenerateVariance(
-                "variance estimate is zero; too few events to studentize"
-            )
-        se = est.se
-    else:
-        if dist is None or dist.wstar is None:
-            raise ValidationError("unstudentized inference needs a bootstrap distribution")
-        se = 1.0 / math.sqrt(est.n)
+    in_domain, has_variance = _studentizable(est.theta_hat, est.sigma2_hat, cfg.transform)
+    if not in_domain:
+        raise ThetaOutOfDomain(f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}")
+    if not has_variance:
+        raise DegenerateVariance("variance estimate is zero; too few events to studentize")
 
     if dist is None:
         method, b_eff, seed, skipped = "asymptotic", None, None, 0
         quantile = _NORMAL.inv_cdf
     else:
-        if cfg.studentize:
-            values, excluded = dist.statistics(cfg.transform)
-            method, skipped = cfg.method, dist.skipped + excluded
-        else:
-            values, method, skipped = dist.wstar, "bootstrap-unstudentized", 0
+        values, excluded = dist.statistics(cfg.transform)
         if len(values) < 20:
             raise InsufficientReplicates(
                 f"{len(values)} usable replicates; need at least 20 for quantiles"
             )
-        b_eff, seed = dist.b_requested, cfg.seed
+        method, b_eff, seed = cfg.method, dist.b_requested, cfg.seed
+        skipped = dist.skipped + excluded
 
         def quantile(q):
             return float(np.quantile(values, q))
 
     t_obs, critical, ci_lower, ci_upper, reject = _test_arithmetic(
-        est.theta_hat, se, cfg.transform, cfg.sided, cfg.alpha, quantile
+        est.theta_hat, est.se, cfg.transform, cfg.sided, cfg.alpha, quantile
     )
     t_obs = float(t_obs)
     if dist is None:

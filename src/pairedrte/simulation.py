@@ -25,6 +25,7 @@ from .errors import (
     NonMonotoneWarning,
     PairedRteError,
     ScenarioError,
+    ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
 from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
@@ -333,20 +334,22 @@ def calibrate_null(
     make_scenario: Callable[[float], Scenario],
     bracket: tuple[float, float],
     *,
-    target: float = 0.5,
     tol: float = 0.002,
     n_draws: int = 1_000_000,
     seed: int = 0,
-    max_iter: int = 80,
 ) -> CalibrationResult:
-    """Find the free marginal parameter that makes the effect hit the target.
+    """Find the free marginal parameter that makes the effect one half, the null.
 
     Stochastic bisection with common random numbers: one large uncensored
-    copula sample is drawn once, and each candidate parameter is scored by
-    the exact within-pair comparison of the horizon-truncated lifetimes.
+    copula sample of ``n_draws >= 1`` pairs is drawn once, and each candidate
+    parameter is scored by the exact within-pair comparison of the
+    horizon-truncated lifetimes. The bisection takes at most 80 steps; from
+    the 10th on it stops once the effect is within ``tol`` of one half.
     The map parameter -> effect must be monotone over the bracket (checked
     empirically; a violation only warns).
     """
+    if not n_draws >= 1:
+        raise ValidationError(f"n_draws must be at least 1, got {n_draws}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"invalid bracket {bracket}")
@@ -364,7 +367,7 @@ def calibrate_null(
 
     th_lo = theta_of(lo)
     th_hi = theta_of(hi)
-    if (th_lo - target) * (th_hi - target) > 0:
+    if (th_lo - 0.5) * (th_hi - 0.5) > 0:
         raise BracketError(
             f"no sign change over bracket: theta({lo})={th_lo:.4f}, theta({hi})={th_hi:.4f}"
         )
@@ -378,15 +381,14 @@ def calibrate_null(
 
     increasing = th_hi > th_lo
     best_param, best_theta = lo, th_lo
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 81):
         mid = 0.5 * (lo + hi)
         th = theta_of(mid)
-        if abs(th - target) < abs(best_theta - target):
+        if abs(th - 0.5) < abs(best_theta - 0.5):
             best_param, best_theta = mid, th
-        if abs(th - target) <= tol and iterations >= 10:
+        if abs(th - 0.5) <= tol and iterations >= 10:
             break
-        if (th < target) == increasing:
+        if (th < 0.5) == increasing:
             lo = mid
         else:
             hi = mid
@@ -514,8 +516,10 @@ def run_size_experiment(
     replicate. Truncation at the horizon counts as censoring in the reported
     censoring rates. Per-replicate analysis failures are recorded as ``(rep,
     error class name)`` and tolerated up to 1% of ``r``. Invalid test
-    settings raise before any replicate runs.
+    settings, ``r < 1`` included, raise before any replicate runs.
     """
+    if not r >= 1:
+        raise ValidationError(f"r must be at least 1, got {r}")
     n, tau = scenario.n, float(scenario.tau)
     base = {m: InferenceConfig(method=m, sided=sided, alpha=alpha, b=b) for m in methods}
     configs = {(m, t): replace(base[m], transform=t) for m in methods for t in transforms}
@@ -735,16 +739,9 @@ def load_calibrated_params() -> dict:
         return json.load(fh)
 
 
-def table1_scenario(
-    copula: str,
-    family: str,
-    censoring: str,
-    n: int,
-    params: dict | None = None,
-) -> Scenario:
-    """A calibrated null scenario of the size study."""
-    if params is None:
-        params = load_calibrated_params()
+def table1_scenario(copula: str, family: str, censoring: str, n: int) -> Scenario:
+    """A calibrated null scenario of the size study, from the pinned parameters."""
+    params = load_calibrated_params()
     key = f"{copula}__{family}"
     if key not in params:
         raise ScenarioError("scenario", f"no calibrated parameter for {key!r}")

@@ -102,6 +102,35 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--B", "0")])
+    def test_invalid_inference_setting_is_a_validation_error(self, runner, option, value):
+        res = runner.invoke(main, ["analyze", "--input", str(DATA / "diabetic.csv"),
+                                   "--tau", "60", option, value])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
+    def test_too_few_replicates_refuses_inference_per_group(self, runner):
+        res = runner.invoke(main, ["analyze", "--input", str(DATA / "diabetic.csv"),
+                                   "--tau", "60", "--group-by", "--B", "10",
+                                   "--format", "json"])
+        assert res.exit_code == EXIT_DEGENERATE
+        groups = json.loads(res.stdout)["groups"]
+        assert [g["group"] for g in groups] == ["adult", "juvenile"]
+        for g in groups:
+            assert 0.0 < g["theta_hat"] < 1.0
+            assert g["reports"] == []
+            assert g["inference"].startswith("refused: 10 usable replicates")
+
+    def test_loglog_outside_the_unit_interval_refuses_inference(self, runner, tmp_path):
+        p = tmp_path / "ones.csv"
+        p.write_text("x1,delta1,x2,delta2\n5,1,1,1\n6,1,2,1\n7,1,3,1\n8,1,4,1\n")
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10",
+                                   "--method", "asy", "--transform", "loglog"])
+        assert res.exit_code == EXIT_DEGENERATE
+        assert "theta_hat=1.0000" in res.stdout
+        assert "inference refused: log-log transform needs theta_hat in (0, 1)" in res.stdout
+
     def test_nonfinite_time_beside_a_censoring_tie(self, runner, tmp_path):
         p = tmp_path / "inf.csv"
         p.write_text("x1,delta1,x2,delta2\ninf,1,1,0\n1,1,2,1\n3,0,1.5,1\n")
@@ -283,6 +312,21 @@ class TestSimulate:
         assert res.exit_code == EXIT_VALIDATION
         assert "copula" in res.output or "copula" in (res.stderr or "")
 
+    @pytest.mark.parametrize("command", ["simulate-size", "simulate-power"])
+    @pytest.mark.parametrize("r", ["0", "-5"])
+    def test_replication_count_below_one_is_a_validation_error(self, runner, tmp_path,
+                                                               command, r):
+        if command == "simulate-size":
+            p = self.scenario_file(tmp_path)
+        else:
+            p = tmp_path / "power.json"
+            p.write_text(json.dumps({"power_family": 3, "copula": "clayton",
+                                     "values": [1.0], "n": 30}))
+        res = runner.invoke(main, [command, "--scenario", str(p), "--R", r, "--B", "50"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: r must be at least 1, got {r}\n"
+
     def test_output_csv(self, runner, tmp_path):
         p = self.scenario_file(tmp_path)
         out = tmp_path / "rows.csv"
@@ -303,3 +347,14 @@ class TestSimulate:
         )
         assert res.exit_code == 0, res.output
         assert "value=1.0" in res.output and "value=2.0" in res.output
+
+
+class TestCalibrate:
+    @pytest.mark.parametrize("n_draws", ["0", "-3"])
+    def test_draw_count_below_one_writes_nothing(self, runner, tmp_path, n_draws):
+        out = tmp_path / "params.json"
+        res = runner.invoke(main, ["calibrate", "--n-draws", n_draws, "--output", str(out)])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: n_draws must be at least 1, got {n_draws}\n"
+        assert not out.exists()

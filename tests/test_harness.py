@@ -121,6 +121,9 @@ class TestEquivalence:
             sim.run_size_experiment(CELL_06B, methods=["asymptotic"], sided="up", r=5)
         with pytest.raises(prt.ValidationError):
             sim.run_size_experiment(CELL_06B, methods=["bootstrap"], b=0, r=5)
+        for r in (0, -5):
+            with pytest.raises(prt.ValidationError, match="r must be at least 1"):
+                sim.run_size_experiment(CELL_06B, methods=["asymptotic"], r=r)
 
 
 class TestBlockEstimates:

@@ -464,41 +464,23 @@ class TestReportConstruction:
             rep = make_report(est, dist, cfg)
             assert 0.0 < rep.ci_lower <= rep.ci_upper < 1.0
 
-    def test_unstudentized_bootstrap_variant(self, sample, est):
-        cfg = InferenceConfig(method="bootstrap", sided="two", b=400, seed=9, studentize=False)
-        dist = bootstrap_distribution(sample, cfg)
-        rep = make_report(est, dist, cfg)
-        assert rep.method == "bootstrap-unstudentized"
-        assert rep.statistic == pytest.approx(np.sqrt(est.n) * (est.theta_hat - 0.5))
-        lo = est.theta_hat - np.quantile(dist.wstar, 0.975) / np.sqrt(est.n)
-        assert rep.ci_lower == pytest.approx(max(lo, 0.0), abs=1e-12)
-        assert rep.skipped == 0
-        assert rep.b == 400
-        with pytest.raises(ValidationError):
-            make_report(est, None, cfg)
-        with pytest.raises(ValidationError):
-            make_report(est, randomization_distribution(sample, replace(cfg, method="randomization",
-                                                                        studentize=True)), cfg)
-        with pytest.raises(ValidationError):
-            InferenceConfig(method="randomization", studentize=False)
-        with pytest.raises(ValidationError):
-            InferenceConfig(method="bootstrap", transform="loglog", studentize=False)
-
-    def test_unstudentized_bootstrap_uses_every_replicate(self):
-        # 14 of the 400 resamples have a zero variance: the studentized route
-        # skips them, while W* = sqrt(n)(theta* - theta_hat) keeps all 400
+    def test_bootstrap_skips_degenerate_replicates(self):
+        # 14 of the 400 resamples have a zero variance: the studentized
+        # statistics skip them, and the quantiles come from the other 386
         rng = np.random.default_rng(1)
         z = rng.integers(1, 6, 10).astype(float)
         eps = rng.choice([0, 1, 2, 2, 2], 10)
         data = Dataset(z=z, epsilon=eps, tau=10.0)
-        cfg = InferenceConfig(method="bootstrap", b=400, seed=1, studentize=False)
+        cfg = InferenceConfig(method="bootstrap", b=400, seed=1)
         dist = bootstrap_distribution(data, cfg)
         assert dist.skipped == 14
         assert len(dist.thetas) == 386
-        assert len(dist.wstar) == 400
+        assert len(dist.values) == 386
         rep = make_report(estimate_rte(data), dist, cfg)
-        assert rep.critical_values == (np.quantile(dist.wstar, 0.025),
-                                       np.quantile(dist.wstar, 0.975))
+        assert rep.skipped == 14
+        assert rep.b == 400
+        assert rep.critical_values == (np.quantile(dist.values, 0.025),
+                                       np.quantile(dist.values, 0.975))
 
     def test_report_serializes(self, est):
         rep = make_report(est, None, InferenceConfig(method="asymptotic"))

@@ -14,6 +14,7 @@ from pairedrte import (
     Scenario,
     ScenarioError,
     Uniform,
+    ValidationError,
     calibrate_null,
     draw_paired_sample,
     empirical_censoring_rates,
@@ -269,6 +270,15 @@ class TestCalibrateNull:
         res = calibrate_null(target["builder"], target["bracket"], n_draws=150_000, seed=18)
         assert res.param == pytest.approx(pinned["param"], abs=0.05)
         assert abs(res.theta - 0.5) <= 0.002
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_draw_count_below_one_raises_before_any_draw(self, n_draws, monkeypatch):
+        from pairedrte import simulation
+
+        target = simulation.calibration_targets()["clayton__exp_mix"]
+        monkeypatch.setattr(simulation, "sample_copula", None)
+        with pytest.raises(ValidationError, match="n_draws must be at least 1"):
+            calibrate_null(target["builder"], target["bracket"], n_draws=n_draws)
 
     def test_bracket_error(self):
         def build(param):

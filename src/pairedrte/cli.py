@@ -4,6 +4,7 @@ simulate-power, and calibrate."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -233,26 +234,35 @@ def transform(input_path, tau, seed, no_jitter, output):
         click.echo(summary, err=True)
 
 
-def _experiment_options(raw: dict):
-    keys = {
-        "r": int, "b": int, "alpha": float, "seed": int, "sided": str, "label": str,
-        "methods": list, "transforms": list,
-    }
-    opts = {}
-    scenario_part = dict(raw)
-    for key, cast in keys.items():
-        if key in scenario_part:
-            value = scenario_part.pop(key)
-            opts[key] = cast(value) if cast in (int, float) else value
-    return opts, scenario_part
+def _names(field: str, value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(field, f"expected a list of names, got {value!r}")
+    return value
 
 
-def _harness_kwargs(opts: dict, given: dict, **defaults) -> dict:
-    """Harness arguments: command-line values, else the scenario file's, else ``defaults``."""
-    defaults = dict(b=500, alpha=0.05, sided="right", seed=0, **defaults)
-    kwargs = {key: opts.get(key, value) for key, value in defaults.items()}
-    kwargs.update({key: value for key, value in given.items() if value is not None})
-    return kwargs
+# The harness settings a scenario file may hold besides its scenario, with their casts.
+_SETTINGS = {
+    "r": sim._integer, "b": sim._integer, "alpha": sim._number, "seed": sim._integer,
+    "sided": lambda field, value: value, "label": lambda field, value: value,
+    "methods": _names, "transforms": _names,
+}
+
+
+def _scenario_file(path: str, **given) -> tuple[dict, dict]:
+    """The harness arguments and the rest of the scenario file at ``path``.
+
+    A setting is its command-line value in ``given``, else the file's; the
+    harness's own defaults cover the others.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, "json", exc.msg) from None
+    if not isinstance(rest, dict):
+        raise ScenarioError("scenario", f"expected a JSON object, got {type(rest).__name__}")
+    settings = {key: cast(key, rest.pop(key)) for key, cast in _SETTINGS.items() if key in rest}
+    return settings | {key: value for key, value in given.items() if value is not None}, rest
 
 
 def _write_rows(rows: list[dict], output: str | None):
@@ -270,14 +280,6 @@ def _write_rows(rows: list[dict], output: str | None):
         click.echo(buf.getvalue().rstrip("\n"))
 
 
-def _load_scenario_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, "json", exc.msg) from None
-
-
 @main.command("simulate-size")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--R", "r", type=int, default=None, help="Override replication count.")
@@ -287,13 +289,9 @@ def _load_scenario_file(path: str) -> dict:
 @click.option("--output", type=click.Path(), default=None)
 def simulate_size(scenario_path, r, b, alpha, seed, output):
     """Empirical size of the tests under a scenario file."""
-    raw = _guard(_load_scenario_file, scenario_path)
-    opts, scenario_part = _experiment_options(raw)
-    scenario = _guard(sim.scenario_from_dict, scenario_part)
-    kwargs = _harness_kwargs(opts, dict(r=r, b=b, alpha=alpha, seed=seed), r=1000,
-                             methods=["asymptotic", "bootstrap", "randomization"],
-                             transforms=["linear", "loglog"])
-    result = _guard(sim.run_size_experiment, scenario, label=opts.get("label", ""), **kwargs)
+    settings, rest = _guard(_scenario_file, scenario_path, r=r, b=b, alpha=alpha, seed=seed)
+    scenario = _guard(sim.scenario_from_dict, rest)
+    result = _guard(sim.run_size_experiment, scenario, **settings)
     _write_rows(result.to_rows(), output)
 
 
@@ -312,34 +310,36 @@ def simulate_power(scenario_path, r, b, alpha, seed, output):
     power family ({"power_family": 1|2|3, "copula": ..., "values": [...],
     "n": ...}).
     """
-    raw = _guard(_load_scenario_file, scenario_path)
-    opts, rest = _experiment_options(raw)
+    settings, rest = _guard(_scenario_file, scenario_path, r=r, b=b, alpha=alpha, seed=seed)
+    settings.pop("label", None)
 
     def build_grid():
         if "grid" in rest:
+            items = rest["grid"]
+            if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+                raise ScenarioError("grid", "expected a list of scenario objects")
             grid = []
-            for i, item in enumerate(rest["grid"]):
+            for i, item in enumerate(items):
                 entry = dict(item)
                 label = str(entry.pop("label", f"point{i}"))
                 grid.append((label, sim.scenario_from_dict(entry)))
             return grid
         if "power_family" in rest:
-            family = int(rest["power_family"])
+            family = sim._integer("power_family", rest["power_family"])
             copula = rest.get("copula", "gumbel_hougaard")
-            n = int(rest.get("n", 50))
+            n = sim._integer("n", rest.get("n", 50))
             values = rest.get("values")
             if not isinstance(values, list) or not values:
                 raise ScenarioError("values", "expected a nonempty list")
             return [
-                (f"value={v}", sim.power_scenario(family, copula, float(v), n))
-                for v in values
+                (f"value={v}",
+                 sim.power_scenario(family, copula, sim._number(f"values[{i}]", v), n))
+                for i, v in enumerate(values)
             ]
         raise ScenarioError("grid", "expected 'grid' or 'power_family'")
 
     grid = _guard(build_grid)
-    kwargs = _harness_kwargs(opts, dict(r=r, b=b, alpha=alpha, seed=seed), r=500,
-                             methods=["randomization"], transforms=["linear"])
-    results = _guard(sim.run_power_experiment, grid, **kwargs)
+    results = _guard(sim.run_power_experiment, grid, **settings)
     rows = [row for res in results for row in res.to_rows()]
     _write_rows(rows, output)
 
@@ -354,21 +354,9 @@ def calibrate(n_draws, tol, seed, output):
     """Recompute the null-scenario marginal parameters (theta = 1/2)."""
     results = {}
     for key, target in sim.calibration_targets().items():
-        res = _guard(
-            sim.calibrate_null,
-            target["builder"],
-            target["bracket"],
-            tol=tol,
-            n_draws=n_draws,
-            seed=seed,
-        )
-        results[key] = {
-            "param": res.param,
-            "theta": res.theta,
-            "n_draws": res.n_draws,
-            "seed": res.seed,
-            "iterations": res.iterations,
-        }
+        res = _guard(sim.calibrate_null, target["builder"], target["bracket"],
+                     tol=tol, n_draws=n_draws, seed=seed)
+        results[key] = dataclasses.asdict(res)
         click.echo(f"{key}: param={res.param:.6f} theta={res.theta:.5f}", err=True)
     text = json.dumps(results, indent=2)
     if output:

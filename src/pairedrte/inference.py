@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
-from .paired_data import Dataset
+from .paired_data import Dataset, _seed_entropy
 
 __all__ = [
     "InferenceConfig",
@@ -51,13 +51,6 @@ _NORMAL = NormalDist()
 # below the gaps between the distinct statistics of a sample. P-values count
 # such ties, and a critical value that ties the statistic does not reject.
 _TIE_TOL = 1e-9
-
-
-def _seed_entropy(seed) -> list[int]:
-    """Flatten an int or tuple-of-ints seed into RNG entropy words."""
-    if isinstance(seed, (tuple, list)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def _collect_replicates(seed, tag: int, width: int, draw, evaluate, b: int):
     step = max(1, _engine.BLOCK_CELLS // max(1, width))
     parts = []
     for c, start in enumerate(range(0, b, _CHUNK)):
-        rng = np.random.default_rng([*_seed_entropy(seed), tag, c])
+        rng = np.random.default_rng(_seed_entropy(seed, tag, c))
         size = min(_CHUNK, b - start)
         parts += [evaluate(*draw(rng, min(step, size - s))) for s in range(0, size, step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])

@@ -48,6 +48,19 @@ __all__ = [
 DEFAULT_JITTER_FRACTION = 1e-9
 
 
+def _seed_entropy(*words) -> list[int]:
+    """The RNG entropy of ints and tuples of ints; every generator of the package is built on it.
+
+    A negative or non-integer word is a :class:`ValidationError`.
+    ``default_rng(s)`` and ``default_rng([s])`` draw the same stream.
+    """
+    flat = [w for word in words for w in (word if isinstance(word, (tuple, list)) else [word])]
+    for w in flat:
+        if not isinstance(w, (int, np.integer)) or w < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {w!r}")
+    return [int(w) for w in flat]
+
+
 @dataclass(frozen=True)
 class PairedObservation:
     """One matched pair's censored outcomes ``(x1, delta1, x2, delta2)``.
@@ -158,21 +171,6 @@ class Dataset:
         return len(self.z)
 
 
-def _truncate(x: np.ndarray, delta: np.ndarray, tau: float):
-    """Truncation at the horizon on arrays of shape ``(..., 2)``: ``x >= tau`` becomes ``(tau, 1)``.
-
-    A time equal to the horizon becomes an observed event, so that the tie
-    mass at ``tau`` is credited to both treatments.
-    """
-    if not math.isfinite(tau) or tau <= 0:
-        raise NonPositiveTau(f"tau must be a positive finite number, got {tau}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if len(bad):
-        raise NonFiniteTime(f"{('x1', 'x2')[bad[0] % 2]} is not finite: {x.flat[bad[0]]}")
-    over = x >= tau
-    return np.where(over, tau, x), np.where(over, 1, delta)
-
-
 def _classify(x: np.ndarray, delta: np.ndarray):
     """Competing-risks records ``(z, epsilon)`` of truncated pairs of shape ``(..., 2)``.
 
@@ -229,8 +227,9 @@ def _jitter_censored(x: np.ndarray, delta: np.ndarray, seed: int) -> np.ndarray:
             f"jitter {jitter} is not smaller than the minimum event/censoring gap {gap}"
         )
     censored = delta == 0
+    rng = np.random.default_rng(_seed_entropy(seed))
     out = x.copy()
-    out[censored] += np.random.default_rng(seed).uniform(0.0, jitter, int(censored.sum()))
+    out[censored] += rng.uniform(0.0, jitter, int(censored.sum()))
     return out
 
 
@@ -247,53 +246,51 @@ def prepare_dataset(
     times the largest observed time and drawn from ``seed``, to every
     censored time, but only when some censoring time exactly equals an event
     time; event times are untouched, so each tied censoring time ends up just
-    above its event. ``jitter=None`` disables tie breaking. Jitter precedes
-    truncation so that no perturbed time can exceed the horizon.
+    above its event. ``jitter=None`` disables tie breaking. This is the
+    one-sample case of :func:`_prepare_rows`, so an invalid ``tau`` is
+    reported before any other error.
     """
     if jitter not in ("auto", None):
         raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
     sample = PairedSample.of(data)
     if len(sample) == 0:
         raise ValidationError("empty dataset")
-    if jitter is None:
-        z, eps = _classify(*_truncate(sample.x, sample.delta, tau))
-        return Dataset(z=z, epsilon=eps, tau=float(tau))
-    z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau, [seed])
+    seeds = None if jitter is None else [seed]
+    z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau, seeds)
     if errors:
         raise errors[0]
     return Dataset(z=z[0], epsilon=eps[0], tau=float(tau))
 
 
 def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):
-    """:func:`prepare_dataset` with ``jitter="auto"`` on a block of samples.
+    """Competing-risks records of samples of shape ``(R, n, 2)``, prepared as one block.
 
-    ``x`` and ``delta`` have shape ``(R, n, 2)``. Sample ``i`` is jittered,
-    with seed ``seeds[i]`` and width ``DEFAULT_JITTER_FRACTION`` times its
-    largest time, only when one of its censoring times equals one of its
-    event times; ``x`` itself is left as it is. Returns the records ``z, eps``
-    of shape ``(R, n)`` and a dict from each failed sample to its error; a
-    failed sample's records are zeros.
+    ``tau`` is checked first. Sample ``i`` is jittered with seed ``seeds[i]``
+    (none when ``seeds`` is None) only when one of its censoring times equals
+    one of its event times; ``x`` itself is left as it is. Jitter precedes
+    truncation, so no perturbed time can exceed the horizon, and a time equal
+    to the horizon becomes an observed event, so that the tie mass at ``tau``
+    is credited to both treatments. Returns the records ``z, eps`` of shape
+    ``(R, n)`` and a dict from each failed sample to its error; a failed
+    sample's records are zeros.
     """
-    x, errors = x.copy(), {}
-    # a sample with a non-finite time has no jitter width; truncation raises
-    # its NonFiniteTime
-    finite = np.isfinite(x).all(axis=(-2, -1))
-    for i in np.flatnonzero(_event_censoring_ties(x, delta) & finite):
-        try:
-            x[i] = _jitter_censored(x[i], delta[i], seeds[i])
-        except PairedRteError as exc:
-            errors[i] = exc
-    try:
-        z, eps = _classify(*_truncate(x, delta, tau))
-    except PairedRteError:
-        # the block holds an invalid sample: truncate one by one so that
-        # each raises its own error
-        z, eps = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=np.int64)
-        for i in range(len(x)):
+    if not math.isfinite(tau) or tau <= 0:
+        raise NonPositiveTau(f"tau must be a positive finite number, got {tau}")
+    finite = np.isfinite(x)
+    errors = {}
+    for i in np.flatnonzero(~finite.all(axis=(-2, -1))):
+        j = np.flatnonzero(~finite[i])[0]
+        errors[i] = NonFiniteTime(f"{('x1', 'x2')[j % 2]} is not finite: {x[i].flat[j]}")
+    if seeds is not None:
+        x = x.copy()
+        # a sample with a non-finite time has no jitter width
+        for i in np.flatnonzero(_event_censoring_ties(x, delta) & finite.all(axis=(-2, -1))):
             try:
-                z[i], eps[i] = _classify(*_truncate(x[i], delta[i], tau))
+                x[i] = _jitter_censored(x[i], delta[i], seeds[i])
             except PairedRteError as exc:
-                errors.setdefault(i, exc)
+                errors[i] = exc
+    over = x >= tau
+    z, eps = _classify(np.where(over, tau, x), np.where(over, 1, delta))
     for i in errors:
         z[i], eps[i] = 0.0, 0
     return z, eps, errors

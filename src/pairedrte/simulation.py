@@ -29,7 +29,7 @@ from .errors import (
 )
 from .estimators import RteEstimate, _estimates_from_counts
 from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
-from .paired_data import Dataset, PairedSample, _prepare_rows, prepare_dataset
+from .paired_data import Dataset, PairedSample, _prepare_rows, _seed_entropy, prepare_dataset
 
 __all__ = [
     "Exponential",
@@ -171,7 +171,9 @@ class Mixture:
 
 
 def _rng_of(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_seed_entropy(seed))
 
 
 def _positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,7 +277,8 @@ class Scenario:
 
     def __post_init__(self):
         if self.copula not in COPULAS:
-            raise ScenarioError("copula", f"unknown copula {self.copula!r}")
+            raise ScenarioError("copula",
+                                f"unknown copula {self.copula!r}; expected one of {COPULAS}")
         if self.copula == "gumbel_hougaard" and not self.copula_param >= 1.0:
             raise ScenarioError("copula_param", "Gumbel-Hougaard parameter must be >= 1")
         if self.copula == "clayton" and (self.copula_param == 0 or self.copula_param < -1):
@@ -298,20 +301,20 @@ def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
 
 def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
     """Sample one paired dataset of the scenario's size."""
-    x, delta = _draw_block(scenario, [_rng_of(seed)])
+    x, delta = _draw_block(scenario, [seed])
     return PairedSample(x[0], delta[0])
 
 
-def _draw_block(scenario: Scenario, rngs):
-    """Times and indicators, each (R, n, 2), of one sample per generator in ``rngs``.
+def _draw_block(scenario: Scenario, seeds):
+    """Times and indicators, each (R, n, 2), of one sample per seed in ``seeds``.
 
-    Each sample draws from its own generator, in this order: the copula with
-    its boundary redraws, then the uniform censoring times, all of column 0's
-    before column 1's. Only the quantile transforms run once on the whole
-    block.
+    A seed is a generator or the words of one. Each sample draws from its
+    own generator, in this order: the copula with its boundary redraws, then
+    the uniform censoring times, all of column 0's before column 1's. Only
+    the quantile transforms run once on the whole block.
     """
     u, c = [], []
-    for rng in rngs:
+    for rng in map(_rng_of, seeds):
         u.append(sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
         c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
     return _observe(np.array(u), np.array(c), scenario)
@@ -325,9 +328,9 @@ def _draw_block(scenario: Scenario, rngs):
 class CalibrationResult:
     param: float
     theta: float
-    iterations: int
     n_draws: int
     seed: int
+    iterations: int
 
 
 def calibrate_null(
@@ -354,7 +357,7 @@ def calibrate_null(
     if not lo < hi:
         raise BracketError(f"invalid bracket {bracket}")
     probe = make_scenario(lo)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_entropy(seed))
     u1, u2 = sample_copula(probe.copula, probe.copula_param, n_draws, rng).T
 
     def theta_of(param: float) -> float:
@@ -482,7 +485,7 @@ def _estimate_block(scenario: Scenario, seed: int, reps: range):
     prepare hold placeholder values.
     """
     tau = float(scenario.tau)
-    x, delta = _draw_block(scenario, (np.random.default_rng([seed, rep]) for rep in reps))
+    x, delta = _draw_block(scenario, [(seed, rep) for rep in reps])
     censored = int(_censored_margins(x, delta, tau).sum())
     z, eps, errors = _prepare_rows(x, delta, tau, reps)
     _, at_risk, dn = _engine.sorted_grid(z, eps)
@@ -605,7 +608,7 @@ def run_power_experiment(
                 b=b,
                 alpha=alpha,
                 sided=sided,
-                seed=int(np.random.SeedSequence([seed, idx]).generate_state(1)[0]),
+                seed=int(np.random.SeedSequence(_seed_entropy(seed, idx)).generate_state(1)[0]),
                 label=label,
             )
         )
@@ -652,27 +655,36 @@ def marginal_from_dict(d: dict, path: str):
     raise ScenarioError(f"{path}.name", f"unknown marginal {name!r}; expected one of {sorted(_MARGINALS)}")
 
 
+def _number(field: str, value) -> float:
+    """A scenario field's value as a float; what ``float`` refuses is a :class:`ScenarioError`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(field, f"expected a number, got {value!r}") from None
+
+
+def _integer(field: str, value) -> int:
+    """A scenario field's value as an int; a non-integral number is a :class:`ScenarioError`."""
+    if not _number(field, value).is_integer():
+        raise ScenarioError(field, f"expected an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(float(value))
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     for key in ("copula", "copula_param", "marginal1", "marginal2", "censoring", "tau", "n"):
         if key not in d:
             raise ScenarioError(key, "missing field")
-    if d["copula"] not in COPULAS:
-        raise ScenarioError("copula", f"unknown copula {d['copula']!r}; expected one of {COPULAS}")
     cens = d["censoring"]
     if not isinstance(cens, dict) or cens.get("name", "uniform") != "uniform":
         raise ScenarioError("censoring.name", "censoring must be a uniform law")
-    try:
-        censoring = Uniform(upper=float(cens["upper"]))
-    except KeyError:
-        raise ScenarioError("censoring.upper", "missing field") from None
     return Scenario(
         copula=d["copula"],
-        copula_param=float(d["copula_param"]),
+        copula_param=_number("copula_param", d["copula_param"]),
         marginal1=marginal_from_dict(d["marginal1"], "marginal1"),
         marginal2=marginal_from_dict(d["marginal2"], "marginal2"),
-        censoring=censoring,
-        tau=float(d["tau"]),
-        n=int(d["n"]),
+        censoring=marginal_from_dict(dict(cens, name="uniform"), "censoring"),
+        tau=_number("tau", d["tau"]),
+        n=_integer("n", d["n"]),
     )
 
 
@@ -761,6 +773,10 @@ def power_scenario(family: int, copula: str, value: float, n: int) -> Scenario:
     second margin is always Exp(2); ``value`` at 0 (families 1, 2) or 1
     (family 3) is the exchangeable null.
     """
+    if copula not in COPULAS:
+        raise ScenarioError("copula", f"unknown copula {copula!r}; expected one of {COPULAS}")
+    if family in (1, 2) and not 0.0 <= value <= 1.0:
+        raise ScenarioError("value", f"family {family} needs a mixing weight in [0, 1]")
     base = Exponential(2.0)
     if family == 1:
         m1 = Mixture(value, Uniform(2.0), base) if value > 0 else base

@@ -327,6 +327,58 @@ class TestSimulate:
         assert res.stdout == ""
         assert res.stderr == f"error: r must be at least 1, got {r}\n"
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"r": "abc"}, "r"),
+        ({"r": 2.7}, "r"),
+        ({"n": "x"}, "n"),
+        ({"n": 20.9}, "n"),
+        ({"tau": "soon"}, "tau"),
+        ({"alpha": "x"}, "alpha"),
+        ({"censoring": {"upper": "x"}}, "censoring"),
+        ({"censoring": {"upper": -1}}, "censoring"),
+        ({"copula_param": None}, "copula_param"),
+        ({"methods": "asymptotic"}, "methods"),
+    ])
+    def test_size_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
+                                                                extra, field):
+        p = self.scenario_file(tmp_path, **extra)
+        res = runner.invoke(main, ["simulate-size", "--scenario", str(p), "--B", "50"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: scenario field {field!r}: ")
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"power_family": "x"}, "power_family"),
+        ({"values": ["a"]}, "values[0]"),
+        ({"n": "x"}, "n"),
+        ({"copula": "frank"}, "copula"),
+        ({"power_family": 1, "values": [1.5]}, "value"),
+        ({"grid": [1]}, "grid"),
+    ])
+    def test_power_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
+                                                                 doc, field):
+        p = tmp_path / "power.json"
+        family = {"power_family": 3, "copula": "clayton", "values": [1.0], "n": 30}
+        p.write_text(json.dumps(doc if "grid" in doc else dict(family, **doc)))
+        res = runner.invoke(main, ["simulate-power", "--scenario", str(p), "--R", "5"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: scenario field {field!r}: ")
+
+    def test_negative_seed_in_the_file_is_a_validation_error(self, runner, tmp_path):
+        p = self.scenario_file(tmp_path, seed=-1)
+        res = runner.invoke(main, ["simulate-size", "--scenario", str(p), "--R", "2"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stderr == "error: seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["simulate-size", "simulate-power"])
+    def test_scenario_file_must_hold_an_object(self, runner, tmp_path, command):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        res = runner.invoke(main, [command, "--scenario", str(p)])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stderr == "error: scenario field 'scenario': expected a JSON object, got list\n"
+
     def test_output_csv(self, runner, tmp_path):
         p = self.scenario_file(tmp_path)
         out = tmp_path / "rows.csv"
@@ -358,3 +410,18 @@ class TestCalibrate:
         assert res.stdout == ""
         assert res.stderr == f"error: n_draws must be at least 1, got {n_draws}\n"
         assert not out.exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--seed", "-1"],
+        ["analyze", "--input", str(DATA / "example1_table2.csv"), "--tau", "100",
+         "--method", "rand", "--seed", "-1"],
+        ["transform", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--seed", "-1"],
+        ["calibrate", "--seed", "-1", "--n-draws", "10"],
+    ], ids=["analyze-jitter", "analyze-resampling", "transform", "calibrate"])
+    def test_is_a_validation_error(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == "error: seed must be a nonnegative integer, got -1\n"

@@ -109,6 +109,11 @@ class TestTruncateAtTau:
             with pytest.raises(NonPositiveTau):
                 records([(1, 1, 1, 1)], tau, jitter=jitter)
 
+    def test_tau_is_checked_before_the_jitter(self):
+        # every time is 0, so the jitter would fail too
+        with pytest.raises(NonPositiveTau):
+            records([(0, 1, 0, 0)], -1.0)
+
 
 class TestToCompetingRisks:
     @pytest.mark.parametrize(
@@ -255,6 +260,11 @@ class TestBreakCensoringTies:
         for z_new, z_old in zip(out.z[~events], plain.z[~events]):
             assert z_old < z_new < z_old + width
             assert all(z_new > e for e in x[delta == 1] if e <= z_old)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            prepare_dataset(lattice_sample(0, 20), 30.0, seed=seed)
 
     @pytest.mark.parametrize("jitter", [0.5, 1e-9, 0.0, "fixed"])
     def test_only_auto_or_none(self, jitter):
@@ -420,3 +430,18 @@ class TestPrepareRows:
         assert list(errors) == [1]
         assert isinstance(errors[1], NonFiniteTime)
         assert str(errors[1]) == f"x1 is not finite: {bad}"
+
+    def test_each_failed_sample_keeps_its_own_error(self):
+        # sample 1 holds an infinite x2; sample 2's times are all 0, so its
+        # jitter has no width; sample 0 is prepared as on its own
+        x = np.array([self.X[0], self.X[0], np.zeros((3, 2))])
+        x[1, 1, 1] = math.inf
+        delta = np.array(self.DELTA[:1] * 3)
+        z, eps, errors = _prepare_rows(x, delta, 5.0, [0, 1, 2])
+        assert sorted(errors) == [1, 2]
+        assert str(errors[1]) == "x2 is not finite: inf"
+        assert "every time is 0" in str(errors[2])
+        alone = prepare_dataset(PairedSample(x[0], delta[0]), 5.0, seed=0)
+        np.testing.assert_array_equal(z[0], alone.z)
+        np.testing.assert_array_equal(eps[0], alone.epsilon)
+        assert not z[1:].any() and not eps[1:].any()

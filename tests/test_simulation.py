@@ -200,6 +200,18 @@ def simple_scenario():
     )
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, seed: draw_paired_sample(s, seed),
+    lambda s, seed: run_size_experiment(s, methods=["asymptotic"], r=2, seed=seed),
+    lambda s, seed: run_power_experiment([("a", s)], methods=["asymptotic"], r=2, seed=seed),
+    lambda s, seed: calibrate_null(lambda p: replace(s, marginal2=Exponential(p)), (0.5, 4.0),
+                                   n_draws=10, seed=seed),
+], ids=["draw", "size", "power", "calibrate"])
+def test_negative_seed_is_a_validation_error(simple_scenario, call):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+        call(simple_scenario, -1)
+
+
 class TestApplyMarginalsAndCensoring:
     def test_no_censoring_when_support_is_huge(self, simple_scenario):
         obs = draw_paired_sample(replace(simple_scenario, censoring=Uniform(1e9), n=500), seed=11)

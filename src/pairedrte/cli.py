@@ -17,7 +17,6 @@ from .errors import (
     InsufficientReplicates,
     PairedRteError,
     ParseError,
-    ScenarioError,
     ThetaOutOfDomain,
     ValidationError,
 )
@@ -54,18 +53,6 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _exit_on(exc: PairedRteError):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_fail(exc))
-
-
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PairedRteError as exc:
-        _exit_on(exc)
-
-
 def _format_table(rows: list[dict], columns: list[str]) -> str:
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
     head = "  ".join(c.ljust(widths[c]) for c in columns)
@@ -76,7 +63,18 @@ def _format_table(rows: list[dict], columns: list[str]) -> str:
     return "\n".join([head, sep, *body])
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a package error of any command exits with its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PairedRteError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_fail(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Relative treatment effect analysis for paired right-censored data."""
 
@@ -115,15 +113,13 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         list(_TRANSFORM_NAMES.values()) if transform_ == "both" else [_TRANSFORM_NAMES[transform_]]
     )
 
-    obs, ready = _guard(_load_input, input_path, tau)
+    obs, ready = _load_input(input_path, tau)
     if group_by:
         if obs is None:
-            click.echo("error: --group-by needs a paired input with a group column", err=True)
-            sys.exit(EXIT_VALIDATION)
+            raise ValidationError("--group-by needs a paired input with a group column")
         labels = obs.group
         if labels is None or any(lbl is None for lbl in labels):
-            click.echo("error: --group-by requires a group label on every row", err=True)
-            sys.exit(EXIT_VALIDATION)
+            raise ValidationError("--group-by requires a group label on every row")
         partitions = []
         for lbl in dict.fromkeys(labels):
             rows = labels == lbl
@@ -139,12 +135,11 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         if ready is not None:
             data = ready
         else:
-            data = _guard(prepare_dataset, group_obs, tau,
-                          jitter=None if no_jitter else "auto", seed=seed)
+            data = prepare_dataset(group_obs, tau, jitter=None if no_jitter else "auto", seed=seed)
             # a jitter-free copy can differ only where auto jitter fired
             if not no_jitter and _event_censoring_ties(group_obs.x, group_obs.delta):
-                data_plain = _guard(prepare_dataset, group_obs, tau, jitter=None, seed=seed)
-        est = _guard(estimate_rte, data)
+                data_plain = prepare_dataset(group_obs, tau, jitter=None, seed=seed)
+        est = estimate_rte(data)
         entry = {
             "group": label,
             "n": est.n,
@@ -161,8 +156,6 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         except _REFUSALS as exc:
             entry["inference"] = f"refused: {exc}"
             refused = True
-        except PairedRteError as exc:
-            _exit_on(exc)
         else:
             entry["reports"] = [r.to_dict() for r in reports]
         doc["groups"].append(entry)
@@ -219,8 +212,8 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
               help="Competing-risks CSV destination (stdout if omitted).")
 def transform(input_path, tau, seed, no_jitter, output):
     """Write the competing-risks transformation of a paired CSV."""
-    obs = _guard(read_paired_csv, input_path)
-    data = _guard(prepare_dataset, obs, tau, jitter=None if no_jitter else "auto", seed=seed)
+    obs = read_paired_csv(input_path)
+    data = prepare_dataset(obs, tau, jitter=None if no_jitter else "auto", seed=seed)
     counts = {j: int((data.epsilon == j).sum()) for j in (0, 1, 2, 3)}
     summary = (
         f"n={data.n}  eps0={counts[0]}  eps1={counts[1]}  eps2={counts[2]}  "
@@ -234,40 +227,7 @@ def transform(input_path, tau, seed, no_jitter, output):
         click.echo(summary, err=True)
 
 
-def _names(field: str, value) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ScenarioError(field, f"expected a list of names, got {value!r}")
-    return value
-
-
-# The harness settings a scenario file may hold besides its scenario, with their casts.
-_SETTINGS = {
-    "r": sim._integer, "b": sim._integer, "alpha": sim._number, "seed": sim._integer,
-    "sided": lambda field, value: value, "label": lambda field, value: value,
-    "methods": _names, "transforms": _names,
-}
-
-
-def _scenario_file(path: str, **given) -> tuple[dict, dict]:
-    """The harness arguments and the rest of the scenario file at ``path``.
-
-    A setting is its command-line value in ``given``, else the file's; the
-    harness's own defaults cover the others.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, "json", exc.msg) from None
-    if not isinstance(rest, dict):
-        raise ScenarioError("scenario", f"expected a JSON object, got {type(rest).__name__}")
-    settings = {key: cast(key, rest.pop(key)) for key, cast in _SETTINGS.items() if key in rest}
-    return settings | {key: value for key, value in given.items() if value is not None}, rest
-
-
 def _write_rows(rows: list[dict], output: str | None):
-    if not rows:
-        return
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -280,29 +240,40 @@ def _write_rows(rows: list[dict], output: str | None):
         click.echo(buf.getvalue().rstrip("\n"))
 
 
-@main.command("simulate-size")
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--R", "r", type=int, default=None, help="Override replication count.")
-@click.option("--B", "b", type=int, default=None, help="Override resampling iterations.")
-@click.option("--alpha", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--output", type=click.Path(), default=None)
-def simulate_size(scenario_path, r, b, alpha, seed, output):
+def _experiment_command(name: str):
+    """A command that writes the rows ``body(settings, rest)`` makes of its ``--scenario`` file.
+
+    A setting is its flag's value, else the file's, else the harness default.
+    """
+    def decorate(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
+        @click.option("--R", "r", type=int, default=None, help="Override replication count.")
+        @click.option("--B", "b", type=int, default=None, help="Override resampling iterations.")
+        @click.option("--alpha", type=float, default=None)
+        @click.option("--seed", type=int, default=None)
+        @click.option("--output", type=click.Path(), default=None)
+        def command(scenario_path, output, **given):
+            with open(scenario_path, encoding="utf-8") as fh:
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(exc.lineno, "json", exc.msg) from None
+            settings, rest = sim.settings_from_dict(doc)
+            given = {key: value for key, value in given.items() if value is not None}
+            _write_rows(body(settings | given, rest), output)
+        return command
+    return decorate
+
+
+@_experiment_command("simulate-size")
+def simulate_size(settings, rest):
     """Empirical size of the tests under a scenario file."""
-    settings, rest = _guard(_scenario_file, scenario_path, r=r, b=b, alpha=alpha, seed=seed)
-    scenario = _guard(sim.scenario_from_dict, rest)
-    result = _guard(sim.run_size_experiment, scenario, **settings)
-    _write_rows(result.to_rows(), output)
+    return sim.run_size_experiment(sim.scenario_from_dict(rest), **settings).to_rows()
 
 
-@main.command("simulate-power")
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--R", "r", type=int, default=None)
-@click.option("--B", "b", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--output", type=click.Path(), default=None)
-def simulate_power(scenario_path, r, b, alpha, seed, output):
+@_experiment_command("simulate-power")
+def simulate_power(settings, rest):
     """Power curve along a grid of scenarios.
 
     The scenario file either enumerates the grid explicitly
@@ -310,38 +281,9 @@ def simulate_power(scenario_path, r, b, alpha, seed, output):
     power family ({"power_family": 1|2|3, "copula": ..., "values": [...],
     "n": ...}).
     """
-    settings, rest = _guard(_scenario_file, scenario_path, r=r, b=b, alpha=alpha, seed=seed)
     settings.pop("label", None)
-
-    def build_grid():
-        if "grid" in rest:
-            items = rest["grid"]
-            if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
-                raise ScenarioError("grid", "expected a list of scenario objects")
-            grid = []
-            for i, item in enumerate(items):
-                entry = dict(item)
-                label = str(entry.pop("label", f"point{i}"))
-                grid.append((label, sim.scenario_from_dict(entry)))
-            return grid
-        if "power_family" in rest:
-            family = sim._integer("power_family", rest["power_family"])
-            copula = rest.get("copula", "gumbel_hougaard")
-            n = sim._integer("n", rest.get("n", 50))
-            values = rest.get("values")
-            if not isinstance(values, list) or not values:
-                raise ScenarioError("values", "expected a nonempty list")
-            return [
-                (f"value={v}",
-                 sim.power_scenario(family, copula, sim._number(f"values[{i}]", v), n))
-                for i, v in enumerate(values)
-            ]
-        raise ScenarioError("grid", "expected 'grid' or 'power_family'")
-
-    grid = _guard(build_grid)
-    results = _guard(sim.run_power_experiment, grid, **settings)
-    rows = [row for res in results for row in res.to_rows()]
-    _write_rows(rows, output)
+    results = sim.run_power_experiment(sim.grid_from_dict(rest), **settings)
+    return [row for res in results for row in res.to_rows()]
 
 
 @main.command()
@@ -354,8 +296,8 @@ def calibrate(n_draws, tol, seed, output):
     """Recompute the null-scenario marginal parameters (theta = 1/2)."""
     results = {}
     for key, target in sim.calibration_targets().items():
-        res = _guard(sim.calibrate_null, target["builder"], target["bracket"],
-                     tol=tol, n_draws=n_draws, seed=seed)
+        res = sim.calibrate_null(target["builder"], target["bracket"],
+                                 tol=tol, n_draws=n_draws, seed=seed)
         results[key] = dataclasses.asdict(res)
         click.echo(f"{key}: param={res.param:.6f} theta={res.theta:.5f}", err=True)
     text = json.dumps(results, indent=2)

@@ -49,6 +49,8 @@ __all__ = [
     "empirical_censoring_rates",
     "scenario_from_dict",
     "marginal_from_dict",
+    "settings_from_dict",
+    "grid_from_dict",
     "load_calibrated_params",
     "table1_scenario",
     "power_scenario",
@@ -519,10 +521,14 @@ def run_size_experiment(
     replicate. Truncation at the horizon counts as censoring in the reported
     censoring rates. Per-replicate analysis failures are recorded as ``(rep,
     error class name)`` and tolerated up to 1% of ``r``. Invalid test
-    settings, ``r < 1`` included, raise before any replicate runs.
+    settings, ``r < 1`` and an empty or repeated method or transform
+    included, raise before any replicate runs.
     """
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
+    for field, names in (("methods", methods), ("transforms", transforms)):
+        if not names or len(set(names)) < len(names):
+            raise ValidationError(f"{field} must be nonempty and distinct, got {list(names)}")
     n, tau = scenario.n, float(scenario.tau)
     base = {m: InferenceConfig(method=m, sided=sided, alpha=alpha, b=b) for m in methods}
     configs = {(m, t): replace(base[m], transform=t) for m in methods for t in transforms}
@@ -637,30 +643,32 @@ def marginal_from_dict(d: dict, path: str):
     name = d["name"]
     try:
         if name == "exponential":
-            return Exponential(rate=float(d["rate"]))
+            return Exponential(rate=_number(path, d["rate"]))
         if name == "gompertz":
-            return Gompertz(shape=float(d["shape"]), rate=float(d["rate"]))
+            return Gompertz(shape=_number(path, d["shape"]), rate=_number(path, d["rate"]))
         if name == "uniform":
-            return Uniform(upper=float(d["upper"]))
+            return Uniform(upper=_number(path, d["upper"]))
         if name == "mixture":
             return Mixture(
-                weight=float(d["weight"]),
+                weight=_number(path, d["weight"]),
                 first=marginal_from_dict(d["first"], f"{path}.first"),
                 second=marginal_from_dict(d["second"], f"{path}.second"),
             )
     except KeyError as exc:
         raise ScenarioError(f"{path}.{exc.args[0]}", "missing field") from None
-    except (TypeError, ValueError, InvalidParameter) as exc:
+    except InvalidParameter as exc:
         raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(f"{path}.name", f"unknown marginal {name!r}; expected one of {sorted(_MARGINALS)}")
 
 
 def _number(field: str, value) -> float:
-    """A scenario field's value as a float; what ``float`` refuses is a :class:`ScenarioError`."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(field, f"expected a number, got {value!r}") from None
+    """A scenario field's value as a float; a bool or what ``float`` refuses is a ScenarioError."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioError(field, f"expected a number, got {value!r}")
 
 
 def _integer(field: str, value) -> int:
@@ -686,6 +694,51 @@ def scenario_from_dict(d: dict) -> Scenario:
         tau=_number("tau", d["tau"]),
         n=_integer("n", d["n"]),
     )
+
+
+def _names(field: str, value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(field, f"expected a list of names, got {value!r}")
+    return value
+
+
+# The harness settings an experiment file may hold besides its scenarios, with their casts.
+_SETTINGS = {"r": _integer, "b": _integer, "alpha": _number, "seed": _integer,
+             "sided": lambda field, value: value, "label": lambda field, value: value,
+             "methods": _names, "transforms": _names}
+
+
+def settings_from_dict(d: dict) -> tuple[dict, dict]:
+    """The harness settings of an experiment file's object ``d``, cast, and the rest of ``d``."""
+    if not isinstance(d, dict):
+        raise ScenarioError("scenario", f"expected a JSON object, got {type(d).__name__}")
+    settings = {key: cast(key, d[key]) for key, cast in _SETTINGS.items() if key in d}
+    return settings, {key: value for key, value in d.items() if key not in _SETTINGS}
+
+
+def grid_from_dict(d: dict) -> list[tuple[str, Scenario]]:
+    """The ``(label, Scenario)`` points of a power file's explicit ``grid`` or ``power_family``."""
+    if "grid" in d:
+        items = d["grid"]
+        if not (isinstance(items, list) and items and all(isinstance(it, dict) for it in items)):
+            raise ScenarioError("grid", "expected a nonempty list of scenario objects")
+        grid = []
+        for i, item in enumerate(items):
+            try:
+                grid.append((str(item.get("label", f"point{i}")), scenario_from_dict(item)))
+            except ScenarioError as exc:
+                raise ScenarioError(f"grid[{i}].{exc.field}", exc.reason) from None
+        return grid
+    if "power_family" in d:
+        family = _integer("power_family", d["power_family"])
+        copula = d.get("copula", "gumbel_hougaard")
+        n = _integer("n", d.get("n", 50))
+        values = d.get("values")
+        if not isinstance(values, list) or not values:
+            raise ScenarioError("values", "expected a nonempty list")
+        return [(f"value={v}", power_scenario(family, copula, _number(f"values[{i}]", v), n))
+                for i, v in enumerate(values)]
+    raise ScenarioError("grid", "expected 'grid' or 'power_family'")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ DATA = resources.files("pairedrte").joinpath("datasets")
 
 GOLDEN = Path(__file__).parent / "golden" / "analyze_diabetic_seed1.json"
 
+# One scenario object of a power file's explicit grid.
+GRID_ENTRY = {
+    "copula": "clayton", "copula_param": -0.6,
+    "marginal1": {"name": "exponential", "rate": 2.0},
+    "marginal2": {"name": "exponential", "rate": 2.0},
+    "censoring": {"upper": 2.0}, "tau": 1.3, "n": 20,
+}
+
 
 def _assert_same(got, want, path):
     """Equal JSON values: same structure and non-floats, floats to 1e-12 relative.
@@ -338,6 +346,9 @@ class TestSimulate:
         ({"censoring": {"upper": -1}}, "censoring"),
         ({"copula_param": None}, "copula_param"),
         ({"methods": "asymptotic"}, "methods"),
+        ({"r": True}, "r"),
+        ({"tau": True}, "tau"),
+        ({"censoring": {"upper": True}}, "censoring"),
     ])
     def test_size_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
                                                                 extra, field):
@@ -354,6 +365,8 @@ class TestSimulate:
         ({"copula": "frank"}, "copula"),
         ({"power_family": 1, "values": [1.5]}, "value"),
         ({"grid": [1]}, "grid"),
+        ({"grid": []}, "grid"),
+        ({"grid": [GRID_ENTRY, dict(GRID_ENTRY, n="x")]}, "grid[1].n"),
     ])
     def test_power_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
                                                                  doc, field):
@@ -364,6 +377,26 @@ class TestSimulate:
         assert res.exit_code == EXIT_VALIDATION
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: scenario field {field!r}: ")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate-size", {"methods": []}),
+        ("simulate-size", {"transforms": []}),
+        ("simulate-size", {"methods": ["asymptotic", "asymptotic"]}),
+        ("simulate-power", {"methods": []}),
+    ])
+    def test_empty_or_repeated_names_are_a_validation_error(self, runner, tmp_path,
+                                                            command, extra):
+        if command == "simulate-size":
+            p = self.scenario_file(tmp_path, **extra)
+        else:
+            p = tmp_path / "power.json"
+            p.write_text(json.dumps({"grid": [GRID_ENTRY], **extra}))
+        res = runner.invoke(main, [command, "--scenario", str(p), "--R", "5", "--B", "50"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        field = next(iter(extra))
+        assert res.stderr == (f"error: {field} must be nonempty and distinct, "
+                              f"got {extra[field]}\n")
 
     def test_negative_seed_in_the_file_is_a_validation_error(self, runner, tmp_path):
         p = self.scenario_file(tmp_path, seed=-1)

@@ -124,6 +124,13 @@ class TestEquivalence:
         for r in (0, -5):
             with pytest.raises(prt.ValidationError, match="r must be at least 1"):
                 sim.run_size_experiment(CELL_06B, methods=["asymptotic"], r=r)
+        # an empty list would report nothing; a repeated name counts each rejection again
+        for field, names in [("methods", []), ("transforms", []),
+                             ("methods", ["asymptotic", "asymptotic"]),
+                             ("transforms", ("linear", "loglog", "linear"))]:
+            settings = {"methods": ["asymptotic"], field: names}
+            with pytest.raises(prt.ValidationError, match=f"{field} must be nonempty and distinct"):
+                sim.run_size_experiment(CELL_06B, r=5, **settings)
 
 
 class TestBlockEstimates:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,13 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
-from pairedrte.simulation import marginal_from_dict, sample_copula, scenario_from_dict
+from pairedrte.simulation import (
+    grid_from_dict,
+    marginal_from_dict,
+    sample_copula,
+    scenario_from_dict,
+    settings_from_dict,
+)
 
 N_BIG = 100_000
 
@@ -351,19 +358,18 @@ class TestExperiments:
         )
 
 
+# The scenario file's form of simple_scenario.
+SIMPLE = {
+    "copula": "gumbel_hougaard", "copula_param": 5.0,
+    "marginal1": {"name": "exponential", "rate": 2.0},
+    "marginal2": {"name": "exponential", "rate": 2.0},
+    "censoring": {"name": "uniform", "upper": 2.7}, "tau": 1.0, "n": 60,
+}
+
+
 class TestScenarioSerialization:
     def test_roundtrip(self, simple_scenario):
-        # the scenario file's form of simple_scenario parses back to it
-        d = {
-            "copula": "gumbel_hougaard",
-            "copula_param": 5.0,
-            "marginal1": {"name": "exponential", "rate": 2.0},
-            "marginal2": {"name": "exponential", "rate": 2.0},
-            "censoring": {"name": "uniform", "upper": 2.7},
-            "tau": 1.0,
-            "n": 60,
-        }
-        assert scenario_from_dict(d) == simple_scenario
+        assert scenario_from_dict(SIMPLE) == simple_scenario
 
     def test_unknown_copula_names_field(self):
         d = {
@@ -401,6 +407,68 @@ class TestScenarioSerialization:
                 "marginal1",
             )
         assert exc.value.field == "marginal1.second.name"
+
+
+class TestExperimentFiles:
+    def test_settings_are_cast_and_the_argument_is_kept(self):
+        d = dict(SIMPLE, r="20", b=3.0, alpha="0.1", seed=4, sided="two", label="cell",
+                 methods=["asymptotic"], transforms=["linear", "loglog"])
+        before = json.dumps(d)
+        settings, rest = settings_from_dict(d)
+        assert settings == {"r": 20, "b": 3, "alpha": 0.1, "seed": 4, "sided": "two",
+                            "label": "cell", "methods": ["asymptotic"],
+                            "transforms": ["linear", "loglog"]}
+        assert type(settings["r"]) is type(settings["b"]) is int
+        assert rest == SIMPLE
+        assert json.dumps(d) == before
+
+    @pytest.mark.parametrize("d, field", [
+        ([1, 2], "scenario"),
+        ({"r": True}, "r"),
+        ({"seed": 1.5}, "seed"),
+        ({"alpha": "x"}, "alpha"),
+        ({"methods": "asymptotic"}, "methods"),
+        ({"transforms": ["linear", 2]}, "transforms"),
+    ])
+    def test_setting_errors_name_the_field(self, d, field):
+        with pytest.raises(ScenarioError) as exc:
+            settings_from_dict(d)
+        assert exc.value.field == field
+
+    def test_grid_entries_default_to_their_index(self, simple_scenario):
+        grid = grid_from_dict({"grid": [SIMPLE, dict(SIMPLE, label=7), dict(SIMPLE, n=30)]})
+        assert [label for label, _ in grid] == ["point0", "7", "point2"]
+        assert [s for _, s in grid] == [simple_scenario] * 2 + [replace(simple_scenario, n=30)]
+
+    def test_power_family_defaults(self):
+        grid = grid_from_dict({"power_family": 3, "values": [1, 2.5]})
+        assert grid == [("value=1", power_scenario(3, "gumbel_hougaard", 1.0, 50)),
+                        ("value=2.5", power_scenario(3, "gumbel_hougaard", 2.5, 50))]
+        grid = grid_from_dict({"power_family": "1", "copula": "clayton", "values": [0.5], "n": 20})
+        assert grid == [("value=0.5", power_scenario(1, "clayton", 0.5, 20))]
+
+    @pytest.mark.parametrize("d, field", [
+        ({}, "grid"),
+        ({"grid": []}, "grid"),
+        ({"grid": [SIMPLE, 1]}, "grid"),
+        ({"grid": [SIMPLE, dict(SIMPLE, n="x")]}, "grid[1].n"),
+        ({"grid": [dict(SIMPLE, tau=True)]}, "grid[0].tau"),
+        ({"grid": [dict(SIMPLE, marginal1={"name": "exponential", "rate": True})]},
+         "grid[0].marginal1"),
+        ({"grid": [dict(SIMPLE, censoring={"name": "normal"})]}, "grid[0].censoring.name"),
+        ({"power_family": "x", "values": [1]}, "power_family"),
+        ({"power_family": 4, "values": [1]}, "family"),
+        ({"power_family": 3, "values": [1], "n": 2.5}, "n"),
+        ({"power_family": 3, "values": [1], "copula": "frank"}, "copula"),
+        ({"power_family": 3}, "values"),
+        ({"power_family": 3, "values": []}, "values"),
+        ({"power_family": 3, "values": [1, True]}, "values[1]"),
+        ({"power_family": 1, "values": [1.5]}, "value"),
+    ])
+    def test_grid_errors_name_the_field(self, d, field):
+        with pytest.raises(ScenarioError) as exc:
+            grid_from_dict(d)
+        assert exc.value.field == field
 
 
 class TestFailureLedger:

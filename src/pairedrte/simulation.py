@@ -115,8 +115,9 @@ class Uniform:
     upper: float
 
     def __post_init__(self):
-        if not self.upper > 0:
-            raise InvalidParameter(f"uniform upper bound must be positive, got {self.upper}")
+        if not (self.upper > 0 and math.isfinite(self.upper)):
+            raise InvalidParameter(
+                f"uniform upper bound must be positive and finite, got {self.upper}")
 
     def cdf(self, t):
         return np.clip(np.asarray(t, dtype=float) / self.upper, 0.0, 1.0)
@@ -178,20 +179,21 @@ def _rng_of(seed) -> np.random.Generator:
     return np.random.default_rng(_seed_entropy(seed))
 
 
-def _positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive stable variates with Laplace transform ``exp(-t**alpha)``.
+def _frailty_pairs(param: float, theta, w, e) -> np.ndarray:
+    """Gumbel-Hougaard pairs ``exp(-(e / V) ** alpha)``, ``alpha = 1/param``, of any leading shape.
 
-    Chambers-Mallows-Stuck construction specialized to total positive skew:
-    with ``theta ~ U(0, pi)`` and a unit exponential ``w``,
-    ``sin(alpha theta) sin(theta)^(-1/alpha) (sin((1-alpha) theta)/w)^((1-alpha)/alpha)``.
+    ``V`` is positive stable with Laplace transform ``exp(-t**alpha)``: the
+    Chambers-Mallows-Stuck construction specialized to total positive skew,
+    ``sin(alpha theta) sin(theta)^(-1/alpha) (sin((1-alpha) theta)/w)^((1-alpha)/alpha)``
+    of ``theta ~ U(0, pi)`` and a unit exponential ``w``. The last axis of
+    the unit exponentials ``e`` is the pair. A draw that overflows ends
+    outside (0, 1), where the samplers redraw it, so it does not warn.
     """
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(alpha * theta)
-        / np.sin(theta) ** (1.0 / alpha)
-        * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    )
+    alpha = 1.0 / param
+    with np.errstate(all="ignore"):
+        v = (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
+             * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+        return np.exp(-((e / v[..., None]) ** alpha))
 
 
 def _open_unit(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -217,10 +219,8 @@ def sample_gumbel_hougaard(param: float, n: int, seed) -> np.ndarray:
     if param == 1.0:
         u = rng.random((n, 2))
     else:
-        alpha = 1.0 / param
-        v = _positive_stable(alpha, n, rng)
-        e = rng.exponential(1.0, (n, 2))
-        u = np.exp(-((e / v[:, None]) ** alpha))
+        u = _frailty_pairs(param, rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n),
+                           rng.exponential(1.0, (n, 2)))
     for j in (0, 1):
         u[:, j] = _open_unit(u[:, j], rng)
     return u
@@ -241,12 +241,17 @@ def sample_clayton(param: float, n: int, seed) -> np.ndarray:
     rng = _rng_of(seed)
     u = _open_unit(rng.random(n), rng)
     if param == -1.0:
-        return np.column_stack([u, 1.0 - u])
+        return np.column_stack([u, _clayton_v(u, None, param)])
     w = _open_unit(rng.random(n), rng)
-    inner = (w ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0
-    v = inner ** (-1.0 / param)
-    v = _open_unit(v, rng)
-    return np.column_stack([u, v])
+    return np.column_stack([u, _open_unit(_clayton_v(u, w, param), rng)])
+
+
+def _clayton_v(u, w, param: float):
+    """Clayton partners of uniforms ``u`` by inversion at ``w``, without overflow warnings."""
+    if param == -1.0:  # the countermonotone boundary
+        return 1.0 - u
+    with np.errstate(all="ignore"):
+        return ((w ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0) ** (-1.0 / param)
 
 
 COPULAS = ("gumbel_hougaard", "clayton")
@@ -281,6 +286,8 @@ class Scenario:
         if self.copula not in COPULAS:
             raise ScenarioError("copula",
                                 f"unknown copula {self.copula!r}; expected one of {COPULAS}")
+        if not math.isfinite(self.copula_param):
+            raise ScenarioError("copula_param", "the copula parameter must be finite")
         if self.copula == "gumbel_hougaard" and not self.copula_param >= 1.0:
             raise ScenarioError("copula_param", "Gumbel-Hougaard parameter must be >= 1")
         if self.copula == "clayton" and (self.copula_param == 0 or self.copula_param < -1):
@@ -301,25 +308,60 @@ def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
     return np.minimum(t, c), (t <= c).astype(np.int64)
 
 
+def _draw_sample(scenario: Scenario, rng: np.random.Generator):
+    """Copula uniforms with their redraws, then censoring times, each (n, 2), from ``rng``."""
+    u = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
+    return u, rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T
+
+
 def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
     """Sample one paired dataset of the scenario's size."""
-    x, delta = _draw_block(scenario, [seed])
-    return PairedSample(x[0], delta[0])
+    x, delta = _observe(*_draw_sample(scenario, _rng_of(seed)), scenario)
+    return PairedSample(x, delta)
 
 
-def _draw_block(scenario: Scenario, seeds):
-    """Times and indicators, each (R, n, 2), of one sample per seed in ``seeds``.
+def _inside(a: np.ndarray) -> np.ndarray:
+    """Whether each row of ``a`` lies strictly inside (0, 1)."""
+    return ((a > 0.0) & (a < 1.0)).reshape(len(a), -1).all(axis=1)
 
-    A seed is a generator or the words of one. Each sample draws from its
-    own generator, in this order: the copula with its boundary redraws, then
-    the uniform censoring times, all of column 0's before column 1's. Only
-    the quantile transforms run once on the whole block.
+
+def _draw_block(scenario: Scenario, seed: int, reps: range):
+    """Times and indicators, each (R, n, 2), of replicates ``reps``.
+
+    Replicate ``rep`` draws :func:`draw_paired_sample`'s stream from
+    ``_rng_of((seed, rep))``. Each generator makes, into block arrays, the
+    raw calls :func:`_draw_sample` makes when no uniform touches 0 or 1; the
+    copula transform and the open-interval check then run once on the block.
+    A row that touched 0 or 1 is drawn again by :func:`_draw_sample` from a
+    fresh generator, so its stream is the per-sample one with its redraws.
     """
-    u, c = [], []
-    for rng in map(_rng_of, seeds):
-        u.append(sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
-        c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
-    return _observe(np.array(u), np.array(c), scenario)
+    n, param, upper = scenario.n, scenario.copula_param, scenario.censoring.upper
+    rows, rngs = len(reps), (_rng_of((seed, rep)) for rep in reps)
+    if scenario.copula == "gumbel_hougaard" and param != 1.0:
+        theta, w, e = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 2))
+        c = np.empty((rows, 2, n))
+        for i, rng in enumerate(rngs):
+            theta[i], w[i] = rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n)
+            e[i], c[i] = rng.exponential(1.0, (n, 2)), rng.uniform(0.0, upper, (2, n))
+        u = _frailty_pairs(param, theta, w, e)
+        ok = _inside(u)
+        del theta, w, e
+    else:
+        # one call per row reads the copula's uniforms, then the censoring
+        # times, since uniform(0, upper) is upper * random() for a finite upper
+        width = n if param == -1.0 else 2 * n
+        raw = np.empty((rows, width + 2 * n))
+        for i, rng in enumerate(rngs):
+            rng.random(out=raw[i])
+        c = upper * raw[:, width:].reshape(rows, 2, n)
+        u = (np.stack([raw[:, :n], _clayton_v(raw[:, :n], raw[:, n:width], param)], -1)
+             if scenario.copula == "clayton" else raw[:, :width].reshape(rows, n, 2).copy())
+        ok = _inside(raw[:, :width]) & _inside(u)  # w too: a 0 there can give a v inside
+        del raw
+    c = c.transpose(0, 2, 1)
+    for i in np.flatnonzero(~ok):
+        u[i], c[i] = _draw_sample(scenario, _rng_of((seed, reps[i])))
+    return _observe(u, c, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +529,7 @@ def _estimate_block(scenario: Scenario, seed: int, reps: range):
     prepare hold placeholder values.
     """
     tau = float(scenario.tau)
-    x, delta = _draw_block(scenario, [(seed, rep) for rep in reps])
+    x, delta = _draw_block(scenario, seed, reps)
     censored = int(_censored_margins(x, delta, tau).sum())
     z, eps, errors = _prepare_rows(x, delta, tau, reps)
     _, at_risk, dn = _engine.sorted_grid(z, eps)
@@ -662,13 +704,16 @@ def marginal_from_dict(d: dict, path: str):
 
 
 def _number(field: str, value) -> float:
-    """A scenario field's value as a float; a bool or what ``float`` refuses is a ScenarioError."""
+    """A scenario field's value as a finite float; anything else, a bool too, is a ScenarioError."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ScenarioError(field, f"expected a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ScenarioError(field, f"expected a finite number, got {value!r}")
 
 
 def _integer(field: str, value) -> int:

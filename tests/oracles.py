@@ -5,6 +5,7 @@ deliberately ignoring the package's optimized kernels, so that agreement is
 meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
 functions, which is the reference for the batched harness;
+:func:`reference_draw_block`, the harness draws one sample at a time;
 :func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
 the earlier array formulations of the bootstrap counts and of the fused
 kernel, which the record-slot counts and the in-place kernel must reproduce
@@ -247,6 +248,20 @@ def reference_theta_sigma2_cif(Y, dN1, dN2, dN3, n):
     lin = psi1 * dN1 + psi2 * dN2 + psi3 * dN3
     quad = psi1**2 * dN1 + psi2**2 * dN2 + psi3**2 * dN3
     return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
+
+
+def reference_draw_block(scenario, seeds):
+    """Times and indicators, each (R, n, 2), of one sample per seed, drawn one sample at a time.
+
+    Each seed's generator comes from ``simulation._rng_of`` and draws the
+    copula with its boundary redraws, then the uniform censoring times; the
+    quantile transforms then run on the stacked draws.
+    """
+    u, c = [], []
+    for rng in map(prt.simulation._rng_of, seeds):
+        u.append(prt.simulation.sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
+        c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
+    return prt.simulation._observe(np.array(u), np.array(c), scenario)
 
 
 def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=0.05,

@@ -349,6 +349,11 @@ class TestSimulate:
         ({"r": True}, "r"),
         ({"tau": True}, "tau"),
         ({"censoring": {"upper": True}}, "censoring"),
+        # 1e400 is JSON for an infinite float
+        ({"censoring": {"upper": 1e400}}, "censoring"),
+        ({"copula_param": 1e400}, "copula_param"),
+        ({"copula": "clayton", "copula_param": float("nan")}, "copula_param"),
+        ({"tau": 1e400}, "tau"),
     ])
     def test_size_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
                                                                 extra, field):
@@ -367,6 +372,7 @@ class TestSimulate:
         ({"grid": [1]}, "grid"),
         ({"grid": []}, "grid"),
         ({"grid": [GRID_ENTRY, dict(GRID_ENTRY, n="x")]}, "grid[1].n"),
+        ({"values": [1e400]}, "values[0]"),
     ])
     def test_power_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
                                                                  doc, field):

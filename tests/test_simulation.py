@@ -1,9 +1,13 @@
 import json
+import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
+
+from oracles import reference_draw_block
 
 from pairedrte import (
     BracketError,
@@ -26,6 +30,7 @@ from pairedrte import (
     sample_gumbel_hougaard,
     table1_scenario,
 )
+from pairedrte import _engine, simulation
 from pairedrte.simulation import (
     grid_from_dict,
     marginal_from_dict,
@@ -42,10 +47,11 @@ def kendall(u):
 
 
 class FirstDraw(np.random.Generator):
-    """A generator whose first ``random`` call returns ``first`` (zeros when ``None``).
+    """A generator whose first ``random`` or ``uniform`` call returns ``first``, zeros if ``None``.
 
-    Every later draw comes from ``default_rng(seed)``'s stream, untouched by
-    that first call.
+    A scalar ``first`` fills the call's shape, and a first call given ``out``
+    fills ``out``. Every later draw comes from ``default_rng(seed)``'s
+    stream, untouched by that first call.
     """
 
     def __init__(self, seed, first=None):
@@ -53,11 +59,23 @@ class FirstDraw(np.random.Generator):
         self.pending = True
         self.first = first
 
-    def random(self, size=None, *args, **kwargs):
+    def random(self, size=None, *args, out=None, **kwargs):
         if self.pending:
-            self.pending = False
-            return np.zeros(size) if self.first is None else self.first.copy()
-        return super().random(size, *args, **kwargs)
+            return self._first(size if out is None else out.shape, out)
+        return super().random(size, *args, out=out, **kwargs)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if self.pending:
+            return self._first(size, None)
+        return super().uniform(low, high, size)
+
+    def _first(self, shape, out):
+        self.pending = False
+        first = np.broadcast_to(0.0 if self.first is None else self.first, shape or ())
+        if out is None:
+            return first.copy()
+        out[...] = first
+        return out
 
 
 @pytest.mark.parametrize("copula, param", [
@@ -192,6 +210,9 @@ class TestMarginals:
             Gompertz(-1.0, 2.0)
         with pytest.raises(InvalidParameter):
             Mixture(1.5, Exponential(1), Exponential(2))
+        # an infinite upper bound would draw no censoring at all
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            Uniform(math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +521,13 @@ class TestScenarioBuilders:
             Scenario("clayton", 2.0, Exponential(1), Exponential(1), Uniform(2), tau, 20)
         assert exc.value.field == "tau"
 
+    @pytest.mark.parametrize("copula", ["gumbel_hougaard", "clayton"])
+    @pytest.mark.parametrize("param", [math.inf, math.nan])
+    def test_copula_parameter_must_be_finite(self, copula, param):
+        with pytest.raises(ScenarioError, match="must be finite") as exc:
+            Scenario(copula, param, Exponential(1), Exponential(1), Uniform(2), 1.0, 20)
+        assert exc.value.field == "copula_param"
+
     def test_table1_scenarios_build_with_pinned_params(self):
         for copula in ("gumbel_hougaard", "clayton"):
             for family, tau in (("exp_mix", 1.0), ("gompertz_exp", 0.6)):
@@ -550,3 +578,114 @@ class TestScenarioBuilders:
     def test_draw_paired_sample_shapes(self, simple_scenario):
         obs = draw_paired_sample(simple_scenario, seed=23)
         assert len(obs) == simple_scenario.n
+
+
+CELL_06B = table1_scenario("clayton", "gompertz_exp", "strong", 25)
+# the four size cells of the acceptance tests, the three power families on
+# both copulas, and copula parameters at and near their boundaries
+BLOCK_SCENARIOS = {
+    "06a": table1_scenario("gumbel_hougaard", "exp_mix", "medium", 100),
+    "06b": CELL_06B,
+    "05": table1_scenario("gumbel_hougaard", "exp_mix", "light", 200),
+    "07": Scenario("gumbel_hougaard", 5.0, Exponential(2.0), Exponential(2.0), Uniform(2.7),
+                   1.0, 50),
+    **{f"power{family}-{copula}": power_scenario(family, copula, value, 30)
+       for family, value in ((1, 0.5), (2, 0.5), (3, 1.5))
+       for copula in ("clayton", "gumbel_hougaard")},
+    **{f"clayton{p}": replace(CELL_06B, copula_param=p) for p in (-1.0, -0.99, 0.5, 8.0)},
+    **{f"gh{p}": replace(CELL_06B, copula="gumbel_hougaard", copula_param=p)
+       for p in (1.0, 1.01, 20.0)},
+}
+
+
+def assert_draws_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestBlockDraws:
+    """``_draw_block`` against ``reference_draw_block``, one sample at a time."""
+
+    @pytest.mark.parametrize("scenario", BLOCK_SCENARIOS.values(), ids=BLOCK_SCENARIOS.keys())
+    def test_block_equals_one_sample_at_a_time(self, scenario):
+        assert_draws_equal(simulation._draw_block(scenario, 41, range(500)),
+                           reference_draw_block(scenario, [(41, rep) for rep in range(500)]))
+
+    @pytest.mark.parametrize("name", ["06b", "clayton-1.0", "gh1.0", "07"])
+    def test_rows_that_touch_0_or_1_are_drawn_again(self, name, monkeypatch):
+        # the first draw of rows 0, 12 and 24 holds 0s or 1s; such a row must
+        # take the sampler's redraws, and the others keep their block draws
+        scenario, forced = BLOCK_SCENARIOS[name], {0: 0.0, 12: 1.0, 24: 0.0}
+        rng_of, draw_sample = simulation._rng_of, simulation._draw_sample
+
+        def stub(seed):
+            if isinstance(seed, tuple) and seed[1] in forced:
+                rng = FirstDraw(list(seed), forced[seed[1]])
+                rng.rep = seed[1]
+                return rng
+            return rng_of(seed)
+
+        def spy(scenario, rng):
+            replayed.append(getattr(rng, "rep", None))
+            return draw_sample(scenario, rng)
+
+        replayed = []
+        monkeypatch.setattr(simulation, "_rng_of", stub)
+        monkeypatch.setattr(simulation, "_draw_sample", spy)
+        got = simulation._draw_block(scenario, 41, range(25))
+        # a first uniform of 1 is a Gumbel-Hougaard angle of 1, inside its range
+        assert replayed == ([0, 24] if name == "07" else [0, 12, 24])
+        assert_draws_equal(got, reference_draw_block(scenario, [(41, rep) for rep in range(25)]))
+
+    def test_a_boundary_w_alone_is_drawn_again(self, monkeypatch):
+        # at a negative Clayton parameter, w = 0 still gives a partner inside
+        # (0, 1), so only the check of the raw uniforms sends the row back
+        class ZeroAt(np.random.Generator):
+            """A generator whose ``random`` stream holds a 0 at position ``index``."""
+
+            def __init__(self, seed, index):
+                super().__init__(np.random.PCG64(seed))
+                self.index, self.drawn = index, 0
+
+            def random(self, size=None, *args, out=None, **kwargs):
+                got = super().random(size, *args, out=out, **kwargs)
+                flat = got.reshape(-1)
+                if 0 <= self.index - self.drawn < flat.size:
+                    flat[self.index - self.drawn] = 0.0
+                self.drawn += flat.size
+                return got
+
+        scenario, rng_of = CELL_06B, simulation._rng_of
+        assert scenario.copula == "clayton" and scenario.copula_param < 0
+        monkeypatch.setattr(simulation, "_rng_of", lambda seed: ZeroAt(list(seed), scenario.n + 3)
+                            if isinstance(seed, tuple) and seed[1] == 7 else rng_of(seed))
+        assert_draws_equal(simulation._draw_block(scenario, 41, range(10)),
+                           reference_draw_block(scenario, [(41, rep) for rep in range(10)]))
+
+    def test_block_size_changes_no_draw(self, monkeypatch):
+        blocks, draw_block = [], simulation._draw_block
+
+        def spy(*args):
+            blocks.append(draw_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(simulation, "_draw_block", spy)
+        monkeypatch.setattr(_engine, "BLOCK_CELLS", 3 * CELL_06B.n)
+        run_size_experiment(CELL_06B, methods=["asymptotic"], transforms=["linear"], r=50,
+                            seed=41)
+        assert len(blocks) == 17
+        assert_draws_equal([np.concatenate(arrays) for arrays in zip(*blocks)],
+                           reference_draw_block(CELL_06B, [(41, rep) for rep in range(50)]))
+
+    def test_block_draws_take_at_most_six_tenths_of_the_reference(self):
+        # the two alternate, so a slow spell of the machine reaches both
+        seeds = [(43, rep) for rep in range(2000)]
+        draws = {"block": lambda: simulation._draw_block(CELL_06B, 43, range(2000)),
+                 "reference": lambda: reference_draw_block(CELL_06B, seeds)}
+        best = dict.fromkeys(draws, math.inf)
+        for _ in range(3):
+            for name, draw in draws.items():
+                start = time.perf_counter()
+                draw()
+                best[name] = min(best[name], time.perf_counter() - start)
+        assert best["block"] <= 0.6 * best["reference"]

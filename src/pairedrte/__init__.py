@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteTime,
     NonMonotoneWarning,
     NonPositiveTau,
-    NotFullyObserved,
     PairedRteError,
     ParseError,
     ScenarioError,
@@ -35,17 +34,9 @@ from .paired_data import (
 )
 from .estimators import (
     CountingProcesses,
-    RteCurves,
     RteEstimate,
-    StepCurve,
-    aalen_johansen,
     counting_processes,
     estimate_rte,
-    ipcw_identity_check,
-    kaplan_meier_censoring,
-    kaplan_meier_event,
-    mann_whitney_fully_observed,
-    nelson_aalen,
 )
 from .inference import (
     InferenceConfig,
@@ -66,7 +57,6 @@ from .simulation import (
     Uniform,
     calibrate_null,
     draw_paired_sample,
-    empirical_censoring_rates,
     load_calibrated_params,
     power_scenario,
     run_power_experiment,

@@ -35,10 +35,6 @@ class EmptyDataset(PairedRteError):
     """An operation requires at least one record."""
 
 
-class NotFullyObserved(PairedRteError):
-    """Operation is only defined for data without censoring."""
-
-
 class DegenerateVariance(PairedRteError):
     """The variance estimate carries no information (too few events to studentize)."""
 
@@ -69,7 +65,11 @@ class ScenarioError(ValidationError):
 
 
 class DegenerateRiskWarning(UserWarning):
-    """The at-risk set is exhausted before the horizon; curves are flat beyond it."""
+    """The at-risk set is exhausted before the horizon while survival mass remains.
+
+    The incidences cannot grow past the last record time, so the effect and
+    its variance are those at that time, not at ``tau``.
+    """
 
 
 class NonMonotoneWarning(UserWarning):

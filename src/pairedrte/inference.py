@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
-from .paired_data import Dataset, _seed_entropy
+from .paired_data import Dataset, _is_integer, _seed_entropy
 
 __all__ = [
     "InferenceConfig",
@@ -78,8 +78,8 @@ class InferenceConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.method != "asymptotic" and self.b < 1:
-            raise ValidationError("resampling methods need b >= 1")
+        if self.method != "asymptotic" and not (_is_integer(self.b) and self.b >= 1):
+            raise ValidationError(f"resampling methods need an integer b >= 1, got {self.b!r}")
 
 
 @dataclass(frozen=True)

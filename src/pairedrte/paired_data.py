@@ -48,15 +48,20 @@ __all__ = [
 DEFAULT_JITTER_FRACTION = 1e-9
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _seed_entropy(*words) -> list[int]:
     """The RNG entropy of ints and tuples of ints; every generator of the package is built on it.
 
-    A negative or non-integer word is a :class:`ValidationError`.
+    A negative, non-integer or boolean word is a :class:`ValidationError`.
     ``default_rng(s)`` and ``default_rng([s])`` draw the same stream.
     """
     flat = [w for word in words for w in (word if isinstance(word, (tuple, list)) else [word])]
     for w in flat:
-        if not isinstance(w, (int, np.integer)) or w < 0:
+        if not _is_integer(w) or w < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {w!r}")
     return [int(w) for w in flat]
 

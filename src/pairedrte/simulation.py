@@ -29,7 +29,7 @@ from .errors import (
 )
 from .estimators import RteEstimate, _estimates_from_counts
 from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
-from .paired_data import Dataset, PairedSample, _prepare_rows, _seed_entropy, prepare_dataset
+from .paired_data import Dataset, PairedSample, _is_integer, _prepare_rows, _seed_entropy
 
 __all__ = [
     "Exponential",
@@ -46,7 +46,6 @@ __all__ = [
     "calibrate_null",
     "run_size_experiment",
     "run_power_experiment",
-    "empirical_censoring_rates",
     "scenario_from_dict",
     "marginal_from_dict",
     "settings_from_dict",
@@ -70,8 +69,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InvalidParameter(f"exponential rate must be positive, got {self.rate}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise InvalidParameter(f"exponential rate must be positive and finite, got {self.rate}")
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -93,9 +92,9 @@ class Gompertz:
     rate: float
 
     def __post_init__(self):
-        if not self.shape > 0 or not self.rate > 0:
+        if not all(p > 0 and math.isfinite(p) for p in (self.shape, self.rate)):
             raise InvalidParameter(
-                f"Gompertz shape and rate must be positive, got {self.shape}, {self.rate}"
+                f"Gompertz shape and rate must be positive and finite, got {self.shape}, {self.rate}"
             )
 
     def cdf(self, t):
@@ -294,8 +293,8 @@ class Scenario:
             raise ScenarioError("copula_param", "Clayton parameter must be in [-1, inf) \\ {0}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ScenarioError("tau", "tau must be a positive finite number")
-        if not self.n >= 1:
-            raise ScenarioError("n", "n must be at least 1")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ScenarioError("n", f"n must be an integer at least 1, got {self.n!r}")
 
 
 def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
@@ -395,6 +394,8 @@ def calibrate_null(
     The map parameter -> effect must be monotone over the bracket (checked
     empirically; a violation only warns).
     """
+    if not _is_integer(n_draws):
+        raise ValidationError(f"n_draws must be an integer, got {n_draws!r}")
     if not n_draws >= 1:
         raise ValidationError(f"n_draws must be at least 1, got {n_draws}")
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -566,6 +567,8 @@ def run_size_experiment(
     settings, ``r < 1`` and an empty or repeated method or transform
     included, raise before any replicate runs.
     """
+    if not _is_integer(r):
+        raise ValidationError(f"r must be an integer, got {r!r}")
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
     for field, names in (("methods", methods), ("transforms", transforms)):
@@ -590,9 +593,7 @@ def run_size_experiment(
                 for t in transforms if "asymptotic" in base}
 
         def estimate(i):
-            data = Dataset(z=z[i], epsilon=eps[i], tau=tau)
-            return RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]),
-                               n=n, tau=tau, data=data)
+            return RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]), n=n, tau=tau)
 
         for i, rep in enumerate(reps):
             try:
@@ -609,7 +610,7 @@ def run_size_experiment(
                         continue
                     est = estimate(i)
                     cfg = replace(base[method], seed=(seed, rep))
-                    dist = resample_distribution(est.data, cfg)
+                    dist = resample_distribution(Dataset(z=z[i], epsilon=eps[i], tau=tau), cfg)
                     for t in transforms:
                         report = test_and_ci(est, dist, replace(cfg, transform=t))
                         rejections[(method, t)] += int(report.reject)
@@ -661,15 +662,6 @@ def run_power_experiment(
             )
         )
     return results
-
-
-def empirical_censoring_rates(scenario: Scenario, n_draws: int, seed) -> tuple[float, float]:
-    """Margin-level and pair-level censoring rates (truncation counts as censoring)."""
-    big = replace(scenario, n=n_draws)
-    obs = draw_paired_sample(big, seed)
-    data = prepare_dataset(obs, scenario.tau, seed=0)
-    margins = _censored_margins(obs.x, obs.delta, scenario.tau)
-    return float(margins.mean()), float((data.epsilon == 0).mean())
 
 
 # ---------------------------------------------------------------------------

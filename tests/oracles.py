@@ -9,8 +9,7 @@ functions, which is the reference for the batched harness;
 :func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
 the earlier array formulations of the bootstrap counts and of the fused
 kernel, which the record-slot counts and the in-place kernel must reproduce
-bit for bit; and :func:`ipcw_form`, the weighted form of ``F1(tau) -
-F2(tau)`` from the package's counting processes and censoring curve.
+bit for bit.
 """
 
 import warnings
@@ -24,12 +23,19 @@ import pairedrte as prt
 
 
 def naive_curves(z, eps, tau):
-    """Recompute-from-scratch product-limit curves over the event grid."""
+    """Recompute-from-scratch product-limit curves over the event grid.
+
+    Returns ``(grid, s, f)``: the event times up to ``tau``, the survival
+    ``s`` and the Aalen-Johansen incidences ``f[j]`` of causes 1-3. Each
+    curve's first entry is its value before the first event time and entry
+    ``i + 1`` its value at ``grid[i]``, so the last entry is the value at
+    ``tau``.
+    """
     z = np.asarray(z, float)
     eps = np.asarray(eps)
     grid = sorted(set(z[(eps > 0) & (z <= tau)]))
     s = 1.0
-    out_s, out_f = [], {1: [], 2: [], 3: []}
+    out_s, out_f = [1.0], {1: [0.0], 2: [0.0], 3: [0.0]}
     f = {1: 0.0, 2: 0.0, 3: 0.0}
     for u in grid:
         y = float(np.sum(z >= u))
@@ -153,15 +159,32 @@ def randomize_labels(data, seed):
 def ipcw_form(data):
     """IPCW evaluation of ``F1(tau) - F2(tau)``: ``sum (dN1(u) - dN2(u)) / (n G(u-))``.
 
-    ``G`` is the censoring product-limit curve, read just before each event
-    time; event times where ``G(u-) = 0`` add nothing.
+    ``G`` is the censoring product-limit curve, with censorings as the events:
+    at a censoring time ``c`` it falls by the factor ``1 - d0 / r0``, where
+    ``d0`` records are censored at ``c`` and ``r0`` are those beyond ``c``
+    plus those censored at it. True events at ``c`` are ranked first, so they
+    are out of that risk set. Event times where ``G(u-) = 0`` add nothing.
     """
-    cp = prt.counting_processes(data)
-    g = prt.kaplan_meier_censoring(data)
-    before = np.searchsorted(g.times, cp.event_times, side="left")
-    g_left = np.concatenate(([g.initial], g.values))[before]
-    ok = g_left > 0
-    return float(np.sum((cp.dn[0] - cp.dn[1])[ok] / (data.n * g_left[ok])))
+    z, eps = data.z.tolist(), data.epsilon.tolist()
+    total, g = 0.0, 1.0
+    for u in sorted(set(z)):
+        d = Counter(e for t, e in zip(z, eps) if t == u)
+        if g > 0:
+            total += (d[1] - d[2]) / (data.n * g)
+        if d[0]:
+            g *= 1.0 - d[0] / (sum(1 for t in z if t > u) + d[0])
+    return total
+
+
+def cross_pair_comparison(rows):
+    """Mean of ``1{x1_i > x2_k} + 1{x1_i = x2_k} / 2`` over all ordered pairs ``(i, k)``.
+
+    The Mann-Whitney statistic of the two margins of fully observed pairs, by
+    double loop.
+    """
+    rows = list(rows)
+    wins = sum((a.x1 > b.x2) + 0.5 * (a.x1 == b.x2) for a in rows for b in rows)
+    return wins / len(rows) ** 2
 
 
 def naive_competing_risks(rows, tau):

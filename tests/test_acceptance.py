@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 from scipy.stats import kendalltau, kstest
 
-from oracles import naive_sigma2_cif
+from oracles import cross_pair_comparison, naive_curves, naive_sigma2_cif
 
 import pairedrte.simulation as sim
 from pairedrte import _engine
@@ -21,8 +21,6 @@ from pairedrte import (
     PairedObservation,
     bootstrap_distribution,
     estimate_rte,
-    ipcw_identity_check,
-    mann_whitney_fully_observed,
     prepare_dataset,
     randomization_distribution,
     read_paired_csv,
@@ -71,9 +69,9 @@ def test_01_worked_example_golden_values():
 
     theta1 = estimate_rte(prepare_dataset(table1, 1e6)).theta_hat
     theta2 = estimate_rte(prepare_dataset(table2, 1e6)).theta_hat
-    mw1 = mann_whitney_fully_observed(table1)
+    mw1 = cross_pair_comparison(table1)
     mw2_sub = {
-        g: mann_whitney_fully_observed([o for o in table2 if o.group == g])
+        g: cross_pair_comparison([o for o in table2 if o.group == g])
         for g in ("1", "2")
     }
 
@@ -83,7 +81,7 @@ def test_01_worked_example_golden_values():
         for b in table2:
             brute += (a.x1 > b.x2) + 0.5 * (a.x1 == b.x2)
     brute /= len(table2) ** 2
-    mw2 = mann_whitney_fully_observed(table2)
+    mw2 = cross_pair_comparison(table2)
 
     elapsed = time.perf_counter() - t0
     ok = (
@@ -302,6 +300,7 @@ def test_09_identity_suite():
     rng = np.random.default_rng(99)
     worst_diff = 0.0
     worst_add = 0.0
+    worst_theta = 0.0
     # tie-free fully observed: the incidence difference identity is exact
     for _ in range(50):
         n = int(rng.integers(2, 80))
@@ -309,17 +308,21 @@ def test_09_identity_suite():
         x2 = rng.exponential(1.1, n)
         obs = [PairedObservation(a, 1, b, 1) for a, b in zip(x1, x2)]
         data = prepare_dataset(obs, 1e9)
-        lhs, rhs = ipcw_identity_check(data)
+        _, _, f = naive_curves(data.z, data.epsilon, data.tau)
+        lhs, rhs = 1.0 - 2.0 * estimate_rte(data).theta_hat, f[1][-1] - f[2][-1]
         worst_diff = max(worst_diff, abs(lhs - rhs))
-    # additivity on arbitrary censored data with ties
+    # additivity on arbitrary censored data with ties, where the estimate is
+    # the curves' F2 + F3/2
     for _ in range(50):
         n = int(rng.integers(1, 60))
         z = rng.integers(1, 9, n).astype(float)
         eps = rng.integers(0, 4, n)
         data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1.0)
-        est = estimate_rte(data)
-        total = sum(c.at(data.tau) for c in est.curves.cif) + est.curves.survival.at(data.tau)
+        _, s, f = naive_curves(z, eps, data.tau)
+        total = f[1][-1] + f[2][-1] + f[3][-1] + s[-1]
         worst_add = max(worst_add, abs(total - 1.0))
+        theta = f[2][-1] + f[3][-1] / 2
+        worst_theta = max(worst_theta, abs(estimate_rte(data).theta_hat - theta))
     # duality on every analyzed dataset
     duality_ok = True
     checked = 0
@@ -343,12 +346,13 @@ def test_09_identity_suite():
                     )
                     duality_ok &= rep.reject == (not rep.ci_lower <= 0.5 <= rep.ci_upper)
                     checked += 1
-    ok = worst_diff <= 1e-12 and worst_add <= 1e-12 and duality_ok
+    ok = worst_diff <= 1e-12 and worst_add <= 1e-12 and worst_theta <= 1e-12 and duality_ok
     report(
         9,
         "identity suite",
         ok,
         f"incidence-difference |gap|={worst_diff:.2e}, additivity |gap|={worst_add:.2e}, "
+        f"theta_hat vs F2 + F3/2 |gap|={worst_theta:.2e}, "
         f"duality holds on {checked} reports",
     )
 

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,24 +9,11 @@ from pairedrte import _engine
 from pairedrte import (
     Dataset,
     EmptyDataset,
-    InferenceConfig,
-    NotFullyObserved,
     PairedObservation,
-    StepCurve,
-    aalen_johansen,
     counting_processes,
     estimate_rte,
-    ipcw_identity_check,
-    kaplan_meier_censoring,
-    kaplan_meier_event,
-    mann_whitney_fully_observed,
-    nelson_aalen,
     prepare_dataset,
-    read_paired_csv,
-    test_and_ci as make_report,
 )
-
-DATA = Path(__file__).resolve().parents[1] / "src" / "pairedrte" / "datasets"
 
 # Small competing-risks samples on a lattice, so times tie within and across causes.
 records = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)), min_size=2, max_size=30)
@@ -38,20 +23,6 @@ records = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)), min_size=2, 
 def four_records():
     # Hand enumeration: grid {1, 3, 4}; Y = 4, 2, 1; one event per cause.
     return Dataset(z=[1, 2, 3, 4], epsilon=[1, 0, 2, 3], tau=5.0)
-
-
-class TestStepCurve:
-    def test_evaluation_and_left_limits(self):
-        c = StepCurve(times=[1.0, 3.0], values=[0.5, 0.2], initial=1.0)
-        assert c.at(0.5) == 1.0
-        assert c.at(1.0) == 0.5
-        assert c.at(2.9) == 0.5
-        assert c.at(3.0) == 0.2
-        np.testing.assert_array_equal(c.at([0.0, 1.0, 10.0]), [1.0, 0.5, 0.2])
-
-    def test_rejects_unordered_times(self):
-        with pytest.raises(ValueError):
-            StepCurve(times=[2.0, 1.0], values=[0.1, 0.2])
 
 
 class TestCountingProcesses:
@@ -100,95 +71,6 @@ class TestEventGrid:
             np.testing.assert_array_equal(dn[:, i][:, keep], expected[2])
 
 
-class TestNelsonAalen:
-    def test_cause1_jump(self, four_records):
-        curve = nelson_aalen(counting_processes(four_records), cause=1)
-        assert curve.at(1.0) == pytest.approx(0.25)
-        assert curve.at(5.0) == pytest.approx(0.25)
-        assert curve.at(0.5) == 0.0
-
-    def test_no_events_constant_zero(self):
-        cp = counting_processes(Dataset(z=[1, 2], epsilon=[0, 2], tau=3.0))
-        assert nelson_aalen(cp, cause=1).at(3.0) == 0.0
-
-    def test_single_record_jumps_to_one(self):
-        cp = counting_processes(Dataset(z=[5], epsilon=[2], tau=6.0))
-        assert nelson_aalen(cp, cause=2).at(5.0) == 1.0
-
-    @pytest.mark.parametrize("cause", [0, 4])
-    def test_unknown_cause_raises(self, four_records, cause):
-        cp = counting_processes(four_records)
-        for curve in (nelson_aalen, aalen_johansen):
-            with pytest.raises(ValueError, match="cause must be 1, 2, or 3"):
-                curve(cp, cause)
-
-
-class TestKaplanMeier:
-    def test_hand_product_limit(self, four_records):
-        s = kaplan_meier_event(counting_processes(four_records))
-        assert s.at(1.0) == pytest.approx(3 / 4)
-        assert s.at(3.0) == pytest.approx(3 / 8)
-        assert s.at(4.0) == 0.0
-        assert s.at(0.5) == 1.0
-
-    def test_no_events_constant_one(self):
-        s = kaplan_meier_event(counting_processes(Dataset(z=[1, 2], epsilon=[0, 0], tau=3.0)))
-        assert s.at(3.0) == 1.0
-
-    def test_fully_observed_equals_empirical_survival(self):
-        rng = np.random.default_rng(0)
-        z = rng.exponential(1.0, 60)
-        eps = rng.integers(1, 4, 60)
-        data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1)
-        s = kaplan_meier_event(counting_processes(data))
-        for t in np.linspace(0, z.max(), 23):
-            assert s.at(t) == pytest.approx(np.mean(z > t), abs=1e-12)
-
-
-class TestKaplanMeierCensoring:
-    def test_no_censored_constant_one(self):
-        g = kaplan_meier_censoring(Dataset(z=[1, 2], epsilon=[1, 2], tau=3.0))
-        assert g.at(3.0) == 1.0
-
-    def test_hand_computation(self):
-        g = kaplan_meier_censoring(Dataset(z=[2, 3], epsilon=[0, 1], tau=4.0))
-        assert g.at(2.0) == pytest.approx(0.5)
-
-    def test_event_ranked_before_censoring_at_tie(self):
-        # Tie at t=2 with 3 at risk: the event is removed from the censoring
-        # risk set first, so the censoring factor is 1 - 1/2.
-        g = kaplan_meier_censoring(Dataset(z=[2, 2, 3], epsilon=[1, 0, 2], tau=4.0))
-        assert g.at(2.0) == pytest.approx(0.5)
-        # product-limit identity S(t) G(t) = #{z > t} / n under this ranking
-        data = Dataset(z=[2, 2, 3], epsilon=[1, 0, 2], tau=4.0)
-        s = kaplan_meier_event(counting_processes(data))
-        assert s.at(2.0) * g.at(2.0) == pytest.approx(1 / 3, abs=1e-12)
-
-
-class TestAalenJohansen:
-    def test_hand_computation(self, four_records):
-        cp = counting_processes(four_records)
-        assert aalen_johansen(cp, 2).at(4.0) == pytest.approx(3 / 8)
-        assert aalen_johansen(cp, 3).at(4.0) == pytest.approx(3 / 8)
-        assert aalen_johansen(cp, 1).at(4.0) == pytest.approx(1 / 4)
-
-    def test_no_cause_events_constant_zero(self, four_records):
-        cp = counting_processes(Dataset(z=[1, 4], epsilon=[1, 0], tau=5.0))
-        assert aalen_johansen(cp, 2).at(5.0) == 0.0
-
-    def test_additivity_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = rng.integers(1, 40)
-            z = np.round(rng.exponential(1.0, n), 2)
-            eps = rng.integers(0, 4, n)
-            data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1)
-            cp = counting_processes(data)
-            s = kaplan_meier_event(cp)
-            total = sum(aalen_johansen(cp, j).at(data.tau) for j in (1, 2, 3))
-            assert total + s.at(data.tau) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestEstimateRte:
     def test_derived_dataset(self, four_records):
         est = estimate_rte(four_records)
@@ -220,17 +102,10 @@ class TestEstimateRte:
             z = rng.integers(1, 6, n).astype(float)
             eps = rng.integers(0, 4, n)
             tau = float(z.max()) + 1
-            data = Dataset(z=z, epsilon=eps, tau=tau)
-            grid, s_naive, f_naive = naive_curves(z, eps, tau)
-            cp = counting_processes(data)
-            s = kaplan_meier_event(cp)
-            np.testing.assert_allclose(s.at(np.array(grid)), s_naive, atol=1e-12) if grid else None
-            for j in (1, 2, 3):
-                fj = aalen_johansen(cp, j)
-                if grid:
-                    np.testing.assert_allclose(fj.at(np.array(grid)), f_naive[j], atol=1e-12)
-            theta_naive = (f_naive[2][-1] if grid else 0.0) + 0.5 * (f_naive[3][-1] if grid else 0.0)
-            assert estimate_rte(data).theta_hat == pytest.approx(theta_naive, abs=1e-12)
+            _, _, f = naive_curves(z, eps, tau)
+            theta_naive = f[2][-1] + 0.5 * f[3][-1]
+            assert estimate_rte(Dataset(z=z, epsilon=eps, tau=tau)).theta_hat == pytest.approx(
+                theta_naive, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), min_size=1, max_size=30))
@@ -242,7 +117,7 @@ class TestEstimateRte:
         # where the plug-in is zero, both sides keep round-off of about 1e-17
         assert est.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=1e-14)
         _, _, f = naive_curves(z, eps, 9.0)
-        theta = f[2][-1] + f[3][-1] / 2 if f[2] else 0.0
+        theta = f[2][-1] + f[3][-1] / 2
         assert est.theta_hat == pytest.approx(theta, rel=1e-12, abs=1e-14)
 
     def test_round_off_is_clamped(self):
@@ -369,40 +244,9 @@ class TestMetamorphic:
     def test_label_swap_identity(self, recs):
         est = estimate_rte(self._dataset(recs))
         swapped = estimate_rte(self._dataset([(t, {1: 2, 2: 1}.get(e, e)) for t, e in recs]))
-        s_tau = est.curves.survival.at(self.TAU)
+        _, s, _ = naive_curves([t for t, _ in recs], [e for _, e in recs], self.TAU)
+        s_tau = s[-1]
         assert abs(est.theta_hat + swapped.theta_hat + s_tau - 1.0) <= 1e-12
-
-
-class TestLazyCurves:
-    def test_estimate_and_test_build_no_curve(self, monkeypatch):
-        built = []
-        post_init = StepCurve.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(StepCurve, "__post_init__", counted)
-        rows = [o for o in read_paired_csv(DATA / "diabetic.csv") if o.group == "juvenile"]
-        data = prepare_dataset(rows, 60.0, seed=0)
-        est = estimate_rte(data)
-        cp = counting_processes(data)
-        make_report(est, None, InferenceConfig(method="asymptotic"))
-        assert built == []
-
-        curves = est.curves
-        assert len(built) == 8 and est.curves is curves
-        pairs = [
-            (curves.survival, kaplan_meier_event(cp)),
-            (curves.censoring_survival, kaplan_meier_censoring(data)),
-            *((curves.cif[j - 1], aalen_johansen(cp, j)) for j in (1, 2, 3)),
-            *((curves.hazard[j - 1], nelson_aalen(cp, j)) for j in (1, 2, 3)),
-        ]
-        for got, want in pairs:
-            np.testing.assert_array_equal(got.times, want.times)
-            np.testing.assert_array_equal(got.values, want.values)
-            assert got.initial == want.initial
-        np.testing.assert_array_equal(curves.cp.dn, cp.dn)
 
 
 class TestRiskSetExhaustion:
@@ -420,38 +264,19 @@ class TestRiskSetExhaustion:
             estimate_rte(full)
 
 
-class TestMannWhitney:
-    def test_example_table1(self):
-        obs = [PairedObservation(*p) for p in ((2, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 1), (8, 1, 7, 1))]
-        assert mann_whitney_fully_observed(obs) == pytest.approx(10 / 16)
-
-    def test_example_table2_brute_force(self):
-        # The whole-sample value by direct double loop. The source narrative
-        # quotes 7/16 for this table, but enumeration of the 16 ordered
-        # cross-pairs gives 9/16; the subgroup values (3/4 and 1/2) do check
-        # out, so the oracle value is asserted here.
-        obs = [PairedObservation(*p) for p in ((2, 1, 1, 1), (4, 1, 3, 1), (5, 1, 6, 1), (8, 1, 7, 1))]
-        brute = 0.0
-        for a in obs:
-            for b in obs:
-                brute += (a.x1 > b.x2) + 0.5 * (a.x1 == b.x2)
-        brute /= len(obs) ** 2
-        assert brute == pytest.approx(9 / 16)
-        assert mann_whitney_fully_observed(obs) == pytest.approx(brute)
-
-    def test_identical_samples_half(self):
-        obs = [PairedObservation(x, 1, x, 1) for x in (1.0, 2.0, 5.0)]
-        assert mann_whitney_fully_observed(obs) == pytest.approx(0.5)
-
-    def test_rejects_censored(self):
-        with pytest.raises(NotFullyObserved):
-            mann_whitney_fully_observed([PairedObservation(1, 1, 2, 0)])
-
-
 class TestIpcwIdentity:
+    """Identities of the estimate; their right-hand sides come from the loop oracles."""
+
+    @staticmethod
+    def _at_tau(data):
+        """``(S, F1, F2)`` at ``tau`` from :func:`naive_curves`."""
+        _, s, f = naive_curves(data.z, data.epsilon, data.tau)
+        return s[-1], f[1][-1], f[2][-1]
+
     def test_derived_difference(self, four_records):
-        lhs, rhs = ipcw_identity_check(four_records)
-        assert rhs == pytest.approx(1 / 4 - 3 / 8, abs=1e-15)
+        _, f1, f2 = self._at_tau(four_records)
+        assert f1 - f2 == pytest.approx(1 / 4 - 3 / 8, abs=1e-15)
+        assert 1 - 2 * estimate_rte(four_records).theta_hat == pytest.approx(f1 - f2, abs=1e-15)
 
     def test_identity_exact_when_survival_exhausted(self):
         rng = np.random.default_rng(9)
@@ -461,8 +286,9 @@ class TestIpcwIdentity:
             x2 = rng.exponential(1.0, n)
             obs = [PairedObservation(a, 1, b, 1) for a, b in zip(x1, x2)]
             data = prepare_dataset(obs, 1e9)
-            lhs, rhs = ipcw_identity_check(data)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            s_tail, f1, f2 = self._at_tau(data)
+            assert s_tail == 0.0
+            assert 1 - 2 * estimate_rte(data).theta_hat == pytest.approx(f1 - f2, abs=1e-12)
 
     def test_gap_equals_survival_tail_in_general(self):
         rng = np.random.default_rng(10)
@@ -471,9 +297,9 @@ class TestIpcwIdentity:
             z = np.round(rng.exponential(1.0, n), 2)
             eps = rng.integers(0, 4, n)
             data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1)
-            lhs, rhs = ipcw_identity_check(data)
-            s_tail = estimate_rte(data).curves.survival.at(data.tau)
-            assert lhs - rhs == pytest.approx(s_tail, abs=1e-12)
+            s_tail, f1, f2 = self._at_tau(data)
+            gap = 1 - 2 * estimate_rte(data).theta_hat - (f1 - f2)
+            assert gap == pytest.approx(s_tail, abs=1e-12)
 
     def test_ipcw_form_equals_aj_difference(self):
         rng = np.random.default_rng(12)
@@ -482,8 +308,15 @@ class TestIpcwIdentity:
             z = np.round(rng.exponential(1.0, n), 2)
             eps = rng.integers(0, 4, n)
             data = Dataset(z=z, epsilon=eps, tau=float(z.max()) + 1)
-            _, rhs = ipcw_identity_check(data)
-            assert ipcw_form(data) == pytest.approx(rhs, abs=1e-12)
+            _, f1, f2 = self._at_tau(data)
+            assert ipcw_form(data) == pytest.approx(f1 - f2, abs=1e-12)
+
+    def test_ipcw_ranks_events_before_censorings_at_ties(self):
+        # Tie at t=2 with 3 at risk: the event leaves the censoring risk set
+        # first, so G falls by 1 - 1/2 there and the type-2 event at 3 weighs
+        # 1 / (3 * 1/2).
+        data = Dataset(z=[2, 2, 3], epsilon=[1, 0, 2], tau=4.0)
+        assert ipcw_form(data) == pytest.approx(1 / 3 - 2 / 3, abs=1e-15)
 
     def test_no_censoring_equals_count_difference(self):
         data = Dataset(z=[1, 2, 3, 4], epsilon=[1, 2, 2, 3], tau=5.0)

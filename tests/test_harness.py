@@ -167,7 +167,7 @@ class TestBlockEstimates:
         for i in reps:
             data = prt.Dataset(z=z[i], epsilon=eps[i], tau=scenario.tau)
             block = prt.RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]),
-                                    n=scenario.n, tau=scenario.tau, data=data)
+                                    n=scenario.n, tau=scenario.tau)
             cfg = prt.InferenceConfig(method="randomization", sided="right", b=500,
                                       seed=(107, i))
             dist = prt.randomization_distribution(data, cfg)

@@ -520,7 +520,7 @@ class TestWaldDecisions:
         usable, reject = pairedrte.inference._wald_decisions(theta, sigma2, sample.n, cfg)
         for th, s2, ok, rej in zip(theta, sigma2, usable, reject):
             est = pairedrte.RteEstimate(theta_hat=float(th), sigma2_hat=float(s2), n=sample.n,
-                                        tau=sample.tau, data=sample)
+                                        tau=sample.tau)
             if ok:
                 assert make_report(est, None, cfg).reject == rej
             else:

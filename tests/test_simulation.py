@@ -13,6 +13,7 @@ from pairedrte import (
     BracketError,
     Exponential,
     Gompertz,
+    InferenceConfig,
     InvalidParameter,
     Mixture,
     PairedObservation,
@@ -20,10 +21,11 @@ from pairedrte import (
     ScenarioError,
     Uniform,
     ValidationError,
+    bootstrap_distribution,
     calibrate_null,
     draw_paired_sample,
-    empirical_censoring_rates,
     power_scenario,
+    prepare_dataset,
     run_power_experiment,
     run_size_experiment,
     sample_clayton,
@@ -214,6 +216,18 @@ class TestMarginals:
         with pytest.raises(InvalidParameter, match="positive and finite"):
             Uniform(math.inf)
 
+    @pytest.mark.parametrize("build", [
+        # with an infinite rate every first-margin time would be 0, and the
+        # harness would fail with DegenerateVariance past its failure cap
+        lambda: Scenario("clayton", -0.6, Exponential(math.inf), Exponential(2.0), Uniform(2.0),
+                         1.0, 20),
+        lambda: Gompertz(math.inf, 1.0),
+        lambda: Gompertz(1.0, math.inf),
+    ], ids=["exponential-rate", "gompertz-shape", "gompertz-rate"])
+    def test_infinite_parameters_are_refused(self, build):
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            build()
+
 
 @pytest.fixture(scope="module")
 def simple_scenario():
@@ -238,6 +252,39 @@ def simple_scenario():
 def test_negative_seed_is_a_validation_error(simple_scenario, call):
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
         call(simple_scenario, -1)
+
+
+# Each count a caller passes, as a call on the scenario that takes it.
+COUNTS = {
+    "b": lambda s, b: bootstrap_distribution(prepare_dataset(draw_paired_sample(s, 1), s.tau),
+                                             InferenceConfig("bootstrap", b=b)),
+    "r": lambda s, r: run_size_experiment(s, methods=["asymptotic"], r=r),
+    "n": lambda s, n: draw_paired_sample(replace(s, n=n), 1),
+    "seed": lambda s, seed: draw_paired_sample(s, seed),
+    "n_draws": lambda s, n_draws: calibrate_null(
+        lambda p: replace(s, marginal2=Exponential(p)), (0.5, 4.0), n_draws=n_draws),
+}
+
+
+@pytest.mark.parametrize("count, value, error", [
+    ("b", 25.5, ValidationError), ("b", True, ValidationError), ("b", np.int64(25), None),
+    ("r", 2.5, ValidationError), ("r", True, ValidationError), ("r", np.int64(2), None),
+    ("n", 2.5, ScenarioError), ("n", True, ScenarioError), ("n", np.int32(5), None),
+    ("seed", True, ValidationError), ("seed", np.uint32(3), None),
+    ("n_draws", 2.5, ValidationError), ("n_draws", False, ValidationError),
+    ("n_draws", np.int16(50), None),
+])
+def test_counts_must_be_integers(simple_scenario, count, value, error):
+    # a float or a bool count used to end in a bare TypeError, or, as a seed,
+    # to stand for 0 or 1; numpy integers are counts too
+    if error is None:
+        COUNTS[count](simple_scenario, value)
+        return
+    with pytest.raises(error, match=count) as exc:
+        COUNTS[count](simple_scenario, value)
+    assert type(exc.value) is error
+    if error is ScenarioError:
+        assert exc.value.field == "n"
 
 
 class TestApplyMarginalsAndCensoring:
@@ -279,7 +326,9 @@ class TestCensoringRateBands:
     @pytest.mark.parametrize("level", ["light", "medium", "strong"])
     def test_margin_rates_fall_in_reported_bands(self, family, level):
         scenario = table1_scenario("gumbel_hougaard", family, level, n=100)
-        margin_rate, pair_rate = empirical_censoring_rates(scenario, N_BIG, seed=15)
+        res = run_size_experiment(scenario, methods=["asymptotic"], transforms=["linear"],
+                                  r=N_BIG // scenario.n, seed=15)
+        margin_rate, pair_rate = res.censoring_rate_margins, res.censoring_rate_pairs
         lo, hi = self.BANDS[level]
         assert lo - 0.01 <= margin_rate <= hi + 0.01, (family, level, margin_rate)
         assert pair_rate >= margin_rate * 0.8  # pair-level is at least comparable
@@ -508,7 +557,6 @@ class TestFailureLedger:
         built = []
         monkeypatch.setattr(PairedObservation, "__post_init__", built.append)
         run_size_experiment(simple_scenario, methods=["asymptotic"], transforms=["linear"], r=3)
-        empirical_censoring_rates(simple_scenario, 500, seed=1)
         assert built == []
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
-from .paired_data import Dataset, _is_integer, _seed_entropy
+from .paired_data import Dataset, _is_integer, _plain_ints, _seed_entropy
 
 __all__ = [
     "InferenceConfig",
@@ -80,6 +80,8 @@ class InferenceConfig:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.method != "asymptotic" and not (_is_integer(self.b) and self.b >= 1):
             raise ValidationError(f"resampling methods need an integer b >= 1, got {self.b!r}")
+        object.__setattr__(self, "b", _plain_ints(self.b))
+        object.__setattr__(self, "seed", _plain_ints(self.seed))
 
 
 @dataclass(frozen=True)

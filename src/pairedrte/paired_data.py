@@ -53,6 +53,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _plain_ints(value):
+    """``value`` with each int or numpy integer, alone or in a tuple or list, a Python int.
+
+    Stored counts and seeds are made plain so that results serialize to JSON.
+    """
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain_ints(w) for w in value)
+    return int(value) if _is_integer(value) else value
+
+
 def _seed_entropy(*words) -> list[int]:
     """The RNG entropy of ints and tuples of ints; every generator of the package is built on it.
 

@@ -29,7 +29,9 @@ from .errors import (
 )
 from .estimators import RteEstimate, _estimates_from_counts
 from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
-from .paired_data import Dataset, PairedSample, _is_integer, _prepare_rows, _seed_entropy
+from .paired_data import (
+    Dataset, PairedSample, _is_integer, _plain_ints, _prepare_rows, _seed_entropy,
+)
 
 __all__ = [
     "Exponential",
@@ -295,6 +297,7 @@ class Scenario:
             raise ScenarioError("tau", "tau must be a positive finite number")
         if not (_is_integer(self.n) and self.n >= 1):
             raise ScenarioError("n", f"n must be an integer at least 1, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
 
 def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
@@ -564,13 +567,17 @@ def run_size_experiment(
     replicate. Truncation at the horizon counts as censoring in the reported
     censoring rates. Per-replicate analysis failures are recorded as ``(rep,
     error class name)`` and tolerated up to 1% of ``r``. Invalid test
-    settings, ``r < 1`` and an empty or repeated method or transform
-    included, raise before any replicate runs.
+    settings, ``r < 1``, a ``b`` other than an integer of at least 1 (for
+    every method, as every row reports it) and an empty or repeated method
+    or transform included, raise before any replicate runs.
     """
     if not _is_integer(r):
         raise ValidationError(f"r must be an integer, got {r!r}")
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
+    if not (_is_integer(b) and b >= 1):
+        raise ValidationError(f"b must be an integer at least 1, got {b!r}")
+    r, b, seed = int(r), int(b), _plain_ints(seed)
     for field, names in (("methods", methods), ("transforms", transforms)):
         if not names or len(set(names)) < len(names):
             raise ValidationError(f"{field} must be nonempty and distinct, got {list(names)}")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -576,3 +577,11 @@ class TestReplicateBlocks:
     def test_randomization_memory_is_linear_in_n(self):
         assert (self.peak_memory("randomization", 20_000)
                 <= 2.5 * self.peak_memory("randomization", 10_000))
+
+
+def test_numpy_counts_are_stored_as_python_ints(sample):
+    cfg = InferenceConfig("bootstrap", b=np.int64(30), seed=(np.uint32(1), 2))
+    assert (type(cfg.b), cfg.seed, [type(w) for w in cfg.seed]) == (int, (1, 2), [int, int])
+    reports = run_inference(sample, ["bootstrap"], ["linear"], b=np.int64(40), seed=np.uint32(1))
+    assert (type(reports[0].b), type(reports[0].seed)) == (int, int)
+    json.dumps([r.to_dict() for r in reports])

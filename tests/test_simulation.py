@@ -287,6 +287,22 @@ def test_counts_must_be_integers(simple_scenario, count, value, error):
         assert exc.value.field == "n"
 
 
+@pytest.mark.parametrize("b", [2.5, True, 0])
+def test_size_experiment_checks_b_for_every_method(simple_scenario, b):
+    # every row reports b, so a run without a resampling method checks it too
+    with pytest.raises(ValidationError, match="b must be an integer at least 1"):
+        run_size_experiment(simple_scenario, methods=["asymptotic"], r=2, b=b)
+
+
+def test_numpy_counts_are_stored_as_python_ints(simple_scenario):
+    scenario = replace(simple_scenario, n=np.int32(simple_scenario.n))
+    assert type(scenario.n) is int
+    result = run_size_experiment(scenario, methods=["asymptotic"], r=np.int64(2),
+                                 b=np.int64(3), seed=np.uint32(4))
+    assert [type(v) for v in (result.r, result.b, result.seed)] == [int, int, int]
+    json.dumps(result.to_rows())
+
+
 class TestApplyMarginalsAndCensoring:
     def test_no_censoring_when_support_is_huge(self, simple_scenario):
         obs = draw_paired_sample(replace(simple_scenario, censoring=Uniform(1e9), n=500), seed=11)

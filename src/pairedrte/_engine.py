@@ -8,15 +8,17 @@ cell with ``Y == 0`` must be such a cell. Bootstrap replicates that miss late
 records have them, and :func:`sorted_grid` pads every tie run with them.
 
 Estimates and bootstrap replicates go through the fused kernel
-:func:`theta_sigma2_cif_from_counts`. Resampling builds a sample's invariants
-once per distribution and returns a draw and an evaluator of row blocks.
+:func:`theta_sigma2_cif_from_counts`. Each resampling route builds a sample's
+invariants once per distribution and returns them as a ``(draw, evaluate)``
+pair: ``draw(rng, rows)`` gives the counts of ``rows`` replicates as a tuple,
+and ``evaluate`` of that tuple gives their effects and variances.
 :func:`bootstrap_kernel` maps each record to its cell of the record-slot
 counts (cause by at-risk slot), so :func:`bootstrap_counts` is one
 multinomial draw and one bincount per block, and the fused kernel runs in a
 workspace reused across blocks; its blocks are sized by the draw's ``n``
 cells per replicate. Relabeling replicates change only how type-1/2 events
-split, so :func:`relabel_counts` draws just their type-2 counts and
-:func:`relabel_kernel` evaluates them from the sample's invariants.
+split, so the draw of :func:`relabel_kernel` is :func:`relabel_counts`, just
+their type-2 counts, and its evaluator works from the sample's invariants.
 """
 
 from __future__ import annotations
@@ -220,14 +222,16 @@ def relabel_kernel(Y, dN, n: int):
     vectors are built here once; a replicate then costs one cumulative sum and
     four weighted reductions, and ``dN1`` is never formed.
 
-    Returns ``evaluate(dn2) -> (theta, sigma2)`` for type-2 rows of shape
-    ``(..., k)``. The terms ``alpha q^2`` and ``gamma (dN2 + dN3/4)`` are
-    nonnegative and the other two nonpositive. A variance at most
-    :data:`ZERO_VARIANCE_RTOL` times its nonnegative part is zero in exact
-    arithmetic, for instance when every type-1/2 event is relabeled type 2 and
-    the last event time empties the risk set; it is returned as exactly 0, as
-    the variance of an all-type-1 relabeling is, so such a replicate is
-    skipped whatever the sign of its round-off.
+    Returns ``(draw, evaluate)``. ``draw(rng, rows)`` is ``(dn2,)``, the
+    :func:`relabel_counts` of ``rows`` relabelings; ``evaluate(dn2) -> (theta,
+    sigma2)`` takes type-2 rows of shape ``(..., k)``. The terms ``alpha q^2``
+    and ``gamma (dN2 + dN3/4)`` are nonnegative and the other two
+    nonpositive. A variance at most :data:`ZERO_VARIANCE_RTOL` times its
+    nonnegative part is zero in exact arithmetic, for instance when every
+    type-1/2 event is relabeled type 2 and the last event time empties the
+    risk set; it is returned as exactly 0, as the variance of an all-type-1
+    relabeling is, so such a replicate is skipped whatever the sign of its
+    round-off.
     """
     Y = np.asarray(Y, dtype=float)
     dN = np.asarray(dN, dtype=float)
@@ -247,6 +251,9 @@ def relabel_kernel(Y, dN, n: int):
     gamma = n * weight**2
     gamma_type3 = float(np.sum(gamma * 0.25 * dN[2]))
 
+    def draw(rng, rows):
+        return (relabel_counts(dN, rng, rows),)
+
     def evaluate(dn2):
         g = dn2 + half3
         b = g * weight
@@ -259,7 +266,7 @@ def relabel_kernel(Y, dN, n: int):
                              + np.einsum("...k,...k,k->...", g, g, delta))
         return theta, np.where(sigma2 <= ZERO_VARIANCE_RTOL * positive, 0.0, sigma2)
 
-    return evaluate
+    return draw, evaluate
 
 
 def bootstrap_kernel(z, eps, times, n: int):

@@ -41,8 +41,9 @@ SIDES = ("right", "left", "two")
 TRANSFORMS = ("linear", "loglog")
 
 # Replicates are generated in chunks of this size, chunk ``c`` from the RNG
-# stream ``[seed, 7, c]`` (bootstrap) or ``[seed, 13, c]`` (randomization).
+# stream ``[seed, tag, c]`` with the method's tag below.
 _CHUNK = 512
+_STREAM_TAGS = {"bootstrap": 7, "randomization": 13}
 
 _NORMAL = NormalDist()
 
@@ -57,7 +58,7 @@ _TIE_TOL = 1e-9
 class InferenceConfig:
     """How to test: method, sidedness, level, transform, replication, seed.
 
-    ``b`` and ``seed`` matter only to the resampling methods.
+    ``b`` and ``seed`` matter only to resampling but are checked for every method.
     """
 
     method: str
@@ -78,8 +79,9 @@ class InferenceConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.method != "asymptotic" and not (_is_integer(self.b) and self.b >= 1):
-            raise ValidationError(f"resampling methods need an integer b >= 1, got {self.b!r}")
+        if not (_is_integer(self.b) and self.b >= 1):
+            raise ValidationError(f"b must be an integer at least 1, got {self.b!r}")
+        _seed_entropy(self.seed)
         object.__setattr__(self, "b", _plain_ints(self.b))
         object.__setattr__(self, "seed", _plain_ints(self.seed))
 
@@ -142,13 +144,11 @@ class ResampleDistribution:
 
     def statistics(self, transform: str) -> tuple[np.ndarray, int]:
         """Studentized replicate statistics and the count excluded for the transform."""
-        psi, dpsi, _ = _transform_funcs(transform)
         se = np.sqrt(self.sigmas2 / self.n)
         if transform == "linear":
-            return (self.thetas - self.theta_ref) / se, 0
+            return _studentize(self.thetas, self.theta_ref, se, transform), 0
         usable = (self.thetas > 0.0) & (self.thetas < 1.0)
-        th = self.thetas[usable]
-        vals = (psi(th) - psi(self.theta_ref)) / (dpsi(th) * se[usable])
+        vals = _studentize(self.thetas[usable], self.theta_ref, se[usable], transform)
         return vals, int((~usable).sum())
 
 
@@ -161,6 +161,12 @@ def _transform_funcs(transform: str):
         lambda t: 1.0 / (t * np.log(t)),
         lambda y: np.exp(-np.exp(y)),
     )
+
+
+def _studentize(theta, ref: float, se, transform: str):
+    """``(psi(theta) - psi(ref)) / (psi'(theta) se)`` on the transform's scale."""
+    psi, dpsi, _ = _transform_funcs(transform)
+    return (psi(theta) - psi(ref)) / (dpsi(theta) * se)
 
 
 def _normal_sf(x: float) -> float:
@@ -176,42 +182,30 @@ def _normal_pvalue(t_obs: float, sided: str) -> float:
     return 2.0 * _normal_sf(abs(t_obs))
 
 
-def _collect_replicates(seed, tag: int, width: int, draw, evaluate, b: int):
-    """Effect and variance replicates: ``evaluate`` of the counts ``draw(rng, rows)`` returns.
+def _replicate_distribution(kind: str, kernel, width: int, n: int, theta_ref: float,
+                            cfg: InferenceConfig) -> ResampleDistribution:
+    """The ``cfg.b`` replicates of a ``(draw, evaluate)`` kernel, less those without variance.
 
-    Chunk ``c`` of the ``b`` replicates comes from the generator ``[*seed,
-    tag, c]``. Each chunk is drawn and evaluated in row blocks of at most
-    ``_engine.BLOCK_CELLS // width`` rows, one block after the other from the
-    chunk's generator; ``width`` is the cells a draw spends per row, one per
-    record for the bootstrap and one per grid time for relabeling. The count
+    Chunk ``c`` comes from the generator ``[*cfg.seed, _STREAM_TAGS[kind],
+    c]``, drawn and evaluated in row blocks of at most ``BLOCK_CELLS //
+    width`` rows; ``width`` is the cells a draw spends per row. The count
     generators fill rows in order, so the blocking changes no value; it
-    bounds the temporaries of the draws and of the kernel alike.
+    bounds the temporaries of the draws and of the kernel alike. Skipping
+    more than 10 % of the replicates is a :class:`DegenerateVariance`.
     """
+    (draw, evaluate), b = kernel, cfg.b
     step = max(1, _engine.BLOCK_CELLS // max(1, width))
     parts = []
     for c, start in enumerate(range(0, b, _CHUNK)):
-        rng = np.random.default_rng(_seed_entropy(seed, tag, c))
+        rng = np.random.default_rng(_seed_entropy(cfg.seed, _STREAM_TAGS[kind], c))
         size = min(_CHUNK, b - start)
         parts += [evaluate(*draw(rng, min(step, size - s))) for s in range(0, size, step)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _finalize_distribution(kind, thetas, sigmas2, n, theta_ref, b):
+    thetas, sigmas2 = (np.concatenate(column) for column in zip(*parts))
     valid = sigmas2 > 0
     skipped = int((~valid).sum())
     if skipped > 0.1 * b:
-        raise DegenerateVariance(
-            f"{skipped} of {b} replicates had a degenerate variance estimate"
-        )
-    return ResampleDistribution(
-        kind=kind,
-        thetas=thetas[valid],
-        sigmas2=sigmas2[valid],
-        n=n,
-        theta_ref=theta_ref,
-        b_requested=b,
-        skipped=skipped,
-    )
+        raise DegenerateVariance(f"{skipped} of {b} replicates had a degenerate variance estimate")
+    return ResampleDistribution(kind, thetas[valid], sigmas2[valid], n, theta_ref, b, skipped)
 
 
 def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution:
@@ -231,9 +225,8 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
         _estimates_from_counts(cp.at_risk, cp.dn, data.n, data.tau, data.z.max())[0]
     )
 
-    draw, evaluate = _engine.bootstrap_kernel(data.z, data.epsilon, cp.event_times, data.n)
-    thetas, sigmas2 = _collect_replicates(cfg.seed, 7, data.n, draw, evaluate, cfg.b)
-    return _finalize_distribution("bootstrap", thetas, sigmas2, data.n, theta_hat, cfg.b)
+    kernel = _engine.bootstrap_kernel(data.z, data.epsilon, cp.event_times, data.n)
+    return _replicate_distribution("bootstrap", kernel, data.n, data.n, theta_hat, cfg)
 
 
 def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistribution:
@@ -246,15 +239,8 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
     evaluates them against the invariants of the sample, built once.
     """
     cp = counting_processes(data)
-    evaluate = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)
-
-    def draw(rng, rows):
-        return (_engine.relabel_counts(cp.dn, rng, rows),)
-
-    thetas, sigmas2 = _collect_replicates(
-        cfg.seed, 13, len(cp.event_times), draw, evaluate, cfg.b
-    )
-    return _finalize_distribution("randomization", thetas, sigmas2, data.n, 0.5, cfg.b)
+    kernel = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)
+    return _replicate_distribution("randomization", kernel, len(cp.event_times), data.n, 0.5, cfg)
 
 
 def _tie_tolerance(t):
@@ -292,7 +278,7 @@ def _test_arithmetic(theta, se, transform: str, sided: str, alpha: float, quanti
     puts it, so round-off cannot turn such a tie into a rejection.
     """
     psi, dpsi, psi_inv = _transform_funcs(transform)
-    t_obs = (psi(theta) - psi(0.5)) / (dpsi(theta) * se)
+    t_obs = _studentize(theta, 0.5, se, transform)
 
     def endpoint(c):
         inverted = np.minimum(np.maximum(psi_inv(psi(theta) - dpsi(theta) * se * c), 0.0), 1.0)
@@ -414,6 +400,20 @@ def resample_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistri
     return randomization_distribution(data, cfg)
 
 
+def _reports(data: Dataset, est: RteEstimate, methods: Iterable[str],
+             transforms: Iterable[str], sided: str, alpha: float, b: int, seed):
+    """Yield the :func:`test_and_ci` report of each method and transform in turn.
+
+    A method's replicates are drawn once for all its transforms. A caller
+    counting the reports keeps those made before a later one fails.
+    """
+    for method in methods:
+        cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
+        dist = resample_distribution(data, cfg)
+        for transform in transforms:
+            yield test_and_ci(est, dist, replace(cfg, transform=transform))
+
+
 def run_inference(
     data: Dataset,
     methods: Iterable[str],
@@ -430,12 +430,5 @@ def run_inference(
     Resampling distributions are generated once per method and shared across
     transforms, mirroring how a single analysis would be reported.
     """
-    if est is None:
-        est = estimate_rte(data)
-    reports = []
-    for method in methods:
-        cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
-        dist = resample_distribution(data, cfg)
-        for transform in transforms:
-            reports.append(test_and_ci(est, dist, replace(cfg, transform=transform)))
-    return reports
+    est = estimate_rte(data) if est is None else est
+    return list(_reports(data, est, methods, transforms, sided, alpha, b, seed))

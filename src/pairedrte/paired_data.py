@@ -261,10 +261,12 @@ def prepare_dataset(
     times the largest observed time and drawn from ``seed``, to every
     censored time, but only when some censoring time exactly equals an event
     time; event times are untouched, so each tied censoring time ends up just
-    above its event. ``jitter=None`` disables tie breaking. This is the
-    one-sample case of :func:`_prepare_rows`, so an invalid ``tau`` is
-    reported before any other error.
+    above its event. ``jitter=None`` disables tie breaking. ``seed`` is
+    checked first, whether or not jitter fires. This is the one-sample case
+    of :func:`_prepare_rows`, so an invalid ``tau`` is reported before any
+    error of the data.
     """
+    _seed_entropy(seed)
     if jitter not in ("auto", None):
         raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
     sample = PairedSample.of(data)

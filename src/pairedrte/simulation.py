@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
-from .inference import InferenceConfig, _wald_decisions, resample_distribution, test_and_ci
+from .inference import InferenceConfig, _reports, _wald_decisions, test_and_ci
 from .paired_data import (
     Dataset, PairedSample, _is_integer, _plain_ints, _prepare_rows, _seed_entropy,
 )
@@ -563,28 +563,29 @@ def run_size_experiment(
     use ``seed=(seed, rep)``. Results are therefore independent of
     scheduling. Replicates run in blocks of at most ``_engine.BLOCK_CELLS //
     n``: the quantile transforms, the preparation, the estimates and the
-    asymptotic test are one array pass per block, and resampling runs per
-    replicate. Truncation at the horizon counts as censoring in the reported
-    censoring rates. Per-replicate analysis failures are recorded as ``(rep,
-    error class name)`` and tolerated up to 1% of ``r``. Invalid test
-    settings, ``r < 1``, a ``b`` other than an integer of at least 1 (for
-    every method, as every row reports it) and an empty or repeated method
-    or transform included, raise before any replicate runs.
+    asymptotic test are one array pass per block; resampling goes through
+    the report loop of :func:`run_inference`, one replicate at a time.
+    Truncation at the horizon counts as censoring in the reported censoring
+    rates. Per-replicate analysis failures are recorded as ``(rep, error
+    class name)`` and tolerated up to 1% of ``r``; a failed replicate keeps
+    the rejections counted before its failure. Invalid test settings (``b``
+    and ``seed`` included), ``r < 1`` and an empty or repeated method or
+    transform raise before any replicate runs.
     """
     if not _is_integer(r):
         raise ValidationError(f"r must be an integer, got {r!r}")
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
-    if not (_is_integer(b) and b >= 1):
-        raise ValidationError(f"b must be an integer at least 1, got {b!r}")
-    r, b, seed = int(r), int(b), _plain_ints(seed)
     for field, names in (("methods", methods), ("transforms", transforms)):
         if not names or len(set(names)) < len(names):
             raise ValidationError(f"{field} must be nonempty and distinct, got {list(names)}")
+    for method in methods:  # a bad setting raises here, not as each replicate's failure
+        InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
+    asymptotic = {t: InferenceConfig(method="asymptotic", sided=sided, alpha=alpha, transform=t)
+                  for t in transforms}
+    r, b, seed = int(r), int(b), _plain_ints(seed)
     n, tau = scenario.n, float(scenario.tau)
-    base = {m: InferenceConfig(method=m, sided=sided, alpha=alpha, b=b) for m in methods}
-    configs = {(m, t): replace(base[m], transform=t) for m in methods for t in transforms}
-    rejections = dict.fromkeys(configs, 0)
+    rejections = {(m, t): 0 for m in methods for t in transforms}
     failures = []
     margins_censored = pairs_censored = risk_exhausted = 0
     step = max(1, _engine.BLOCK_CELLS // n)
@@ -596,8 +597,8 @@ def run_size_experiment(
         margins_censored += censored
         pairs_censored += int((eps[prepared] == 0).sum())
         risk_exhausted += int((prepared & exhausted).sum())
-        wald = {t: _wald_decisions(theta, sigma2, n, configs[("asymptotic", t)])
-                for t in transforms if "asymptotic" in base}
+        wald = {t: _wald_decisions(theta, sigma2, n, cfg)
+                for t, cfg in asymptotic.items() if "asymptotic" in methods}
 
         def estimate(i):
             return RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]), n=n, tau=tau)
@@ -608,19 +609,16 @@ def run_size_experiment(
                     raise errors[i]
                 for method in methods:
                     if method == "asymptotic":
-                        for t in transforms:
-                            usable, reject = wald[t]
+                        for t, (usable, reject) in wald.items():
                             # test_and_ci raises the typed error of an unusable estimate
                             hit = reject[i] if usable[i] else test_and_ci(
-                                estimate(i), None, configs[(method, t)]).reject
+                                estimate(i), None, asymptotic[t]).reject
                             rejections[(method, t)] += int(hit)
                         continue
-                    est = estimate(i)
-                    cfg = replace(base[method], seed=(seed, rep))
-                    dist = resample_distribution(Dataset(z=z[i], epsilon=eps[i], tau=tau), cfg)
-                    for t in transforms:
-                        report = test_and_ci(est, dist, replace(cfg, transform=t))
-                        rejections[(method, t)] += int(report.reject)
+                    data = Dataset(z=z[i], epsilon=eps[i], tau=tau)
+                    for report in _reports(data, estimate(i), [method], transforms,
+                                           sided, alpha, b, (seed, rep)):
+                        rejections[(method, report.transform)] += int(report.reject)
             except PairedRteError as exc:
                 failures.append((rep, type(exc).__name__))
                 if len(failures) > max(1, 0.01 * r):
@@ -870,8 +868,6 @@ def power_scenario(family: int, copula: str, value: float, n: int) -> Scenario:
     second margin is always Exp(2); ``value`` at 0 (families 1, 2) or 1
     (family 3) is the exchangeable null.
     """
-    if copula not in COPULAS:
-        raise ScenarioError("copula", f"unknown copula {copula!r}; expected one of {COPULAS}")
     if family in (1, 2) and not 0.0 <= value <= 1.0:
         raise ScenarioError("value", f"family {family} needs a mixing weight in [0, 1]")
     base = Exponential(2.0)
@@ -890,7 +886,8 @@ def power_scenario(family: int, copula: str, value: float, n: int) -> Scenario:
         raise ScenarioError("family", f"unknown power family {family!r}")
     return Scenario(
         copula=copula,
-        copula_param=_COPULA_PARAMS[copula],
+        # an unknown copula has no parameter, and Scenario refuses it first
+        copula_param=_COPULA_PARAMS.get(copula),
         marginal1=m1,
         marginal2=base,
         censoring=cens,

@@ -43,6 +43,10 @@ def _assert_same(got, want, path):
         assert got == want, path
 
 
+# A paired CSV without an event/censoring tie, so auto jitter draws nothing.
+TIE_FREE = "x1,delta1,x2,delta2\n1,1,2,1\n3,0,1.5,1\n2.5,1,4,0\n5,1,0.5,1\n"
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -411,6 +415,15 @@ class TestSimulate:
         assert res.stderr == "error: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("command", ["simulate-size", "simulate-power"])
+    def test_malformed_file_is_a_parse_error(self, runner, tmp_path, command):
+        p = tmp_path / "bad.json"
+        p.write_text('{"copula":\n}\n')
+        res = runner.invoke(main, [command, "--scenario", str(p)])
+        assert res.exit_code == EXIT_PARSE
+        assert res.stdout == ""
+        assert res.stderr == "error: row 2, column 'json': Expecting value\n"
+
+    @pytest.mark.parametrize("command", ["simulate-size", "simulate-power"])
     def test_scenario_file_must_hold_an_object(self, runner, tmp_path, command):
         p = tmp_path / "list.json"
         p.write_text("[1, 2]")
@@ -464,3 +477,22 @@ class TestNegativeSeed:
         assert res.exit_code == EXIT_VALIDATION
         assert res.stdout == ""
         assert res.stderr == "error: seed must be a nonnegative integer, got -1\n"
+
+
+class TestRulesForEveryMethod:
+    """The seed and ``--B`` rules hold when nothing is drawn from them."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["analyze", "--method", "asy", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+        (["transform", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["analyze", "--method", "asy", "--B", "-5", "--format", "json"],
+         "b must be an integer at least 1, got -5"),
+    ], ids=["analyze-seed", "transform-seed", "analyze-b"])
+    def test_is_a_validation_error_without_jitter(self, runner, tmp_path, args, message):
+        p = tmp_path / "tie_free.csv"
+        p.write_text(TIE_FREE)
+        res = runner.invoke(main, [args[0], "--input", str(p), "--tau", "10", *args[1:]])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"

@@ -61,6 +61,8 @@ CASES = {
     "partial-randomization": (SMALL, dict(PARTIAL, r=2, seed=3)),
     "partial-randomization-loglog": (SMALL, dict(PARTIAL, r=2, seed=7)),
     "partial-asymptotic-loglog": (SMALL, dict(PARTIAL, r=5, seed=10)),
+    "partial-randomization-only-loglog": (SMALL, dict(PARTIAL, methods=["randomization"], r=5,
+                                                      seed=10)),
     "failures-over-the-cap": (SMALL, dict(PARTIAL, r=10, seed=1)),
 }
 
@@ -83,20 +85,24 @@ class TestEquivalence:
 
     @pytest.mark.parametrize(
         "seed, rep, error, gained",
-        # at seed 3, 3 of replicate 1's 20 relabelings put every type-1/2
-        # event on type 2, whose variance is zero: over the 10 % cap
-        [(3, 1, "DegenerateVariance", (1, 1, 0, 0)),
-         (7, 1, "InsufficientReplicates", (1, 1, 0, 0)),
-         (10, 4, "ThetaOutOfDomain", (1, 0, 0, 0))],
+        # ``gained`` maps each method run to its gains per transform. At seed
+        # 3, 3 of replicate 1's 20 relabelings put every type-1/2 event on
+        # type 2, whose variance is zero: over the 10 % cap. At seed 29 the
+        # randomization test counts its linear rejection, then fails on log-log
+        [(3, 1, "DegenerateVariance", {"asymptotic": (1, 1), "randomization": (0, 0)}),
+         (7, 1, "InsufficientReplicates", {"asymptotic": (1, 1), "randomization": (0, 0)}),
+         (10, 4, "ThetaOutOfDomain", {"asymptotic": (1, 0), "randomization": (0, 0)}),
+         (29, 4, "ThetaOutOfDomain", {"randomization": (1, 0)})],
     )
     def test_partial_failure_keeps_earlier_rejections(self, seed, rep, error, gained):
         # replicate ``rep`` is the first to fail; what it adds to the counts is
         # the difference between the runs that stop just after and before it
-        after = batched(SMALL, **PARTIAL, r=rep + 1, seed=seed)
-        before = batched(SMALL, **PARTIAL, r=rep, seed=seed)
+        settings = dict(PARTIAL, methods=list(gained))
+        after = batched(SMALL, **settings, r=rep + 1, seed=seed)
+        before = batched(SMALL, **settings, r=rep, seed=seed)
         assert after["failures"] == ((rep, error),)
-        keys = [(m, t) for m in PARTIAL["methods"] for t in PARTIAL["transforms"]]
-        assert tuple(after["rejections"][k] - before["rejections"][k] for k in keys) == gained
+        assert {m: tuple(after["rejections"][(m, t)] - before["rejections"][(m, t)]
+                         for t in PARTIAL["transforms"]) for m in gained} == gained
 
     def test_block_that_fails_validation(self):
         # a scenario refuses an infinite horizon, but a marginal whose

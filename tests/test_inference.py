@@ -361,7 +361,7 @@ class TestRelabelKernel:
         data = Dataset(z=z, epsilon=rng.choice(4, n, p=rng.dirichlet(np.ones(4))), tau=100.0)
         cp = counting_processes(data)
         dn2 = _engine.relabel_counts(cp.dn, np.random.default_rng(seed), 64)
-        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, n)(dn2)
+        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, n)[1](dn2)
         dn1 = cp.dn[0] + cp.dn[1] - dn2
         y, dn3 = (np.broadcast_to(a, dn2.shape) for a in (cp.at_risk, cp.dn[2]))
         theta0, sigma20 = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, n)
@@ -375,7 +375,7 @@ class TestRelabelKernel:
         data = Dataset(z=[4.0, 2.0, 4.0, 4.0, 2.0, 3.0], epsilon=[2, 2, 2, 2, 1, 0], tau=9.0)
         cp = counting_processes(data)
         m = cp.dn[0] + cp.dn[1]
-        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)(
+        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)[1](
             np.stack([m, 0 * m, cp.dn[1]]))
         assert theta[:2] == pytest.approx([1.0, 0.0], abs=1e-15)
         assert sigma2[0] == 0.0 and sigma2[1] == 0.0
@@ -503,11 +503,10 @@ class TestReplicateSeedDerivation:
         np.testing.assert_allclose(dist.thetas, thetas)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", (3, -5)])
-    @pytest.mark.parametrize("method", ["bootstrap", "randomization"])
+    @pytest.mark.parametrize("method", ["bootstrap", "randomization", "asymptotic"])
     def test_seed_words_must_be_nonnegative_integers(self, sample, method, seed):
-        cfg = InferenceConfig(method=method, b=40, seed=seed)
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
-            resample_distribution(sample, cfg)
+            resample_distribution(sample, InferenceConfig(method=method, b=40, seed=seed))
 
 
 class TestWaldDecisions:
@@ -577,6 +576,14 @@ class TestReplicateBlocks:
     def test_randomization_memory_is_linear_in_n(self):
         assert (self.peak_memory("randomization", 20_000)
                 <= 2.5 * self.peak_memory("randomization", 10_000))
+
+
+@pytest.mark.parametrize("b", [-5, 0, 2.5])
+@pytest.mark.parametrize("method", ["asymptotic", "bootstrap", "randomization"])
+def test_b_is_checked_for_every_method(method, b):
+    # the normal limit draws nothing, but a run reports b whatever its methods
+    with pytest.raises(ValidationError, match=f"b must be an integer at least 1, got {b}"):
+        InferenceConfig(method=method, b=b)
 
 
 def test_numpy_counts_are_stored_as_python_ints(sample):

@@ -266,6 +266,14 @@ class TestBreakCensoringTies:
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
             prepare_dataset(lattice_sample(0, 20), 30.0, seed=seed)
 
+    @pytest.mark.parametrize("jitter", ["auto", None])
+    def test_seed_is_checked_when_jitter_does_not_fire(self, jitter):
+        # no censoring time equals an event time, so auto jitter draws nothing
+        tie_free = PairedSample([[1, 2], [3, 1.5], [2.5, 4], [5, 0.5]],
+                                [[1, 1], [0, 1], [1, 0], [1, 1]])
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -3"):
+            prepare_dataset(tie_free, 10.0, jitter=jitter, seed=-3)
+
     @pytest.mark.parametrize("jitter", [0.5, 1e-9, 0.0, "fixed"])
     def test_only_auto_or_none(self, jitter):
         with pytest.raises(ValidationError, match="jitter must be 'auto' or None"):

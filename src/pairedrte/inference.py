@@ -405,8 +405,10 @@ def _reports(data: Dataset, est: RteEstimate, methods: Iterable[str],
     """Yield the :func:`test_and_ci` report of each method and transform in turn.
 
     A method's replicates are drawn once for all its transforms. A caller
-    counting the reports keeps those made before a later one fails.
+    counting the reports keeps those made before a later one fails. The
+    transforms are read once, so any iterable serves every method.
     """
+    transforms = tuple(transforms)
     for method in methods:
         cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
         dist = resample_distribution(data, cfg)

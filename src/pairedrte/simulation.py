@@ -180,6 +180,79 @@ def _rng_of(seed) -> np.random.Generator:
     return np.random.default_rng(_seed_entropy(seed))
 
 
+# numpy's SeedSequence hash on a pool of 4 uint32 words, with explicit
+# np.uint32 constants so that value-based casting and NEP 50 give the same words
+_U32_MASK, _U128_MASK = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, calls: int):
+    """The xor and multiplier columns of ``calls`` successive ``hashmix`` calls, each (calls, 1)."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _U32_MASK)
+    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
+
+
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# mixing source word s into the others takes calls 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2
+# in order of the destination word; row s holds a placeholder
+_MIX_CONSTANTS = [tuple(np.insert(a[4 + 3 * s:7 + 3 * s], s, 0, axis=0)
+                        for a in (_POOL_XOR, _POOL_MUL)) for s in range(4)]
+
+
+def _xorshift(value):
+    return value ^ (value >> _XSHIFT)
+
+
+def _hashmix(value, xor, mul):
+    return _xorshift((value ^ xor) * mul)
+
+
+def _pcg64_seeds(seed: int, reps: range) -> list:
+    """The words of ``SeedSequence([seed, rep]).generate_state(4, uint64)``, four lists over ``reps``."""
+    pool = np.zeros((4, len(reps)), np.uint32)
+    pool[0], pool[1] = seed, reps
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src, (xor, mul) in enumerate(_MIX_CONSTANTS):
+        word = pool[src].copy()
+        pool = _xorshift(_MIX_L * pool - _MIX_R * _hashmix(word, xor, mul))
+        pool[src] = word
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).tolist()
+
+
+def _rngs_of(seed, reps: range):
+    """Yield the generator of each seed-word row ``(seed, rep)``, ``rep`` in ``reps``, in order.
+
+    Each draws exactly the stream of ``_rng_of((seed, rep))``, that is of
+    ``default_rng([seed, rep])``. The seed words are checked once, at the
+    ends of ``reps``, as :func:`_rng_of` checks them. When every word is below 2**32, numpy's
+    SeedSequence hash runs once for the block, PCG64's seeding (two 128-bit
+    LCG steps) once per row, and one generator is reseeded per row: a yielded
+    generator is valid only until the next one is taken. A word of 2**32 or
+    more, which numpy splits into several uint32 words, gives every row a
+    generator of its own from :func:`_rng_of`. Block draws take their
+    generators here and nowhere else.
+    """
+    entropy = _seed_entropy((seed, reps[0]), (seed, reps[-1]))
+    if max(entropy) > _U32_MASK:
+        yield from (_rng_of((seed, rep)) for rep in reps)
+        return
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*_pcg64_seeds(entropy[0], reps)):
+        # from state 0, step to inc, add the seed, step again: a step is state * mult + inc
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _U128_MASK
+        lcg = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _U128_MASK
+        state["state"] = {"state": lcg, "inc": inc}
+        bits.state = state
+        yield rng
+
+
 def _frailty_pairs(param: float, theta, w, e) -> np.ndarray:
     """Gumbel-Hougaard pairs ``exp(-(e / V) ** alpha)``, ``alpha = 1/param``, of any leading shape.
 
@@ -331,14 +404,15 @@ def _draw_block(scenario: Scenario, seed: int, reps: range):
     """Times and indicators, each (R, n, 2), of replicates ``reps``.
 
     Replicate ``rep`` draws :func:`draw_paired_sample`'s stream from
-    ``_rng_of((seed, rep))``. Each generator makes, into block arrays, the
+    ``_rng_of((seed, rep))``, whose generator :func:`_rngs_of` seeds with
+    the rest of the block's. Each generator makes, into block arrays, the
     raw calls :func:`_draw_sample` makes when no uniform touches 0 or 1; the
     copula transform and the open-interval check then run once on the block.
     A row that touched 0 or 1 is drawn again by :func:`_draw_sample` from a
     fresh generator, so its stream is the per-sample one with its redraws.
     """
     n, param, upper = scenario.n, scenario.copula_param, scenario.censoring.upper
-    rows, rngs = len(reps), (_rng_of((seed, rep)) for rep in reps)
+    rows, rngs = len(reps), _rngs_of(seed, reps)
     if scenario.copula == "gumbel_hougaard" and param != 1.0:
         theta, w, e = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 2))
         c = np.empty((rows, 2, n))

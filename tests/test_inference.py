@@ -592,3 +592,12 @@ def test_numpy_counts_are_stored_as_python_ints(sample):
     reports = run_inference(sample, ["bootstrap"], ["linear"], b=np.int64(40), seed=np.uint32(1))
     assert (type(reports[0].b), type(reports[0].seed)) == (int, int)
     json.dumps([r.to_dict() for r in reports])
+
+
+def test_one_shot_iterables_give_every_report(sample):
+    reports = run_inference(sample, iter(["asymptotic", "bootstrap"]), iter(["linear", "loglog"]),
+                            b=200)
+    assert [(r.method, r.transform) for r in reports] == [
+        ("asymptotic", "linear"), ("asymptotic", "loglog"),
+        ("bootstrap", "linear"), ("bootstrap", "loglog"),
+    ]

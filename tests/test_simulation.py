@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -667,6 +668,42 @@ def assert_draws_equal(got, want):
         np.testing.assert_array_equal(a, b)
 
 
+class TestBlockSeeding:
+    """``_rngs_of`` against ``default_rng([seed, rep])``, generator for generator."""
+
+    def test_every_row_draws_the_stream_of_default_rng(self, monkeypatch):
+        # one wrong step of the hash or the LCG can pass a handful of seeds and
+        # still move harness counts, so span many: the word boundaries, the
+        # seeds run_power_experiment derives at acceptance 10's seed 31 and at
+        # 0, and random words; 2**32 and 2**64 take the per-row fallback
+        derived = []
+        monkeypatch.setattr(simulation, "run_size_experiment",
+                            lambda scenario, **kwargs: derived.append(kwargs["seed"]))
+        for seed in (0, 31):
+            run_power_experiment([("point", CELL_06B)] * 6, seed=seed)
+        random = [int(w) for w in np.random.default_rng(2024).integers(0, 2**32, 30)]
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64, *derived, *random]
+        blocks = [range(200), range(2**31 - 10, 2**31 + 10), range(2**32 - 40, 2**32),
+                  range(2**32 - 2, 2**32 + 2)]
+        pairs = 0
+        for seed in seeds:
+            for reps in blocks:
+                for rep, rng in zip(reps, simulation._rngs_of(seed, reps), strict=True):
+                    want = np.random.default_rng([seed, rep])
+                    assert rng.bit_generator.state == want.bit_generator.state, (seed, rep)
+                    np.testing.assert_array_equal(rng.random(4), want.random(4))
+                    np.testing.assert_array_equal(rng.exponential(1.0, 3), want.exponential(1.0, 3))
+                    pairs += 1
+        assert len(derived) == 12 and pairs >= 10_000
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, (1, 2)], ids=repr)
+    def test_seed_words_are_checked_as_for_one_generator(self, seed):
+        with pytest.raises(ValidationError) as one:
+            simulation._rng_of((seed, 0))
+        with pytest.raises(ValidationError, match=re.escape(str(one.value))):
+            next(simulation._rngs_of(seed, range(3)))
+
+
 class TestBlockDraws:
     """``_draw_block`` against ``reference_draw_block``, one sample at a time."""
 
@@ -675,26 +712,47 @@ class TestBlockDraws:
         assert_draws_equal(simulation._draw_block(scenario, 41, range(500)),
                            reference_draw_block(scenario, [(41, rep) for rep in range(500)]))
 
+    @staticmethod
+    def substitute(monkeypatch, swap):
+        """Give replicate ``(seed, rep)`` the generator ``swap((seed, rep))`` unless that is None.
+
+        The block draws take it from ``_rngs_of``, the replays and
+        ``reference_draw_block`` from ``_rng_of``.
+        """
+        rng_of, rngs_of = simulation._rng_of, simulation._rngs_of
+
+        def block(seed, reps):
+            for rep, rng in zip(reps, rngs_of(seed, reps)):
+                swapped = swap((seed, rep))
+                yield rng if swapped is None else swapped
+
+        def one(seed):
+            swapped = swap(seed) if isinstance(seed, tuple) else None
+            return rng_of(seed) if swapped is None else swapped
+
+        monkeypatch.setattr(simulation, "_rngs_of", block)
+        monkeypatch.setattr(simulation, "_rng_of", one)
+
     @pytest.mark.parametrize("name", ["06b", "clayton-1.0", "gh1.0", "07"])
     def test_rows_that_touch_0_or_1_are_drawn_again(self, name, monkeypatch):
         # the first draw of rows 0, 12 and 24 holds 0s or 1s; such a row must
         # take the sampler's redraws, and the others keep their block draws
         scenario, forced = BLOCK_SCENARIOS[name], {0: 0.0, 12: 1.0, 24: 0.0}
-        rng_of, draw_sample = simulation._rng_of, simulation._draw_sample
+        draw_sample = simulation._draw_sample
 
-        def stub(seed):
-            if isinstance(seed, tuple) and seed[1] in forced:
+        def swap(seed):
+            if seed[1] in forced:
                 rng = FirstDraw(list(seed), forced[seed[1]])
                 rng.rep = seed[1]
                 return rng
-            return rng_of(seed)
+            return None
 
         def spy(scenario, rng):
             replayed.append(getattr(rng, "rep", None))
             return draw_sample(scenario, rng)
 
         replayed = []
-        monkeypatch.setattr(simulation, "_rng_of", stub)
+        self.substitute(monkeypatch, swap)
         monkeypatch.setattr(simulation, "_draw_sample", spy)
         got = simulation._draw_block(scenario, 41, range(25))
         # a first uniform of 1 is a Gumbel-Hougaard angle of 1, inside its range
@@ -719,10 +777,10 @@ class TestBlockDraws:
                 self.drawn += flat.size
                 return got
 
-        scenario, rng_of = CELL_06B, simulation._rng_of
+        scenario = CELL_06B
         assert scenario.copula == "clayton" and scenario.copula_param < 0
-        monkeypatch.setattr(simulation, "_rng_of", lambda seed: ZeroAt(list(seed), scenario.n + 3)
-                            if isinstance(seed, tuple) and seed[1] == 7 else rng_of(seed))
+        self.substitute(monkeypatch,
+                        lambda seed: ZeroAt(list(seed), scenario.n + 3) if seed[1] == 7 else None)
         assert_draws_equal(simulation._draw_block(scenario, 41, range(10)),
                            reference_draw_block(scenario, [(41, rep) for rep in range(10)]))
 

@@ -61,8 +61,6 @@ from .simulation import (
     power_scenario,
     run_power_experiment,
     run_size_experiment,
-    sample_clayton,
-    sample_gumbel_hougaard,
     table1_scenario,
 )
 

@@ -11,19 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _engine
+from . import _engine, _streams
 from .errors import (
     DegenerateVariance,
     InsufficientReplicates,
     ThetaOutOfDomain,
     ValidationError,
 )
+from ._streams import is_integer, seed_words
 from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
-from .paired_data import Dataset, _is_integer, _plain_ints, _seed_entropy
+from .paired_data import Dataset, _plain_ints
 
 __all__ = [
     "InferenceConfig",
@@ -39,11 +40,6 @@ __all__ = [
 METHODS = ("asymptotic", "bootstrap", "randomization")
 SIDES = ("right", "left", "two")
 TRANSFORMS = ("linear", "loglog")
-
-# Replicates are generated in chunks of this size, chunk ``c`` from the RNG
-# stream ``[seed, tag, c]`` with the method's tag below.
-_CHUNK = 512
-_STREAM_TAGS = {"bootstrap": 7, "randomization": 13}
 
 _NORMAL = NormalDist()
 
@@ -79,9 +75,9 @@ class InferenceConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (_is_integer(self.b) and self.b >= 1):
+        if not (is_integer(self.b) and self.b >= 1):
             raise ValidationError(f"b must be an integer at least 1, got {self.b!r}")
-        _seed_entropy(self.seed)
+        seed_words(self.seed)
         object.__setattr__(self, "b", _plain_ints(self.b))
         object.__setattr__(self, "seed", _plain_ints(self.seed))
 
@@ -186,19 +182,17 @@ def _replicate_distribution(kind: str, kernel, width: int, n: int, theta_ref: fl
                             cfg: InferenceConfig) -> ResampleDistribution:
     """The ``cfg.b`` replicates of a ``(draw, evaluate)`` kernel, less those without variance.
 
-    Chunk ``c`` comes from the generator ``[*cfg.seed, _STREAM_TAGS[kind],
-    c]``, drawn and evaluated in row blocks of at most ``BLOCK_CELLS //
-    width`` rows; ``width`` is the cells a draw spends per row. The count
-    generators fill rows in order, so the blocking changes no value; it
-    bounds the temporaries of the draws and of the kernel alike. Skipping
-    more than 10 % of the replicates is a :class:`DegenerateVariance`.
+    Each chunk of :func:`pairedrte._streams.chunks` is drawn and evaluated in
+    row blocks of at most ``BLOCK_CELLS // width`` rows; ``width`` is the cells
+    a draw spends per row. The count generators fill rows in order, so the
+    blocking changes no value; it bounds the temporaries of the draws and of
+    the kernel alike. Skipping more than 10 % of the replicates is a
+    :class:`DegenerateVariance`.
     """
     (draw, evaluate), b = kernel, cfg.b
     step = max(1, _engine.BLOCK_CELLS // max(1, width))
     parts = []
-    for c, start in enumerate(range(0, b, _CHUNK)):
-        rng = np.random.default_rng(_seed_entropy(cfg.seed, _STREAM_TAGS[kind], c))
-        size = min(_CHUNK, b - start)
+    for rng, size in _streams.chunks(kind, cfg.seed, b):
         parts += [evaluate(*draw(rng, min(step, size - s))) for s in range(0, size, step)]
     thetas, sigmas2 = (np.concatenate(column) for column in zip(*parts))
     valid = sigmas2 > 0
@@ -400,15 +394,21 @@ def resample_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistri
     return randomization_distribution(data, cfg)
 
 
-def _reports(data: Dataset, est: RteEstimate, methods: Iterable[str],
-             transforms: Iterable[str], sided: str, alpha: float, b: int, seed):
+def _distinct(field: str, names: Iterable[str]) -> tuple:
+    """``names`` as a tuple; none, or one named twice, is a :class:`ValidationError`."""
+    names = tuple(names)
+    if not names or len(set(names)) < len(names):
+        raise ValidationError(f"{field} must be nonempty and distinct, got {list(names)}")
+    return names
+
+
+def _reports(data: Dataset, est: RteEstimate, methods: Sequence[str], transforms: Sequence[str],
+             sided: str, alpha: float, b: int, seed):
     """Yield the :func:`test_and_ci` report of each method and transform in turn.
 
     A method's replicates are drawn once for all its transforms. A caller
-    counting the reports keeps those made before a later one fails. The
-    transforms are read once, so any iterable serves every method.
+    counting the reports keeps those made before a later one fails.
     """
-    transforms = tuple(transforms)
     for method in methods:
         cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
         dist = resample_distribution(data, cfg)
@@ -430,7 +430,9 @@ def run_inference(
     """Run every requested method/transform combination on one sample.
 
     Resampling distributions are generated once per method and shared across
-    transforms, mirroring how a single analysis would be reported.
+    transforms, mirroring how a single analysis would be reported. Empty or
+    repeated ``methods`` or ``transforms`` raise :class:`ValidationError`.
     """
+    methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
     est = estimate_rte(data) if est is None else est
     return list(_reports(data, est, methods, transforms, sided, alpha, b, seed))

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from ._streams import is_integer, rng_of, seed_words
 
 __all__ = [
     "PairedObservation",
@@ -48,11 +49,6 @@ __all__ = [
 DEFAULT_JITTER_FRACTION = 1e-9
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer; a bool is neither."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _plain_ints(value):
     """``value`` with each int or numpy integer, alone or in a tuple or list, a Python int.
 
@@ -60,20 +56,7 @@ def _plain_ints(value):
     """
     if isinstance(value, (tuple, list)):
         return type(value)(_plain_ints(w) for w in value)
-    return int(value) if _is_integer(value) else value
-
-
-def _seed_entropy(*words) -> list[int]:
-    """The RNG entropy of ints and tuples of ints; every generator of the package is built on it.
-
-    A negative, non-integer or boolean word is a :class:`ValidationError`.
-    ``default_rng(s)`` and ``default_rng([s])`` draw the same stream.
-    """
-    flat = [w for word in words for w in (word if isinstance(word, (tuple, list)) else [word])]
-    for w in flat:
-        if not _is_integer(w) or w < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {w!r}")
-    return [int(w) for w in flat]
+    return int(value) if is_integer(value) else value
 
 
 @dataclass(frozen=True)
@@ -242,9 +225,8 @@ def _jitter_censored(x: np.ndarray, delta: np.ndarray, seed: int) -> np.ndarray:
             f"jitter {jitter} is not smaller than the minimum event/censoring gap {gap}"
         )
     censored = delta == 0
-    rng = np.random.default_rng(_seed_entropy(seed))
     out = x.copy()
-    out[censored] += rng.uniform(0.0, jitter, int(censored.sum()))
+    out[censored] += rng_of(seed).uniform(0.0, jitter, int(censored.sum()))
     return out
 
 
@@ -266,7 +248,7 @@ def prepare_dataset(
     of :func:`_prepare_rows`, so an invalid ``tau`` is reported before any
     error of the data.
     """
-    _seed_entropy(seed)
+    seed_words(seed)
     if jitter not in ("auto", None):
         raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
     sample = PairedSample.of(data)

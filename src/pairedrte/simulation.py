@@ -28,10 +28,9 @@ from .errors import (
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
-from .inference import InferenceConfig, _reports, _wald_decisions, test_and_ci
-from .paired_data import (
-    Dataset, PairedSample, _is_integer, _plain_ints, _prepare_rows, _seed_entropy,
-)
+from ._streams import grid_seed, is_integer, rng_of, rngs_of, seed_words
+from .inference import InferenceConfig, _distinct, _reports, _wald_decisions, test_and_ci
+from .paired_data import Dataset, PairedSample, _plain_ints, _prepare_rows
 
 __all__ = [
     "Exponential",
@@ -41,8 +40,6 @@ __all__ = [
     "Scenario",
     "ExperimentResult",
     "CalibrationResult",
-    "sample_gumbel_hougaard",
-    "sample_clayton",
     "sample_copula",
     "draw_paired_sample",
     "calibrate_null",
@@ -174,85 +171,6 @@ class Mixture:
 # Copula samplers
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(_seed_entropy(seed))
-
-
-# numpy's SeedSequence hash on a pool of 4 uint32 words, with explicit
-# np.uint32 constants so that value-based casting and NEP 50 give the same words
-_U32_MASK, _U128_MASK = 2**32 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-
-
-def _hash_constants(init: int, mult: int, calls: int):
-    """The xor and multiplier columns of ``calls`` successive ``hashmix`` calls, each (calls, 1)."""
-    h = [init]
-    for _ in range(calls):
-        h.append(h[-1] * mult & _U32_MASK)
-    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
-
-
-_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# mixing source word s into the others takes calls 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2
-# in order of the destination word; row s holds a placeholder
-_MIX_CONSTANTS = [tuple(np.insert(a[4 + 3 * s:7 + 3 * s], s, 0, axis=0)
-                        for a in (_POOL_XOR, _POOL_MUL)) for s in range(4)]
-
-
-def _xorshift(value):
-    return value ^ (value >> _XSHIFT)
-
-
-def _hashmix(value, xor, mul):
-    return _xorshift((value ^ xor) * mul)
-
-
-def _pcg64_seeds(seed: int, reps: range) -> list:
-    """The words of ``SeedSequence([seed, rep]).generate_state(4, uint64)``, four lists over ``reps``."""
-    pool = np.zeros((4, len(reps)), np.uint32)
-    pool[0], pool[1] = seed, reps
-    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
-    for src, (xor, mul) in enumerate(_MIX_CONSTANTS):
-        word = pool[src].copy()
-        pool = _xorshift(_MIX_L * pool - _MIX_R * _hashmix(word, xor, mul))
-        pool[src] = word
-    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).tolist()
-
-
-def _rngs_of(seed, reps: range):
-    """Yield the generator of each seed-word row ``(seed, rep)``, ``rep`` in ``reps``, in order.
-
-    Each draws exactly the stream of ``_rng_of((seed, rep))``, that is of
-    ``default_rng([seed, rep])``. The seed words are checked once, at the
-    ends of ``reps``, as :func:`_rng_of` checks them. When every word is below 2**32, numpy's
-    SeedSequence hash runs once for the block, PCG64's seeding (two 128-bit
-    LCG steps) once per row, and one generator is reseeded per row: a yielded
-    generator is valid only until the next one is taken. A word of 2**32 or
-    more, which numpy splits into several uint32 words, gives every row a
-    generator of its own from :func:`_rng_of`. Block draws take their
-    generators here and nowhere else.
-    """
-    entropy = _seed_entropy((seed, reps[0]), (seed, reps[-1]))
-    if max(entropy) > _U32_MASK:
-        yield from (_rng_of((seed, rep)) for rep in reps)
-        return
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*_pcg64_seeds(entropy[0], reps)):
-        # from state 0, step to inc, add the seed, step again: a step is state * mult + inc
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _U128_MASK
-        lcg = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _U128_MASK
-        state["state"] = {"state": lcg, "inc": inc}
-        bits.state = state
-        yield rng
-
-
 def _frailty_pairs(param: float, theta, w, e) -> np.ndarray:
     """Gumbel-Hougaard pairs ``exp(-(e / V) ** alpha)``, ``alpha = 1/param``, of any leading shape.
 
@@ -279,50 +197,12 @@ def _open_unit(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
-def sample_gumbel_hougaard(param: float, n: int, seed) -> np.ndarray:
-    """Draw ``n`` pairs from the Gumbel-Hougaard copula with parameter >= 1.
-
-    Frailty construction: a positive stable variate ``V`` with index
-    ``1/param`` and independent unit exponentials ``E_j`` give
-    ``U_j = exp(-(E_j / V) ** (1/param))``. ``param == 1`` is independence.
-    Uniforms that land on 0 or 1 are redrawn, column 0's before column 1's.
-    """
-    if not param >= 1.0:
-        raise InvalidParameter(f"Gumbel-Hougaard parameter must be >= 1, got {param}")
-    rng = _rng_of(seed)
-    if param == 1.0:
-        u = rng.random((n, 2))
-    else:
-        u = _frailty_pairs(param, rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n),
-                           rng.exponential(1.0, (n, 2)))
-    for j in (0, 1):
-        u[:, j] = _open_unit(u[:, j], rng)
-    return u
-
-
-def sample_clayton(param: float, n: int, seed) -> np.ndarray:
-    """Draw ``n`` pairs from the Clayton copula, parameter in [-1, inf) \\ {0}.
-
-    Conditional inversion: with independent uniforms ``u, w``,
-    ``v = ((w**(-param/(1+param)) - 1) u**(-param) + 1)**(-1/param)``.
-    Negative parameters give negative dependence; ``param == -1`` is the
-    countermonotone boundary ``v = 1 - u``.
-    """
-    if param == 0.0 or param < -1.0:
-        raise InvalidParameter(
-            f"Clayton parameter must be in [-1, inf) excluding 0, got {param}"
-        )
-    rng = _rng_of(seed)
-    u = _open_unit(rng.random(n), rng)
-    if param == -1.0:
-        return np.column_stack([u, _clayton_v(u, None, param)])
-    w = _open_unit(rng.random(n), rng)
-    return np.column_stack([u, _open_unit(_clayton_v(u, w, param), rng)])
-
-
 def _clayton_v(u, w, param: float):
-    """Clayton partners of uniforms ``u`` by inversion at ``w``, without overflow warnings."""
-    if param == -1.0:  # the countermonotone boundary
+    """Clayton partners of uniforms ``u`` by inversion at ``w``, without overflow warnings.
+
+    ``v = ((w**(-param/(1+param)) - 1) u**(-param) + 1)**(-1/param)``, countermonotone at -1.
+    """
+    if param == -1.0:
         return 1.0 - u
     with np.errstate(all="ignore"):
         return ((w ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0) ** (-1.0 / param)
@@ -331,13 +211,46 @@ def _clayton_v(u, w, param: float):
 COPULAS = ("gumbel_hougaard", "clayton")
 
 
+def _copula_problem(copula: str, param: float):
+    """``(field, reason)`` if the copula is unknown or the parameter outside its domain, else None."""
+    if copula not in COPULAS:
+        return "copula", f"unknown copula {copula!r}; expected one of {COPULAS}"
+    if not math.isfinite(param):
+        return "copula_param", "the copula parameter must be finite"
+    if copula == "gumbel_hougaard" and not param >= 1.0:
+        return "copula_param", "Gumbel-Hougaard parameter must be >= 1"
+    if copula == "clayton" and (param == 0 or param < -1):
+        return "copula_param", "Clayton parameter must be in [-1, inf) \\ {0}"
+    return None
+
+
 def sample_copula(name: str, param: float, n: int, seed) -> np.ndarray:
-    """Draw ``n`` pairs from the named copula, each uniform strictly inside (0, 1)."""
-    if name == "gumbel_hougaard":
-        return sample_gumbel_hougaard(param, n, seed)
+    """Draw ``n`` pairs from the named copula, each uniform strictly inside (0, 1).
+
+    Gumbel-Hougaard (parameter >= 1, independence at 1) by the frailty
+    construction of :func:`_frailty_pairs`, Clayton (parameter in [-1, inf)
+    excluding 0) by the inversion of :func:`_clayton_v`. Boundary uniforms are
+    redrawn: Gumbel-Hougaard's column 0, then 1; Clayton's ``u``, ``w``, ``v``.
+    A copula or parameter :class:`Scenario` refuses is an :class:`InvalidParameter`.
+    """
+    problem = _copula_problem(name, param)
+    if problem is not None:
+        raise InvalidParameter(problem[1])
+    rng = rng_of(seed)
     if name == "clayton":
-        return sample_clayton(param, n, seed)
-    raise InvalidParameter(f"unknown copula {name!r}; expected one of {COPULAS}")
+        u = _open_unit(rng.random(n), rng)
+        if param == -1.0:
+            return np.column_stack([u, _clayton_v(u, None, param)])
+        w = _open_unit(rng.random(n), rng)
+        return np.column_stack([u, _open_unit(_clayton_v(u, w, param), rng)])
+    if param == 1.0:
+        u = rng.random((n, 2))
+    else:
+        u = _frailty_pairs(param, rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n),
+                           rng.exponential(1.0, (n, 2)))
+    for j in (0, 1):
+        u[:, j] = _open_unit(u[:, j], rng)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +270,12 @@ class Scenario:
     n: int
 
     def __post_init__(self):
-        if self.copula not in COPULAS:
-            raise ScenarioError("copula",
-                                f"unknown copula {self.copula!r}; expected one of {COPULAS}")
-        if not math.isfinite(self.copula_param):
-            raise ScenarioError("copula_param", "the copula parameter must be finite")
-        if self.copula == "gumbel_hougaard" and not self.copula_param >= 1.0:
-            raise ScenarioError("copula_param", "Gumbel-Hougaard parameter must be >= 1")
-        if self.copula == "clayton" and (self.copula_param == 0 or self.copula_param < -1):
-            raise ScenarioError("copula_param", "Clayton parameter must be in [-1, inf) \\ {0}")
+        problem = _copula_problem(self.copula, self.copula_param)
+        if problem is not None:
+            raise ScenarioError(*problem)
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ScenarioError("tau", "tau must be a positive finite number")
-        if not (_is_integer(self.n) and self.n >= 1):
+        if not (is_integer(self.n) and self.n >= 1):
             raise ScenarioError("n", f"n must be an integer at least 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -391,7 +298,7 @@ def _draw_sample(scenario: Scenario, rng: np.random.Generator):
 
 def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
     """Sample one paired dataset of the scenario's size."""
-    x, delta = _observe(*_draw_sample(scenario, _rng_of(seed)), scenario)
+    x, delta = _observe(*_draw_sample(scenario, rng_of(seed)), scenario)
     return PairedSample(x, delta)
 
 
@@ -404,15 +311,15 @@ def _draw_block(scenario: Scenario, seed: int, reps: range):
     """Times and indicators, each (R, n, 2), of replicates ``reps``.
 
     Replicate ``rep`` draws :func:`draw_paired_sample`'s stream from
-    ``_rng_of((seed, rep))``, whose generator :func:`_rngs_of` seeds with
-    the rest of the block's. Each generator makes, into block arrays, the
-    raw calls :func:`_draw_sample` makes when no uniform touches 0 or 1; the
-    copula transform and the open-interval check then run once on the block.
+    ``rng_of((seed, rep))``, whose generator ``rngs_of`` seeds with the rest
+    of the block's. Each generator makes, into block arrays, the raw calls
+    :func:`_draw_sample` makes when no uniform touches 0 or 1; the copula
+    transform and the open-interval check then run once on the block.
     A row that touched 0 or 1 is drawn again by :func:`_draw_sample` from a
     fresh generator, so its stream is the per-sample one with its redraws.
     """
     n, param, upper = scenario.n, scenario.copula_param, scenario.censoring.upper
-    rows, rngs = len(reps), _rngs_of(seed, reps)
+    rows, rngs = len(reps), rngs_of(seed, reps)
     if scenario.copula == "gumbel_hougaard" and param != 1.0:
         theta, w, e = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 2))
         c = np.empty((rows, 2, n))
@@ -436,7 +343,7 @@ def _draw_block(scenario: Scenario, seed: int, reps: range):
         del raw
     c = c.transpose(0, 2, 1)
     for i in np.flatnonzero(~ok):
-        u[i], c[i] = _draw_sample(scenario, _rng_of((seed, reps[i])))
+        u[i], c[i] = _draw_sample(scenario, rng_of((seed, reps[i])))
     return _observe(u, c, scenario)
 
 
@@ -471,7 +378,7 @@ def calibrate_null(
     The map parameter -> effect must be monotone over the bracket (checked
     empirically; a violation only warns).
     """
-    if not _is_integer(n_draws):
+    if not is_integer(n_draws):
         raise ValidationError(f"n_draws must be an integer, got {n_draws!r}")
     if not n_draws >= 1:
         raise ValidationError(f"n_draws must be at least 1, got {n_draws}")
@@ -479,8 +386,7 @@ def calibrate_null(
     if not lo < hi:
         raise BracketError(f"invalid bracket {bracket}")
     probe = make_scenario(lo)
-    rng = np.random.default_rng(_seed_entropy(seed))
-    u1, u2 = sample_copula(probe.copula, probe.copula_param, n_draws, rng).T
+    u1, u2 = sample_copula(probe.copula, probe.copula_param, n_draws, seed_words(seed)).T
 
     def theta_of(param: float) -> float:
         s = make_scenario(param)
@@ -646,13 +552,11 @@ def run_size_experiment(
     and ``seed`` included), ``r < 1`` and an empty or repeated method or
     transform raise before any replicate runs.
     """
-    if not _is_integer(r):
+    if not is_integer(r):
         raise ValidationError(f"r must be an integer, got {r!r}")
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
-    for field, names in (("methods", methods), ("transforms", transforms)):
-        if not names or len(set(names)) < len(names):
-            raise ValidationError(f"{field} must be nonempty and distinct, got {list(names)}")
+    methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
     for method in methods:  # a bad setting raises here, not as each replicate's failure
         InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
     asymptotic = {t: InferenceConfig(method="asymptotic", sided=sided, alpha=alpha, transform=t)
@@ -736,7 +640,7 @@ def run_power_experiment(
                 b=b,
                 alpha=alpha,
                 sided=sided,
-                seed=int(np.random.SeedSequence(_seed_entropy(seed, idx)).generate_state(1)[0]),
+                seed=grid_seed(seed, idx),
                 label=label,
             )
         )

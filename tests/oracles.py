@@ -276,12 +276,12 @@ def reference_theta_sigma2_cif(Y, dN1, dN2, dN3, n):
 def reference_draw_block(scenario, seeds):
     """Times and indicators, each (R, n, 2), of one sample per seed, drawn one sample at a time.
 
-    Each seed's generator comes from ``simulation._rng_of`` and draws the
+    Each seed's generator comes from ``simulation.rng_of`` and draws the
     copula with its boundary redraws, then the uniform censoring times; the
     quantile transforms then run on the stacked draws.
     """
     u, c = [], []
-    for rng in map(prt.simulation._rng_of, seeds):
+    for rng in map(prt.simulation.rng_of, seeds):
         u.append(prt.simulation.sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
         c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
     return prt.simulation._observe(np.array(u), np.array(c), scenario)

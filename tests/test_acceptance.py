@@ -266,8 +266,8 @@ def test_07_finite_exactness_under_exchangeability():
 
 def test_08_copula_samplers():
     n = 100_000
-    u_gh = sim.sample_gumbel_hougaard(5.0, n, seed=88)
-    u_cl = sim.sample_clayton(-0.6, n, seed=89)
+    u_gh = sim.sample_copula("gumbel_hougaard", 5.0, n, seed=88)
+    u_cl = sim.sample_copula("clayton", -0.6, n, seed=89)
     tau_gh = kendalltau(u_gh[:, 0], u_gh[:, 1]).statistic
     tau_cl = kendalltau(u_cl[:, 0], u_cl[:, 1]).statistic
     ks = [kstest(u[:, j], "uniform").statistic for u in (u_gh, u_cl) for j in (0, 1)]

@@ -594,6 +594,15 @@ def test_numpy_counts_are_stored_as_python_ints(sample):
     json.dumps([r.to_dict() for r in reports])
 
 
+@pytest.mark.parametrize("methods, transforms", [
+    ([], ["linear"]), (["asymptotic"], []), (["asymptotic", "asymptotic"], ["linear"]),
+], ids=["no-method", "no-transform", "repeated-method"])
+def test_run_inference_refuses_empty_or_repeated_names(sample, methods, transforms):
+    # these returned [] or the same report twice; the size harness refuses them alike
+    with pytest.raises(ValidationError, match="must be nonempty and distinct"):
+        run_inference(sample, methods, transforms)
+
+
 def test_one_shot_iterables_give_every_report(sample):
     reports = run_inference(sample, iter(["asymptotic", "bootstrap"]), iter(["linear", "loglog"]),
                             b=200)

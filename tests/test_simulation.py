@@ -29,8 +29,6 @@ from pairedrte import (
     prepare_dataset,
     run_power_experiment,
     run_size_experiment,
-    sample_clayton,
-    sample_gumbel_hougaard,
     table1_scenario,
 )
 from pairedrte import _engine, simulation
@@ -93,54 +91,67 @@ def test_copula_uniforms_stay_inside_the_unit_interval(copula, param):
         assert np.all((u > 0.0) & (u < 1.0)), (copula, param)
 
 
+@pytest.mark.parametrize("copula, param", [
+    ("gumbel_hougaard", math.inf), ("gumbel_hougaard", math.nan),
+    ("clayton", math.inf), ("clayton", math.nan), ("frank", 2.0),
+])
+def test_sampler_refuses_what_scenario_refuses(copula, param):
+    # an infinite Gumbel-Hougaard parameter ended in a bare ZeroDivisionError,
+    # and a non-finite Clayton one redrew every v, so the pairs came out independent
+    with pytest.raises(ScenarioError) as refused:
+        Scenario(copula, param, Exponential(1), Exponential(1), Uniform(2), 1.0, 20)
+    with pytest.raises(InvalidParameter, match=re.escape(refused.value.reason)):
+        sample_copula(copula, param, 5, 1)
+
+
 class TestGumbelHougaard:
     def test_independence_at_parameter_one(self):
-        u = sample_gumbel_hougaard(1.0, N_BIG, seed=1)
+        u = sample_copula("gumbel_hougaard", 1.0, N_BIG, seed=1)
         assert abs(kendall(u)) <= 0.01
 
     def test_kendall_tau_matches_closed_form(self):
         # tau = 1 - 1/param
-        u = sample_gumbel_hougaard(5.0, N_BIG, seed=2)
+        u = sample_copula("gumbel_hougaard", 5.0, N_BIG, seed=2)
         assert kendall(u) == pytest.approx(0.8, abs=0.01)
 
     def test_marginal_uniformity(self):
-        u = sample_gumbel_hougaard(5.0, N_BIG, seed=3)
+        u = sample_copula("gumbel_hougaard", 5.0, N_BIG, seed=3)
         assert np.mean(u[:, 0] <= 0.5) == pytest.approx(0.5, abs=0.01)
         assert kstest(u[:, 1], "uniform").statistic <= 0.01
         assert np.all((u > 0) & (u < 1))
 
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameter):
-            sample_gumbel_hougaard(0.8, 10, seed=0)
+            sample_copula("gumbel_hougaard", 0.8, 10, seed=0)
 
 
 class TestClayton:
     def test_near_independence_limit(self):
-        u = sample_clayton(1e-6, N_BIG, seed=4)
+        u = sample_copula("clayton", 1e-6, N_BIG, seed=4)
         assert abs(kendall(u)) <= 0.01
 
     def test_negative_dependence_closed_form(self):
         # tau = param / (param + 2)
-        u = sample_clayton(-0.6, N_BIG, seed=5)
+        u = sample_copula("clayton", -0.6, N_BIG, seed=5)
         assert kendall(u) == pytest.approx(-0.6 / 1.4, abs=0.01)
 
     def test_positive_dependence_closed_form(self):
-        u = sample_clayton(2.0, N_BIG, seed=6)
+        u = sample_copula("clayton", 2.0, N_BIG, seed=6)
         assert kendall(u) == pytest.approx(0.5, abs=0.01)
 
     def test_marginals_uniform(self):
-        u = sample_clayton(-0.6, N_BIG, seed=7)
+        u = sample_copula("clayton", -0.6, N_BIG, seed=7)
         assert kstest(u[:, 0], "uniform").statistic <= 0.01
         assert kstest(u[:, 1], "uniform").statistic <= 0.01
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
-            sample_clayton(0.0, 10, seed=0)
+            sample_copula("clayton", 0.0, 10, seed=0)
         with pytest.raises(InvalidParameter):
-            sample_clayton(-1.5, 10, seed=0)
+            sample_copula("clayton", -1.5, 10, seed=0)
 
     def test_countermonotone_boundary(self):
-        u = sample_clayton(-1.0, 1000, seed=8)
+        u = sample_copula("clayton", -1.0, 1000, seed=8)
         np.testing.assert_allclose(u[:, 1], 1.0 - u[:, 0])
 
 
@@ -255,6 +266,18 @@ def test_negative_seed_is_a_validation_error(simple_scenario, call):
         call(simple_scenario, -1)
 
 
+def test_power_seed_is_one_word_as_in_the_size_harness(simple_scenario, monkeypatch):
+    # a tuple seed used to be flattened into the grid's SeedSequence words
+    with pytest.raises(ValidationError) as size:
+        run_size_experiment(simple_scenario, methods=["asymptotic"], r=2, seed=(1, 2))
+    points = []
+    monkeypatch.setattr(simulation, "run_size_experiment", lambda s, **kwargs: points.append(s))
+    with pytest.raises(ValidationError, match=re.escape(str(size.value))):
+        run_power_experiment([("a", simple_scenario)] * 2, methods=["asymptotic"], r=2,
+                             seed=(1, 2))
+    assert points == []
+
+
 # Each count a caller passes, as a call on the scenario that takes it.
 COUNTS = {
     "b": lambda s, b: bootstrap_distribution(prepare_dataset(draw_paired_sample(s, 1), s.tau),
@@ -360,7 +383,7 @@ class TestCalibrateNull:
         with pytest.raises(BracketError):
             # No sign change because the curve is flat at the target.
             calibrate_null(build, (0.5, 2.0), n_draws=20_000, seed=16)
-        u = sample_gumbel_hougaard(5.0, 50_000, seed=17)
+        u = sample_copula("gumbel_hougaard", 5.0, 50_000, seed=17)
         t1 = Exponential(2.0).quantile(1.0 - u[:, 0])
         t2 = Exponential(2.0).quantile(1.0 - u[:, 1])
         m1 = np.minimum(t1, 1.0)
@@ -668,42 +691,6 @@ def assert_draws_equal(got, want):
         np.testing.assert_array_equal(a, b)
 
 
-class TestBlockSeeding:
-    """``_rngs_of`` against ``default_rng([seed, rep])``, generator for generator."""
-
-    def test_every_row_draws_the_stream_of_default_rng(self, monkeypatch):
-        # one wrong step of the hash or the LCG can pass a handful of seeds and
-        # still move harness counts, so span many: the word boundaries, the
-        # seeds run_power_experiment derives at acceptance 10's seed 31 and at
-        # 0, and random words; 2**32 and 2**64 take the per-row fallback
-        derived = []
-        monkeypatch.setattr(simulation, "run_size_experiment",
-                            lambda scenario, **kwargs: derived.append(kwargs["seed"]))
-        for seed in (0, 31):
-            run_power_experiment([("point", CELL_06B)] * 6, seed=seed)
-        random = [int(w) for w in np.random.default_rng(2024).integers(0, 2**32, 30)]
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64, *derived, *random]
-        blocks = [range(200), range(2**31 - 10, 2**31 + 10), range(2**32 - 40, 2**32),
-                  range(2**32 - 2, 2**32 + 2)]
-        pairs = 0
-        for seed in seeds:
-            for reps in blocks:
-                for rep, rng in zip(reps, simulation._rngs_of(seed, reps), strict=True):
-                    want = np.random.default_rng([seed, rep])
-                    assert rng.bit_generator.state == want.bit_generator.state, (seed, rep)
-                    np.testing.assert_array_equal(rng.random(4), want.random(4))
-                    np.testing.assert_array_equal(rng.exponential(1.0, 3), want.exponential(1.0, 3))
-                    pairs += 1
-        assert len(derived) == 12 and pairs >= 10_000
-
-    @pytest.mark.parametrize("seed", [-1, True, 2.5, (1, 2)], ids=repr)
-    def test_seed_words_are_checked_as_for_one_generator(self, seed):
-        with pytest.raises(ValidationError) as one:
-            simulation._rng_of((seed, 0))
-        with pytest.raises(ValidationError, match=re.escape(str(one.value))):
-            next(simulation._rngs_of(seed, range(3)))
-
-
 class TestBlockDraws:
     """``_draw_block`` against ``reference_draw_block``, one sample at a time."""
 
@@ -716,22 +703,22 @@ class TestBlockDraws:
     def substitute(monkeypatch, swap):
         """Give replicate ``(seed, rep)`` the generator ``swap((seed, rep))`` unless that is None.
 
-        The block draws take it from ``_rngs_of``, the replays and
-        ``reference_draw_block`` from ``_rng_of``.
+        The block draws take it from ``simulation.rngs_of``, the replays and
+        ``reference_draw_block`` from ``simulation.rng_of``.
         """
-        rng_of, rngs_of = simulation._rng_of, simulation._rngs_of
+        rng_of, rngs_of = simulation.rng_of, simulation.rngs_of
 
         def block(seed, reps):
             for rep, rng in zip(reps, rngs_of(seed, reps)):
                 swapped = swap((seed, rep))
                 yield rng if swapped is None else swapped
 
-        def one(seed):
-            swapped = swap(seed) if isinstance(seed, tuple) else None
-            return rng_of(seed) if swapped is None else swapped
+        def one(*words):
+            swapped = swap(words[0]) if isinstance(words[0], tuple) else None
+            return rng_of(*words) if swapped is None else swapped
 
-        monkeypatch.setattr(simulation, "_rngs_of", block)
-        monkeypatch.setattr(simulation, "_rng_of", one)
+        monkeypatch.setattr(simulation, "rngs_of", block)
+        monkeypatch.setattr(simulation, "rng_of", one)
 
     @pytest.mark.parametrize("name", ["06b", "clayton-1.0", "gh1.0", "07"])
     def test_rows_that_touch_0_or_1_are_drawn_again(self, name, monkeypatch):

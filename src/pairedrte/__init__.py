@@ -32,12 +32,7 @@ from .paired_data import (
     read_paired_csv,
     write_competing_csv,
 )
-from .estimators import (
-    CountingProcesses,
-    RteEstimate,
-    counting_processes,
-    estimate_rte,
-)
+from .estimators import RteEstimate, estimate_rte
 from .inference import (
     InferenceConfig,
     InferenceReport,
@@ -56,7 +51,6 @@ from .simulation import (
     Scenario,
     Uniform,
     calibrate_null,
-    draw_paired_sample,
     load_calibrated_params,
     power_scenario,
     run_power_experiment,

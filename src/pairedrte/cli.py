@@ -39,6 +39,10 @@ EXIT_DEGENERATE = 5
 # What refuses a sample's inference but leaves its estimate standing.
 _REFUSALS = (DegenerateVariance, InsufficientReplicates, ThetaOutOfDomain)
 
+# Paths name files: click refuses a directory, and a missing input, with exit 2.
+_INPUT = click.Path(exists=True, dir_okay=False)
+_OUTPUT = click.Path(dir_okay=False)
+
 _METHOD_NAMES = {"asy": "asymptotic", "boot": "bootstrap", "rand": "randomization"}
 _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
 
@@ -89,7 +93,7 @@ def _load_input(input_path: str, tau: float):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@click.option("--input", "input_path", required=True, type=_INPUT)
 @click.option("--tau", required=True, type=float, help="Follow-up horizon.")
 @click.option("--alpha", default=0.05, show_default=True)
 @click.option("--sided", type=click.Choice(["left", "right", "two"]), default="two",
@@ -102,7 +106,7 @@ def _load_input(input_path: str, tau: float):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--group-by", is_flag=True, help="Analyze each group label separately.")
 @click.option("--no-jitter", is_flag=True, help="Skip censoring-tie jitter.")
-@click.option("--output", type=click.Path(), default=None)
+@click.option("--output", type=_OUTPUT, default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table",
               show_default=True)
 def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by,
@@ -204,11 +208,11 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@click.option("--input", "input_path", required=True, type=_INPUT)
 @click.option("--tau", required=True, type=float)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--no-jitter", is_flag=True)
-@click.option("--output", type=click.Path(), default=None,
+@click.option("--output", type=_OUTPUT, default=None,
               help="Competing-risks CSV destination (stdout if omitted).")
 def transform(input_path, tau, seed, no_jitter, output):
     """Write the competing-risks transformation of a paired CSV."""
@@ -247,12 +251,12 @@ def _experiment_command(name: str):
     """
     def decorate(body):
         @main.command(name, help=body.__doc__)
-        @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
+        @click.option("--scenario", "scenario_path", required=True, type=_INPUT)
         @click.option("--R", "r", type=int, default=None, help="Override replication count.")
         @click.option("--B", "b", type=int, default=None, help="Override resampling iterations.")
         @click.option("--alpha", type=float, default=None)
         @click.option("--seed", type=int, default=None)
-        @click.option("--output", type=click.Path(), default=None)
+        @click.option("--output", type=_OUTPUT, default=None)
         def command(scenario_path, output, **given):
             with open(scenario_path, encoding="utf-8") as fh:
                 try:
@@ -290,7 +294,7 @@ def simulate_power(settings, rest):
 @click.option("--n-draws", default=1_000_000, show_default=True)
 @click.option("--tol", default=0.002, show_default=True)
 @click.option("--seed", default=20260809, show_default=True)
-@click.option("--output", type=click.Path(), default=None,
+@click.option("--output", type=_OUTPUT, default=None,
               help="Write the calibrated-parameter JSON here (stdout if omitted).")
 def calibrate(n_draws, tol, seed, output):
     """Recompute the null-scenario marginal parameters (theta = 1/2)."""

@@ -18,21 +18,7 @@ from . import _engine
 from .errors import DegenerateRiskWarning
 from .paired_data import Dataset
 
-__all__ = [
-    "CountingProcesses",
-    "RteEstimate",
-    "counting_processes",
-    "estimate_rte",
-]
-
-
-@dataclass(frozen=True)
-class CountingProcesses:
-    """Tie-aware event counts and at-risk sizes on the event-time grid."""
-
-    event_times: np.ndarray
-    at_risk: np.ndarray
-    dn: np.ndarray  # shape (3, k): causes 1, 2, 3
+__all__ = ["RteEstimate", "estimate_rte"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +34,6 @@ class RteEstimate:
     def se(self) -> float:
         """Standard error of theta_hat: sqrt(sigma2_hat / n)."""
         return float(np.sqrt(self.sigma2_hat / self.n))
-
-
-def counting_processes(data: Dataset) -> CountingProcesses:
-    """Exact tie-aware counting and at-risk processes of the sample."""
-    times, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
-    return CountingProcesses(event_times=times, at_risk=at_risk, dn=dn)
 
 
 def _estimates_from_counts(at_risk, dn, n: int, tau: float, last_time):
@@ -86,12 +66,12 @@ def estimate_rte(data: Dataset) -> RteEstimate:
     later. Flags, without failing, samples whose risk set
     is exhausted strictly before ``tau`` while survival mass remains.
     """
-    cp = counting_processes(data)
+    _, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
     # every event time is <= the largest record time, so the survival curve
     # there is its last product-limit value
     last_observed = float(np.max(data.z))
     theta, sigma2, exhausted = _estimates_from_counts(
-        cp.at_risk, cp.dn, data.n, data.tau, last_observed
+        at_risk, dn, data.n, data.tau, last_observed
     )
     if exhausted:
         warnings.warn(

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from ._streams import is_integer, seed_words
-from .estimators import RteEstimate, _estimates_from_counts, counting_processes, estimate_rte
+from .estimators import RteEstimate, _estimates_from_counts, estimate_rte
 from .paired_data import Dataset, _plain_ints
 
 __all__ = [
@@ -214,12 +214,10 @@ def bootstrap_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleDistr
     """
     if data.n < 2:
         raise ValidationError("bootstrap needs at least two records")
-    cp = counting_processes(data)
-    theta_hat = float(
-        _estimates_from_counts(cp.at_risk, cp.dn, data.n, data.tau, data.z.max())[0]
-    )
+    times, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
+    theta_hat = float(_estimates_from_counts(at_risk, dn, data.n, data.tau, data.z.max())[0])
 
-    kernel = _engine.bootstrap_kernel(data.z, data.epsilon, cp.event_times, data.n)
+    kernel = _engine.bootstrap_kernel(data.z, data.epsilon, times, data.n)
     return _replicate_distribution("bootstrap", kernel, data.n, data.n, theta_hat, cfg)
 
 
@@ -232,9 +230,9 @@ def randomization_distribution(data: Dataset, cfg: InferenceConfig) -> ResampleD
     of a replicate are drawn, and :func:`pairedrte._engine.relabel_kernel`
     evaluates them against the invariants of the sample, built once.
     """
-    cp = counting_processes(data)
-    kernel = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)
-    return _replicate_distribution("randomization", kernel, len(cp.event_times), data.n, 0.5, cfg)
+    times, at_risk, dn = _engine.event_grid(data.z, data.epsilon)
+    kernel = _engine.relabel_kernel(at_risk, dn, data.n)
+    return _replicate_distribution("randomization", kernel, len(times), data.n, 0.5, cfg)
 
 
 def _tie_tolerance(t):

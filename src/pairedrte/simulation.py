@@ -864,8 +864,9 @@ def power_scenario(family: int, copula: str, value: float, n: int) -> Scenario:
         raise ScenarioError("family", f"unknown power family {family!r}")
     return Scenario(
         copula=copula,
-        # an unknown copula has no parameter, and Scenario refuses it first
-        copula_param=_COPULA_PARAMS.get(copula),
+        # an unknown copula, a non-string one too, has no parameter, and
+        # Scenario refuses it first
+        copula_param=_COPULA_PARAMS.get(copula) if isinstance(copula, str) else None,
         marginal1=m1,
         marginal2=base,
         censoring=cens,

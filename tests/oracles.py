@@ -301,7 +301,7 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
     failures = []
     margins_censored = pairs_censored = risk_exhausted = 0
     for rep in range(r):
-        obs = prt.draw_paired_sample(scenario, np.random.default_rng([seed, rep]))
+        obs = prt.simulation.draw_paired_sample(scenario, np.random.default_rng([seed, rep]))
         margins_censored += int(((obs.delta == 0) | (obs.x >= scenario.tau)).sum())
         try:
             data = prt.prepare_dataset(obs, scenario.tau, seed=rep)

@@ -377,6 +377,8 @@ class TestSimulate:
         ({"grid": []}, "grid"),
         ({"grid": [GRID_ENTRY, dict(GRID_ENTRY, n="x")]}, "grid[1].n"),
         ({"values": [1e400]}, "values[0]"),
+        ({"power_family": 1, "copula": ["clayton"], "values": [0.1]}, "copula"),
+        ({"copula": {}}, "copula"),
     ])
     def test_power_file_value_of_the_wrong_type_names_the_field(self, runner, tmp_path,
                                                                  doc, field):
@@ -496,3 +498,24 @@ class TestRulesForEveryMethod:
         assert res.exit_code == EXIT_VALIDATION
         assert res.stdout == ""
         assert res.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--input", "{dir}", "--tau", "60"],
+    ["analyze", "--input", "{file}", "--tau", "60", "--output", "{dir}"],
+    ["transform", "--input", "{dir}", "--tau", "60"],
+    ["transform", "--input", "{file}", "--tau", "60", "--output", "{dir}"],
+    ["simulate-size", "--scenario", "{dir}"],
+    ["simulate-size", "--scenario", "{file}", "--output", "{dir}"],
+    ["simulate-power", "--scenario", "{dir}"],
+    ["simulate-power", "--scenario", "{file}", "--output", "{dir}"],
+    ["calibrate", "--output", "{dir}"],
+], ids=lambda args: f"{args[0]} {args[args.index('{dir}') - 1]}")
+def test_directory_path_is_a_usage_error(runner, tmp_path, args):
+    """Click refuses the directory before the command reads or computes anything."""
+    p = tmp_path / "input"
+    p.write_text(TIE_FREE)
+    res = runner.invoke(main, [arg.format(dir=tmp_path, file=p) for arg in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "is a directory" in res.stderr

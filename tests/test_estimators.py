@@ -10,7 +10,6 @@ from pairedrte import (
     Dataset,
     EmptyDataset,
     PairedObservation,
-    counting_processes,
     estimate_rte,
     prepare_dataset,
 )
@@ -25,29 +24,31 @@ def four_records():
     return Dataset(z=[1, 2, 3, 4], epsilon=[1, 0, 2, 3], tau=5.0)
 
 
-class TestCountingProcesses:
-    def test_hand_enumeration(self, four_records):
-        cp = counting_processes(four_records)
-        np.testing.assert_array_equal(cp.event_times, [1, 3, 4])
-        np.testing.assert_array_equal(cp.at_risk, [4, 2, 1])
-        np.testing.assert_array_equal(cp.dn, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def test_all_censored(self):
-        cp = counting_processes(Dataset(z=[1, 2], epsilon=[0, 0], tau=3.0))
-        assert len(cp.event_times) == 0
-
-    def test_tie_multiplicities(self):
-        cp = counting_processes(Dataset(z=[2, 2], epsilon=[1, 1], tau=3.0))
-        np.testing.assert_array_equal(cp.dn[0], [2])
-        np.testing.assert_array_equal(cp.at_risk, [2])
-
-    def test_monotone_at_risk(self, four_records):
-        cp = counting_processes(four_records)
-        assert np.all(np.diff(cp.at_risk) <= 0)
-        assert np.all(cp.dn.sum(axis=0) <= cp.at_risk)
+def event_grid(data):
+    return _engine.event_grid(data.z, data.epsilon)
 
 
 class TestEventGrid:
+    def test_hand_enumeration(self, four_records):
+        times, at_risk, dn = event_grid(four_records)
+        np.testing.assert_array_equal(times, [1, 3, 4])
+        np.testing.assert_array_equal(at_risk, [4, 2, 1])
+        np.testing.assert_array_equal(dn, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_all_censored(self):
+        times, _, _ = event_grid(Dataset(z=[1, 2], epsilon=[0, 0], tau=3.0))
+        assert len(times) == 0
+
+    def test_tie_multiplicities(self):
+        _, at_risk, dn = event_grid(Dataset(z=[2, 2], epsilon=[1, 1], tau=3.0))
+        np.testing.assert_array_equal(dn[0], [2])
+        np.testing.assert_array_equal(at_risk, [2])
+
+    def test_monotone_at_risk(self, four_records):
+        _, at_risk, dn = event_grid(four_records)
+        assert np.all(np.diff(at_risk) <= 0)
+        assert np.all(dn.sum(axis=0) <= at_risk)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), max_size=30))
     def test_equals_unique_time_grid(self, recs):

@@ -33,7 +33,10 @@ from pairedrte import (
 )
 from pairedrte.inference import resample_distribution
 from pairedrte import _engine
-from pairedrte.estimators import counting_processes
+
+
+def event_grid(data):
+    return _engine.event_grid(data.z, data.epsilon)
 
 
 def censored_sample(seed=0, n=80, rate2=1.3, cens=2.5, tau=1.8):
@@ -183,7 +186,7 @@ class TestBootstrapDistribution:
         rng = np.random.default_rng(17)
         z = rng.integers(1, 9, 40).astype(float)
         eps = rng.integers(0, 4, 40)
-        times = counting_processes(Dataset(z=z, epsilon=eps, tau=10.0)).event_times
+        times = event_grid(Dataset(z=z, epsilon=eps, tau=10.0))[0]
         b = 25
         draw, _ = _engine.bootstrap_kernel(z, eps, times, 40)
         y, *dn = draw(np.random.default_rng(8), b)
@@ -226,7 +229,7 @@ class TestBootstrapKernel:
         # so later blocks run in a slice of the first block's workspace
         z, eps = (np.asarray(a) for a in self.SAMPLES[name])
         z = z.astype(float)
-        times = counting_processes(Dataset(z=z, epsilon=eps, tau=100.0)).event_times
+        times = event_grid(Dataset(z=z, epsilon=eps, tau=100.0))[0]
         draw, evaluate = _engine.bootstrap_kernel(z, eps, times, len(z))
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for rows in (40, 7, 1):
@@ -279,11 +282,11 @@ class TestRandomizeLabels:
         rng = np.random.default_rng(3)
         z = np.sort(rng.integers(1, 6, 40).astype(float))
         data = Dataset(z=z, epsilon=rng.integers(0, 4, 40), tau=10.0)
-        cp = counting_processes(data)
+        _, _, dn = event_grid(data)
         for seed in range(20):
-            relabeled = counting_processes(randomize_labels(data, seed=seed))
-            dn2 = _engine.relabel_counts(cp.dn, np.random.default_rng(seed), 1)
-            np.testing.assert_array_equal(dn2[0], relabeled.dn[1])
+            _, _, relabeled = event_grid(randomize_labels(data, seed=seed))
+            dn2 = _engine.relabel_counts(dn, np.random.default_rng(seed), 1)
+            np.testing.assert_array_equal(dn2[0], relabeled[1])
 
 
 class TestRandomizationDistribution:
@@ -298,8 +301,8 @@ class TestRandomizationDistribution:
         # push it through the single-sample estimator and variance paths.
         cfg = InferenceConfig(method="randomization", b=5, seed=11)
         dist = randomization_distribution(sample, cfg)
-        cp = counting_processes(sample)
-        m = (cp.dn[0] + cp.dn[1]).astype(int)
+        _, _, dn = event_grid(sample)
+        m = (dn[0] + dn[1]).astype(int)
         flip_slots = np.repeat(np.arange(len(m)), m)
         coins = np.random.default_rng([11, 13, 0]).random((5, len(flip_slots))) < 0.5
         order = np.argsort(sample.z, kind="stable")
@@ -359,11 +362,11 @@ class TestRelabelKernel:
         n = (12, 40, 300, 3000)[seed % 4]
         z = rng.integers(1, 8, n).astype(float) if seed % 2 else rng.exponential(1.0, n)
         data = Dataset(z=z, epsilon=rng.choice(4, n, p=rng.dirichlet(np.ones(4))), tau=100.0)
-        cp = counting_processes(data)
-        dn2 = _engine.relabel_counts(cp.dn, np.random.default_rng(seed), 64)
-        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, n)[1](dn2)
-        dn1 = cp.dn[0] + cp.dn[1] - dn2
-        y, dn3 = (np.broadcast_to(a, dn2.shape) for a in (cp.at_risk, cp.dn[2]))
+        _, at_risk, dn = event_grid(data)
+        dn2 = _engine.relabel_counts(dn, np.random.default_rng(seed), 64)
+        theta, sigma2 = _engine.relabel_kernel(at_risk, dn, n)[1](dn2)
+        dn1 = dn[0] + dn[1] - dn2
+        y, dn3 = (np.broadcast_to(a, dn2.shape) for a in (at_risk, dn[2]))
         theta0, sigma20 = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn3, n)
         np.testing.assert_allclose(theta, theta0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sigma2, sigma20, rtol=1e-12, atol=1e-15)
@@ -373,10 +376,10 @@ class TestRelabelKernel:
         # on type 2 gives theta = 1 and variance 0, on type 1 theta = 0
         # (without the rule, this sample's all-type-2 variance is 2.2e-16)
         data = Dataset(z=[4.0, 2.0, 4.0, 4.0, 2.0, 3.0], epsilon=[2, 2, 2, 2, 1, 0], tau=9.0)
-        cp = counting_processes(data)
-        m = cp.dn[0] + cp.dn[1]
-        theta, sigma2 = _engine.relabel_kernel(cp.at_risk, cp.dn, data.n)[1](
-            np.stack([m, 0 * m, cp.dn[1]]))
+        _, at_risk, dn = event_grid(data)
+        m = dn[0] + dn[1]
+        theta, sigma2 = _engine.relabel_kernel(at_risk, dn, data.n)[1](
+            np.stack([m, 0 * m, dn[1]]))
         assert theta[:2] == pytest.approx([1.0, 0.0], abs=1e-15)
         assert sigma2[0] == 0.0 and sigma2[1] == 0.0
         assert sigma2[2] > 0
@@ -495,11 +498,11 @@ class TestReplicateSeedDerivation:
         cfg = InferenceConfig(method="randomization", b=40, seed=(3, 5))
         dist = randomization_distribution(sample, cfg)
         rng = np.random.default_rng([3, 5, 13, 0])
-        cp = counting_processes(sample)
-        dn2 = _engine.relabel_counts(cp.dn, rng, 40)
-        dn1 = cp.dn[0] + cp.dn[1] - dn2
-        y = np.broadcast_to(cp.at_risk, dn1.shape)
-        thetas, _ = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, cp.dn[2], sample.n)
+        _, at_risk, dn = event_grid(sample)
+        dn2 = _engine.relabel_counts(dn, rng, 40)
+        dn1 = dn[0] + dn[1] - dn2
+        y = np.broadcast_to(at_risk, dn1.shape)
+        thetas, _ = _engine.theta_sigma2_cif_from_counts(y, dn1, dn2, dn[2], sample.n)
         np.testing.assert_allclose(dist.thetas, thetas)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", (3, -5)])
@@ -536,7 +539,7 @@ class TestReplicateBlocks:
         whole = resample_distribution(sample, cfg)
         # 7-row blocks: a bootstrap draw spends one cell per record and row,
         # a relabeling one per grid time
-        width = sample.n if method == "bootstrap" else len(counting_processes(sample).at_risk)
+        width = sample.n if method == "bootstrap" else len(event_grid(sample)[0])
         monkeypatch.setattr(_engine, "BLOCK_CELLS", 7 * width)
         blocked = resample_distribution(sample, cfg)
         np.testing.assert_array_equal(blocked.thetas, whole.thetas)

@@ -19,11 +19,11 @@ from pairedrte import (
     PairedSample,
     ParseError,
     ValidationError,
-    counting_processes,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
 )
+from pairedrte import _engine
 from pairedrte.paired_data import _prepare_rows
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -190,11 +190,11 @@ class TestBreakCensoringTies:
         # jitter the censored record still counts as at risk at t=2.0.
         data = [PairedObservation(2.0, 1, 5.0, 0), PairedObservation(3.0, 0, 2.0, 0)]
         ds = prepare_dataset(data, tau=10.0, seed=0)
-        cp = counting_processes(ds)
+        times, at_risk, dn = _engine.event_grid(ds.z, ds.epsilon)
         # Hand enumeration: grid {2.0}; both records have z >= 2.0.
-        assert list(cp.event_times) == [2.0]
-        assert list(cp.at_risk) == [2.0]
-        assert cp.dn[0, 0] == 1.0
+        assert list(times) == [2.0]
+        assert list(at_risk) == [2.0]
+        assert dn[0, 0] == 1.0
 
     def test_jitter_too_large(self):
         # the censoring tie at 1.0 fires the jitter; the censoring time 2e-8

@@ -6,10 +6,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Adding or removing a public name is an edit to this list. The two copula
 # samplers left it when they were folded into simulation.sample_copula.
+# CountingProcesses and counting_processes left it when their callers took
+# the event grid from _engine.event_grid; draw_paired_sample, which no package
+# code calls, stays public in pairedrte.simulation only.
 PUBLIC_NAMES = [
     "BracketError",
     "CalibrationResult",
-    "CountingProcesses",
     "Dataset",
     "DegenerateRiskWarning",
     "DegenerateVariance",
@@ -39,8 +41,6 @@ PUBLIC_NAMES = [
     "ValidationError",
     "bootstrap_distribution",
     "calibrate_null",
-    "counting_processes",
-    "draw_paired_sample",
     "errors",
     "estimate_rte",
     "estimators",
@@ -63,7 +63,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(pairedrte.__all__) == PUBLIC_NAMES
 
 

@@ -24,7 +24,6 @@ from pairedrte import (
     ValidationError,
     bootstrap_distribution,
     calibrate_null,
-    draw_paired_sample,
     power_scenario,
     prepare_dataset,
     run_power_experiment,
@@ -33,6 +32,7 @@ from pairedrte import (
 )
 from pairedrte import _engine, simulation
 from pairedrte.simulation import (
+    draw_paired_sample,
     grid_from_dict,
     marginal_from_dict,
     sample_copula,

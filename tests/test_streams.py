@@ -8,19 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pairedrte
 from pairedrte import (
     InferenceConfig,
     PairedSample,
     ValidationError,
     bootstrap_distribution,
     calibrate_null,
-    draw_paired_sample,
     prepare_dataset,
     randomization_distribution,
     run_power_experiment,
     table1_scenario,
 )
-from pairedrte import _streams, inference, paired_data, simulation
+from pairedrte import _streams, estimators, inference, paired_data, simulation
+from pairedrte.simulation import draw_paired_sample
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pairedrte"
 CELL_06B = table1_scenario("clayton", "gompertz_exp", "strong", 25)
@@ -124,3 +125,9 @@ def test_only_the_stream_module_builds_generators():
              "_hash_constants", "_CHUNK", "_STREAM_TAGS"}
     for module in (paired_data, inference, simulation):
         assert moved.isdisjoint(vars(module)), module.__name__
+
+
+def test_the_event_grid_has_no_public_wrapper():
+    # the estimator and both resampling routes call _engine.event_grid directly
+    for module in (pairedrte, estimators):
+        assert {"counting_processes", "CountingProcesses"}.isdisjoint(vars(module)), module.__name__

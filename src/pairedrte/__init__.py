@@ -11,6 +11,7 @@ from .errors import (
     DegenerateRiskWarning,
     DegenerateVariance,
     EmptyDataset,
+    InferenceRefused,
     InsufficientReplicates,
     InvalidParameter,
     JitterTooLarge,

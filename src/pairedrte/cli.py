@@ -12,14 +12,7 @@ import sys
 import click
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    InsufficientReplicates,
-    PairedRteError,
-    ParseError,
-    ThetaOutOfDomain,
-    ValidationError,
-)
+from .errors import InferenceRefused, PairedRteError, ParseError, ValidationError
 from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
@@ -36,9 +29,6 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_DEGENERATE = 5
 
-# What refuses a sample's inference but leaves its estimate standing.
-_REFUSALS = (DegenerateVariance, InsufficientReplicates, ThetaOutOfDomain)
-
 # Paths name files: click refuses a directory, and a missing input, with exit 2.
 _INPUT = click.Path(exists=True, dir_okay=False)
 _OUTPUT = click.Path(dir_okay=False)
@@ -50,7 +40,7 @@ _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
 def _fail(exc: Exception) -> int:
     if isinstance(exc, ParseError):
         return EXIT_PARSE
-    if isinstance(exc, _REFUSALS):
+    if isinstance(exc, InferenceRefused):
         return EXIT_DEGENERATE
     if isinstance(exc, ValidationError):
         return EXIT_VALIDATION
@@ -157,7 +147,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
             reports = run_inference(
                 data, methods, transforms, sided=sided, alpha=alpha, b=b, seed=seed, est=est,
             )
-        except _REFUSALS as exc:
+        except InferenceRefused as exc:
             entry["inference"] = f"refused: {exc}"
             refused = True
         else:

@@ -35,15 +35,19 @@ class EmptyDataset(PairedRteError):
     """An operation requires at least one record."""
 
 
-class DegenerateVariance(PairedRteError):
+class InferenceRefused(PairedRteError):
+    """A sample's test cannot be studentized; its estimate still stands."""
+
+
+class DegenerateVariance(InferenceRefused):
     """The variance estimate carries no information (too few events to studentize)."""
 
 
-class InsufficientReplicates(PairedRteError):
+class InsufficientReplicates(InferenceRefused):
     """Too few resampling replicates to estimate the requested quantile."""
 
 
-class ThetaOutOfDomain(PairedRteError):
+class ThetaOutOfDomain(InferenceRefused):
     """The log-log transform needs an effect estimate strictly inside (0, 1)."""
 
 

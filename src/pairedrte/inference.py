@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -400,20 +400,6 @@ def _distinct(field: str, names: Iterable[str]) -> tuple:
     return names
 
 
-def _reports(data: Dataset, est: RteEstimate, methods: Sequence[str], transforms: Sequence[str],
-             sided: str, alpha: float, b: int, seed):
-    """Yield the :func:`test_and_ci` report of each method and transform in turn.
-
-    A method's replicates are drawn once for all its transforms. A caller
-    counting the reports keeps those made before a later one fails.
-    """
-    for method in methods:
-        cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
-        dist = resample_distribution(data, cfg)
-        for transform in transforms:
-            yield test_and_ci(est, dist, replace(cfg, transform=transform))
-
-
 def run_inference(
     data: Dataset,
     methods: Iterable[str],
@@ -433,4 +419,9 @@ def run_inference(
     """
     methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
     est = estimate_rte(data) if est is None else est
-    return list(_reports(data, est, methods, transforms, sided, alpha, b, seed))
+    reports = []
+    for method in methods:
+        cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
+        dist = resample_distribution(data, cfg)
+        reports += [test_and_ci(est, dist, replace(cfg, transform=t)) for t in transforms]
+    return reports

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -21,15 +21,16 @@ import numpy as np
 from . import _engine
 from .errors import (
     BracketError,
+    InferenceRefused,
     InvalidParameter,
     NonMonotoneWarning,
-    PairedRteError,
     ScenarioError,
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
 from ._streams import grid_seed, is_integer, rng_of, rngs_of, seed_words
-from .inference import InferenceConfig, _distinct, _reports, _wald_decisions, test_and_ci
+from .inference import InferenceConfig, _distinct, _wald_decisions
+from .inference import resample_distribution, test_and_ci
 from .paired_data import Dataset, PairedSample, _plain_ints, _prepare_rows
 
 __all__ = [
@@ -375,13 +376,15 @@ def calibrate_null(
     parameter is scored by the exact within-pair comparison of the
     horizon-truncated lifetimes. The bisection takes at most 80 steps; from
     the 10th on it stops once the effect is within ``tol`` of one half.
-    The map parameter -> effect must be monotone over the bracket (checked
-    empirically; a violation only warns).
+    ``tol`` must be positive and finite. The map parameter -> effect must be
+    monotone over the bracket (checked empirically; a violation only warns).
     """
     if not is_integer(n_draws):
         raise ValidationError(f"n_draws must be an integer, got {n_draws!r}")
     if not n_draws >= 1:
         raise ValidationError(f"n_draws must be at least 1, got {n_draws}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tol must be a positive finite number, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"invalid bracket {bracket}")
@@ -443,6 +446,8 @@ def _censored_margins(x: np.ndarray, delta: np.ndarray, tau: float) -> np.ndarra
 class ExperimentResult:
     """Rejection counts of one scenario under the requested test variants.
 
+    ``refused`` counts per test the replicates it refused, ``failures`` holds
+    the ``(rep, error class)`` of those that could not be prepared, and
     ``risk_exhausted`` counts the analysed replicates whose risk set ends
     before the horizon while survival mass remains (the condition
     :class:`DegenerateRiskWarning` flags in :func:`estimate_rte`).
@@ -456,6 +461,7 @@ class ExperimentResult:
     sided: str
     seed: int
     rejections: dict[tuple[str, str], int]
+    refused: dict[tuple[str, str], int]
     failures: tuple[tuple[int, str], ...]
     censoring_rate_margins: float
     censoring_rate_pairs: float
@@ -463,7 +469,7 @@ class ExperimentResult:
 
     @property
     def errors(self) -> int:
-        """Number of failed replicates; ``failures`` holds their ``(rep, error class)``."""
+        """Number of replicates that could not be prepared."""
         return len(self.failures)
 
     def rate(self, method: str, transform: str) -> float:
@@ -491,6 +497,7 @@ class ExperimentResult:
                     "r": self.r,
                     "b": self.b,
                     "rejections": count,
+                    "refused": self.refused[(method, transform)],
                     "rate": self.rate(method, transform),
                     "mc_se": self.mc_se(method, transform),
                     "censoring_rate_margins": self.censoring_rate_margins,
@@ -543,64 +550,68 @@ def run_size_experiment(
     use ``seed=(seed, rep)``. Results are therefore independent of
     scheduling. Replicates run in blocks of at most ``_engine.BLOCK_CELLS //
     n``: the quantile transforms, the preparation, the estimates and the
-    asymptotic test are one array pass per block; resampling goes through
-    the report loop of :func:`run_inference`, one replicate at a time.
-    Truncation at the horizon counts as censoring in the reported censoring
-    rates. Per-replicate analysis failures are recorded as ``(rep, error
-    class name)`` and tolerated up to 1% of ``r``; a failed replicate keeps
-    the rejections counted before its failure. Invalid test settings (``b``
-    and ``seed`` included), ``r < 1`` and an empty or repeated method or
-    transform raise before any replicate runs.
+    asymptotic test are one array pass per block; resampling runs one
+    replicate at a time. Truncation at the horizon counts as censoring in
+    the reported censoring rates. Each test of a prepared replicate rejects,
+    does not, or is refused (:class:`InferenceRefused`): a non-rejection
+    counted in ``refused``, which leaves the replicate's other tests as they
+    are. A replicate that cannot be prepared is recorded as ``(rep, error
+    class name)`` in ``failures``; past 1% of ``r`` its error is raised.
+    Invalid test settings (``b`` and ``seed`` included), ``r < 1`` and an
+    empty or repeated method or transform raise before any replicate runs.
     """
     if not is_integer(r):
         raise ValidationError(f"r must be an integer, got {r!r}")
     if not r >= 1:
         raise ValidationError(f"r must be at least 1, got {r}")
     methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
-    for method in methods:  # a bad setting raises here, not as each replicate's failure
+    for method in methods:  # a bad setting raises here, not on a replicate
         InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
     asymptotic = {t: InferenceConfig(method="asymptotic", sided=sided, alpha=alpha, transform=t)
-                  for t in transforms}
+                  for t in transforms} if "asymptotic" in methods else {}
+    resampled = [m for m in methods if m != "asymptotic"]
     r, b, seed = int(r), int(b), _plain_ints(seed)
     n, tau = scenario.n, float(scenario.tau)
     rejections = {(m, t): 0 for m in methods for t in transforms}
+    refused = dict(rejections)
     failures = []
     margins_censored = pairs_censored = risk_exhausted = 0
     step = max(1, _engine.BLOCK_CELLS // n)
     for start in range(0, r, step):
         reps = range(start, min(r, start + step))
         censored, z, eps, errors, theta, sigma2, exhausted = _estimate_block(scenario, seed, reps)
+        for i in sorted(errors):
+            failures.append((reps[i], type(errors[i]).__name__))
+            if len(failures) > max(1, 0.01 * r):
+                raise errors[i]
         prepared = np.ones(len(reps), dtype=bool)
         prepared[list(errors)] = False
         margins_censored += censored
         pairs_censored += int((eps[prepared] == 0).sum())
         risk_exhausted += int((prepared & exhausted).sum())
-        wald = {t: _wald_decisions(theta, sigma2, n, cfg)
-                for t, cfg in asymptotic.items() if "asymptotic" in methods}
-
-        def estimate(i):
-            return RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]), n=n, tau=tau)
-
-        for i, rep in enumerate(reps):
-            try:
-                if i in errors:
-                    raise errors[i]
-                for method in methods:
-                    if method == "asymptotic":
-                        for t, (usable, reject) in wald.items():
-                            # test_and_ci raises the typed error of an unusable estimate
-                            hit = reject[i] if usable[i] else test_and_ci(
-                                estimate(i), None, asymptotic[t]).reject
-                            rejections[(method, t)] += int(hit)
-                        continue
-                    data = Dataset(z=z[i], epsilon=eps[i], tau=tau)
-                    for report in _reports(data, estimate(i), [method], transforms,
-                                           sided, alpha, b, (seed, rep)):
-                        rejections[(method, report.transform)] += int(report.reject)
-            except PairedRteError as exc:
-                failures.append((rep, type(exc).__name__))
-                if len(failures) > max(1, 0.01 * r):
-                    raise
+        for t, cfg in asymptotic.items():
+            usable, reject = _wald_decisions(theta, sigma2, n, cfg)
+            rejections[("asymptotic", t)] += int((prepared & reject).sum())
+            refused[("asymptotic", t)] += int((prepared & ~usable).sum())
+        for method in resampled:
+            for i in np.flatnonzero(prepared):
+                data = Dataset(z=z[i], epsilon=eps[i], tau=tau)
+                est = RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]),
+                                  n=n, tau=tau)
+                cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
+                                      seed=(seed, reps[i]))
+                try:
+                    dist = resample_distribution(data, cfg)
+                except InferenceRefused:
+                    for t in transforms:
+                        refused[(method, t)] += 1
+                    continue
+                for t in transforms:
+                    try:
+                        rejections[(method, t)] += int(
+                            test_and_ci(est, dist, replace(cfg, transform=t)).reject)
+                    except InferenceRefused:
+                        refused[(method, t)] += 1
     return ExperimentResult(
         scenario=scenario,
         label=label,
@@ -610,6 +621,7 @@ def run_size_experiment(
         sided=sided,
         seed=seed,
         rejections=rejections,
+        refused=refused,
         failures=tuple(failures),
         censoring_rate_margins=margins_censored / (2.0 * r * n),
         censoring_rate_pairs=pairs_censored / (r * n),

@@ -292,12 +292,15 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
     """The size harness one replicate at a time.
 
     Replicate ``rep`` draws from ``default_rng([seed, rep])``, is prepared
-    with jitter at ``seed=rep``, estimated by ``estimate_rte`` and tested by
-    ``test_and_ci`` for each method and transform in turn; resampling uses
-    ``seed=(seed, rep)``. A failed replicate keeps the rejections counted
-    before its failure. Returns the fields the harness reports.
+    with jitter at ``seed=rep`` and estimated by ``estimate_rte``; each
+    method's distribution, at ``seed=(seed, rep)``, and each transform's
+    ``test_and_ci`` is then tried on its own. A test that raises
+    ``InferenceRefused`` is a non-rejection counted in ``refused``; a
+    replicate that fails to prepare goes to ``failures``, which may hold at
+    most 1 % of ``r``. Returns the fields the harness reports.
     """
     rejections = {(m, t): 0 for m in methods for t in transforms}
+    refused = dict(rejections)
     failures = []
     margins_censored = pairs_censored = risk_exhausted = 0
     for rep in range(r):
@@ -305,25 +308,30 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
         margins_censored += int(((obs.delta == 0) | (obs.x >= scenario.tau)).sum())
         try:
             data = prt.prepare_dataset(obs, scenario.tau, seed=rep)
-            pairs_censored += int((data.epsilon == 0).sum())
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", prt.DegenerateRiskWarning)
-                est = prt.estimate_rte(data)
-            risk_exhausted += sum(w.category is prt.DegenerateRiskWarning for w in caught)
-            for method in methods:
-                cfg = prt.InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
-                                          seed=(seed, rep))
-                dist = prt.inference.resample_distribution(data, cfg)
-                for transform in transforms:
-                    report = prt.test_and_ci(est, dist, replace(cfg, transform=transform))
-                    if report.reject:
-                        rejections[(method, transform)] += 1
         except prt.PairedRteError as exc:
             failures.append((rep, type(exc).__name__))
             if len(failures) > max(1, 0.01 * r):
                 raise
+            continue
+        pairs_censored += int((data.epsilon == 0).sum())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", prt.DegenerateRiskWarning)
+            est = prt.estimate_rte(data)
+        risk_exhausted += sum(w.category is prt.DegenerateRiskWarning for w in caught)
+        for method in methods:
+            cfg = prt.InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
+                                      seed=(seed, rep))
+            for transform in transforms:
+                try:
+                    dist = prt.inference.resample_distribution(data, cfg)
+                    report = prt.test_and_ci(est, dist, replace(cfg, transform=transform))
+                except prt.InferenceRefused:
+                    refused[(method, transform)] += 1
+                else:
+                    rejections[(method, transform)] += int(report.reject)
     return {
         "rejections": rejections,
+        "refused": refused,
         "failures": tuple(failures),
         "censoring_rate_margins": margins_censored / (2.0 * r * scenario.n),
         "censoring_rate_pairs": pairs_censored / (r * scenario.n),

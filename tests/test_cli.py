@@ -318,6 +318,23 @@ class TestSimulate:
         assert a.output == b.output
         assert "rate" in a.output and "randomization" in a.output
 
+    def test_refused_replicates_are_counted_not_fatal(self, runner, tmp_path):
+        # acceptance cell 06(b); replicates 61 and 81 are all type 1, so the
+        # Wald test is refused on both, which used to end the run with exit 5
+        p = tmp_path / "cell06b.json"
+        p.write_text(json.dumps({
+            "copula": "clayton", "copula_param": -0.6,
+            "marginal1": {"name": "gompertz", "shape": 0.6, "rate": 2.78271484375},
+            "marginal2": {"name": "exponential", "rate": 3.0},
+            "censoring": {"upper": 0.7}, "tau": 0.6, "n": 25,
+            "methods": ["asymptotic"], "transforms": ["linear"], "seed": 1548220732, "r": 100,
+        }))
+        res = runner.invoke(main, ["simulate-size", "--scenario", str(p)])
+        assert res.exit_code == 0, res.output
+        head, row = res.stdout.splitlines()
+        fields = dict(zip(head.split(","), row.split(",")))
+        assert (fields["rejections"], fields["refused"], fields["errors"]) == ("7", "2", "0")
+
     def test_unknown_copula_field_error(self, runner, tmp_path):
         p = self.scenario_file(tmp_path, copula="frank")
         res = runner.invoke(main, ["simulate-size", "--scenario", str(p), "--R", "1", "--B", "50"])
@@ -463,6 +480,17 @@ class TestCalibrate:
         assert res.exit_code == EXIT_VALIDATION
         assert res.stdout == ""
         assert res.stderr == f"error: n_draws must be at least 1, got {n_draws}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_not_positive_and_finite_writes_nothing(self, runner, tmp_path, tol):
+        # such a tolerance never stopped the bisection early, and said nothing
+        out = tmp_path / "params.json"
+        res = runner.invoke(main, ["calibrate", "--tol", tol, "--n-draws", "10",
+                                   "--output", str(out)])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: tol must be a positive finite number, got {float(tol)}\n"
         assert not out.exists()
 
 

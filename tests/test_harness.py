@@ -23,7 +23,7 @@ class NanLifetime:
 
 
 CELL_06B = sim.table1_scenario("clayton", "gompertz_exp", "strong", 25)
-# At n = 12 some replicates fail after part of their tests were counted.
+# At n = 12 some replicates refuse one test and not another.
 SMALL = replace(CELL_06B, n=12)
 PARTIAL = dict(methods=["asymptotic", "randomization"], transforms=["linear", "loglog"],
                b=20, sided="two")
@@ -33,6 +33,7 @@ def batched(scenario, **kwargs):
     res = sim.run_size_experiment(scenario, **kwargs)
     return {
         "rejections": res.rejections,
+        "refused": res.refused,
         "failures": res.failures,
         "censoring_rate_margins": res.censoring_rate_margins,
         "censoring_rate_pairs": res.censoring_rate_pairs,
@@ -63,7 +64,9 @@ CASES = {
     "partial-asymptotic-loglog": (SMALL, dict(PARTIAL, r=5, seed=10)),
     "partial-randomization-only-loglog": (SMALL, dict(PARTIAL, methods=["randomization"], r=5,
                                                       seed=10)),
-    "failures-over-the-cap": (SMALL, dict(PARTIAL, r=10, seed=1)),
+    # two refused randomization replicates: past the 1 % cap, which counts
+    # only replicates that could not be prepared
+    "refusals-past-the-failure-cap": (SMALL, dict(PARTIAL, r=10, seed=1)),
 }
 
 
@@ -79,30 +82,71 @@ class TestEquivalence:
         else:
             assert batched(scenario, **kwargs) == expected
 
-    def test_ledger_case_fails_at_rep_44(self):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_test_counts_as_if_run_alone(self, case):
+        scenario, kwargs = CASES[case]
+        whole = batched(scenario, **kwargs)
+        for method in kwargs["methods"]:
+            for transform in kwargs["transforms"]:
+                alone = batched(scenario, **dict(kwargs, methods=[method], transforms=[transform]))
+                for field in ("rejections", "refused"):
+                    assert alone[field] == {(method, transform): whole[field][(method, transform)]}
+                assert alone["failures"] == whole["failures"]
+
+    def test_ledger_case_refuses_rep_44(self):
+        # replicate 44 has 15 type-1 events and no others: no variance
         scenario, kwargs = CASES["ledger"]
-        assert batched(scenario, **kwargs)["failures"] == ((44, "DegenerateVariance"),)
+        before = batched(scenario, **dict(kwargs, r=44))
+        after = batched(scenario, **kwargs)
+        assert before["refused"] == {("asymptotic", "linear"): 0}
+        assert after["refused"] == {("asymptotic", "linear"): 1}
+        assert after["failures"] == ()
+        row = sim.run_size_experiment(scenario, **kwargs).to_rows()[0]
+        assert row["refused"] == 1
+        assert list(row)[list(row).index("rejections") + 1] == "refused"
+
+    def test_call_with_two_all_type_1_replicates_completes(self):
+        # replicates 61 and 81 of this size_asymptotic bench call are all
+        # type 1; the run used to stop past the failure cap
+        res = sim.run_size_experiment(CELL_06B, methods=["asymptotic"], transforms=["linear"],
+                                      r=100, b=1, seed=1548220732)
+        assert res.rejections == {("asymptotic", "linear"): 7}
+        assert res.refused == {("asymptotic", "linear"): 2}
+        assert res.failures == ()
 
     @pytest.mark.parametrize(
-        "seed, rep, error, gained",
-        # ``gained`` maps each method run to its gains per transform. At seed
-        # 3, 3 of replicate 1's 20 relabelings put every type-1/2 event on
-        # type 2, whose variance is zero: over the 10 % cap. At seed 29 the
-        # randomization test counts its linear rejection, then fails on log-log
-        [(3, 1, "DegenerateVariance", {"asymptotic": (1, 1), "randomization": (0, 0)}),
-         (7, 1, "InsufficientReplicates", {"asymptotic": (1, 1), "randomization": (0, 0)}),
-         (10, 4, "ThetaOutOfDomain", {"asymptotic": (1, 0), "randomization": (0, 0)}),
-         (29, 4, "ThetaOutOfDomain", {"randomization": (1, 0)})],
+        "seed, rep, error, gained, refused",
+        # ``gained`` and ``refused`` map each method run to what replicate
+        # ``rep`` adds per transform. At seed 3, 3 of replicate 1's 20
+        # relabelings put every type-1/2 event on type 2, whose variance is
+        # zero: over the 10 % cap. At seeds 10 and 29 the log-log tests refuse
+        # a theta_hat of 0 or 1 while the linear tests reject
+        [(3, 1, "DegenerateVariance", {"asymptotic": (1, 1), "randomization": (0, 0)},
+          {"asymptotic": (0, 0), "randomization": (1, 1)}),
+         (7, 1, "InsufficientReplicates", {"asymptotic": (1, 1), "randomization": (0, 0)},
+          {"asymptotic": (0, 0), "randomization": (1, 1)}),
+         (10, 4, "ThetaOutOfDomain", {"asymptotic": (1, 0), "randomization": (1, 0)},
+          {"asymptotic": (0, 1), "randomization": (0, 1)}),
+         (29, 4, "ThetaOutOfDomain", {"randomization": (1, 0)}, {"randomization": (0, 1)})],
     )
-    def test_partial_failure_keeps_earlier_rejections(self, seed, rep, error, gained):
-        # replicate ``rep`` is the first to fail; what it adds to the counts is
-        # the difference between the runs that stop just after and before it
+    def test_refused_test_leaves_other_tests_counted(self, seed, rep, error, gained, refused):
+        # what replicate ``rep`` adds to the counts is the difference between
+        # the runs that stop just after and before it
         settings = dict(PARTIAL, methods=list(gained))
         after = batched(SMALL, **settings, r=rep + 1, seed=seed)
         before = batched(SMALL, **settings, r=rep, seed=seed)
-        assert after["failures"] == ((rep, error),)
-        assert {m: tuple(after["rejections"][(m, t)] - before["rejections"][(m, t)]
-                         for t in PARTIAL["transforms"]) for m in gained} == gained
+        assert after["failures"] == ()
+        for field, want in (("rejections", gained), ("refused", refused)):
+            assert {m: tuple(after[field][(m, t)] - before[field][(m, t)]
+                             for t in PARTIAL["transforms"]) for m in gained} == want
+        obs = sim.draw_paired_sample(SMALL, np.random.default_rng([seed, rep]))
+        data = prt.prepare_dataset(obs, SMALL.tau, seed=rep)
+        for method, counts in refused.items():
+            for transform, count in zip(PARTIAL["transforms"], counts):
+                if count:
+                    with pytest.raises(getattr(prt, error)):
+                        prt.run_inference(data, [method], [transform], sided="two", b=20,
+                                          seed=(seed, rep))
 
     def test_block_that_fails_validation(self):
         # a scenario refuses an infinite horizon, but a marginal whose

@@ -96,6 +96,15 @@ class TestAsymptoticTest:
         with pytest.raises(DegenerateVariance):
             make_report(est, None, InferenceConfig(method="asymptotic"))
 
+    @pytest.mark.parametrize("refusal", ["DegenerateVariance", "InsufficientReplicates",
+                                         "ThetaOutOfDomain"])
+    def test_refusals_share_one_base(self, refusal):
+        # the command line exits 5 and the size harness counts a non-rejection
+        # on this one base class
+        assert issubclass(getattr(pairedrte, refusal), pairedrte.InferenceRefused)
+        assert issubclass(pairedrte.InferenceRefused, pairedrte.PairedRteError)
+        assert not issubclass(pairedrte.InferenceRefused, pairedrte.ValidationError)
+
     def test_loglog_domain_error(self):
         obs = [PairedObservation(2, 1, 1, 1), PairedObservation(4, 1, 3, 1)]
         est = estimate_rte(prepare_dataset(obs, 100.0))

@@ -409,6 +409,15 @@ class TestCalibrateNull:
         with pytest.raises(ValidationError, match="n_draws must be at least 1"):
             calibrate_null(target["builder"], target["bracket"], n_draws=n_draws)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol, monkeypatch):
+        from pairedrte import simulation
+
+        target = simulation.calibration_targets()["clayton__exp_mix"]
+        monkeypatch.setattr(simulation, "sample_copula", None)
+        with pytest.raises(ValidationError, match="tol must be a positive finite number"):
+            calibrate_null(target["builder"], target["bracket"], tol=tol, n_draws=10)
+
     def test_bracket_error(self):
         def build(param):
             return Scenario(
@@ -582,16 +591,20 @@ class TestExperimentFiles:
 
 
 class TestFailureLedger:
-    def test_failed_replicate_is_recorded(self):
+    def test_refused_replicate_is_counted(self):
         # Replicate 44 of this run has 15 type-1 events and no others, so its
-        # variance is degenerate.
+        # variance is degenerate: the test is refused, and the replicate has
+        # not failed.
         scenario = table1_scenario("clayton", "gompertz_exp", "strong", 25)
         res = run_size_experiment(
             scenario, methods=["asymptotic"], transforms=["linear"], r=45, seed=330807576
         )
-        assert res.failures == ((44, "DegenerateVariance"),)
-        assert res.errors == 1
-        assert res.to_rows()[0]["errors"] == 1
+        assert res.refused == {("asymptotic", "linear"): 1}
+        assert res.failures == ()
+        assert res.errors == 0
+        row = res.to_rows()[0]
+        assert (row["refused"], row["errors"]) == (1, 0)
+        assert list(row)[list(row).index("rejections") + 1] == "refused"
 
     def test_harness_builds_no_rows(self, simple_scenario, monkeypatch):
         built = []

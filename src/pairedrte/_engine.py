@@ -13,8 +13,8 @@ invariants once per distribution and returns them as a ``(draw, evaluate)``
 pair: ``draw(rng, rows)`` gives the counts of ``rows`` replicates as a tuple,
 and ``evaluate`` of that tuple gives their effects and variances.
 :func:`bootstrap_kernel` maps each record to its cell of the record-slot
-counts (cause by at-risk slot), so :func:`bootstrap_counts` is one
-multinomial draw and one bincount per block, and the fused kernel runs in a
+counts (cause by at-risk slot), so :func:`bootstrap_counts` is one draw of
+record indices and one bincount per block, and the fused kernel runs in a
 workspace reused across blocks; its blocks are sized by the draw's ``n``
 cells per replicate. Relabeling replicates change only how type-1/2 events
 split, so the draw of :func:`relabel_kernel` is :func:`relabel_counts`, just
@@ -125,7 +125,7 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     kernel allocates nothing of their size. Without ``work`` it allocates
     them. The arithmetic is the same either way.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = np.asarray(Y)
     shape = np.broadcast_shapes(Y.shape, np.shape(dN1), np.shape(dN2), np.shape(dN3))
     if work is None:
         work = _workspace(shape)
@@ -280,15 +280,15 @@ def bootstrap_kernel(z, eps, times, n: int):
     :func:`bootstrap_counts` on these cells, giving ``(Y, dN1, dN2, dN3)`` of
     ``rows`` resamples, each ``(rows, k)``. ``evaluate`` of those counts is
     :func:`theta_sigma2_cif_from_counts`, run in one workspace sized by the
-    first, largest, block and reused for every later one.
+    first, largest, block and reused for every later one; the counts stay
+    integers, which the kernel's arithmetic converts exactly.
     """
     slot = np.searchsorted(times, np.asarray(z, dtype=float), side="right") - 1
     cells = np.asarray(eps).astype(np.int64) * (len(times) + 1) + slot + 1
-    pvals = np.full(n, 1.0 / n)
     work = []
 
     def draw(rng, rows):
-        return bootstrap_counts(cells, pvals, times, rng, rows)
+        return bootstrap_counts(rng, cells, times, rows)
 
     def evaluate(Y, dN1, dN2, dN3):
         if not work:
@@ -300,27 +300,26 @@ def bootstrap_kernel(z, eps, times, n: int):
     return draw, evaluate
 
 
-def bootstrap_counts(cells, pvals, times, rng: np.random.Generator, rows: int):
-    """Counting arrays ``(Y, dN1, dN2, dN3)`` of ``rows`` bootstrap resamples, each ``(rows, k)``.
+def bootstrap_counts(rng: np.random.Generator, cells, times, rows: int):
+    """Integer counts ``(Y, dN1, dN2, dN3)`` of ``rows`` bootstrap resamples, each ``(rows, k)``.
 
-    Each resample draws ``len(pvals)`` records with replacement, one row of
-    ``rng.multinomial(n, pvals, size=rows)``. Record ``i`` falls in cell
-    ``cells[i]`` of a replicate's ``(4, k + 1)`` record-slot counts, ``k =
-    len(times)``: row ``j`` holds the records of cause ``j`` (0 for
-    censored), column ``s + 1`` those whose last grid time at or before
-    their time is ``times[s]``, and column 0 those before the first. One
-    bincount over the ``(replicate, 4, k + 1)`` cells, weighted by the drawn
-    counts, gives them all. Rows 1 to 3 are the event counts; the records of
-    a column summed over the four rows, cumulated from the last column down,
-    are the at-risk counts (times missing from a resample carry zero counts).
-    The sums are of whole numbers, so they are exact in any order. Memory is
-    linear in ``rows * (len(pvals) + k)``.
+    Each resample draws ``n = len(cells)`` record indices with replacement,
+    one row of ``rng.integers(0, n, (rows, n))``; the rows are drawn in
+    order, so the draw does not depend on how a chunk is split into blocks.
+    Record ``i`` falls in cell ``cells[i]`` of a replicate's ``(4, k + 1)``
+    record-slot counts, ``k = len(times)``: row ``j`` holds the records of
+    cause ``j`` (0 for censored), column ``s + 1`` those whose last grid time
+    at or before their time is ``times[s]``, and column 0 those before the
+    first. One unweighted bincount of the drawn records' cells over the
+    ``(replicate, 4, k + 1)`` cells gives them all. Rows 1 to 3 are the event
+    counts; the records of a column summed over the four rows, cumulated from
+    the last column down, are the at-risk counts (times missing from a
+    resample carry zero counts). Memory is linear in ``rows * (n + k)``.
     """
-    n, width = len(pvals), len(times) + 1
-    counts = rng.multinomial(n, pvals, size=rows)
-    flat = cells + np.arange(rows)[:, None] * (4 * width)
-    tally = np.bincount(flat.ravel(), weights=counts.ravel(), minlength=rows * 4 * width)
-    tally = tally.reshape(rows, 4, width)
+    n, width = len(cells), len(times) + 1
+    flat = cells[rng.integers(0, n, (rows, n))]
+    flat += np.arange(0, rows * 4 * width, 4 * width)[:, None]
+    tally = np.bincount(flat.ravel(), minlength=rows * 4 * width).reshape(rows, 4, width)
     at_risk = tally[:, 0]
     for cause in (1, 2, 3):
         at_risk += tally[:, cause]

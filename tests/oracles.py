@@ -228,15 +228,17 @@ def unique_event_grid(z, eps):
 def reference_bootstrap_counts(z, eps, times, rng, b):
     """``(Y, dN1, dN2, dN3)`` of ``b`` bootstrap resamples by suffix sums over sorted records.
 
-    Draws ``rng.multinomial(n, 1/n, size=b)`` as the package does. The
-    at-risk count at each grid time is the suffix sum of the counts of the
-    records sorted by time, read at the first record not before it; the
-    event counts are bincounts over the cells ``(replicate, cause, slot)``.
+    Draws the record indices ``rng.integers(0, n, (b, n))`` as the package
+    does and counts each record's draws per replicate. The at-risk count at
+    each grid time is the suffix sum of the counts of the records sorted by
+    time, read at the first record not before it; the event counts are
+    bincounts over the cells ``(replicate, cause, slot)``.
     """
     z = np.asarray(z, dtype=float)
     eps = np.asarray(eps)
     n = len(z)
-    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=b).astype(float)
+    idx = rng.integers(0, n, (b, n))
+    counts = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float)
     order = np.argsort(z, kind="stable")
     suffix = np.flip(np.cumsum(np.flip(counts[:, order], -1), -1), -1)
     pos = np.searchsorted(z[order], times, side="left")

@@ -180,11 +180,9 @@ class TestBootstrapDistribution:
         # bootstrap dataset and running the single-sample code path.
         cfg = InferenceConfig(method="bootstrap", b=6, seed=3)
         dist = bootstrap_distribution(sample, cfg)
-        rng = np.random.default_rng([3, 7, 0])
-        counts = rng.multinomial(sample.n, np.full(sample.n, 1 / sample.n), size=6)
+        idx = np.random.default_rng([3, 7, 0]).integers(0, sample.n, (6, sample.n))
         for b in range(6):
-            idx = np.repeat(np.arange(sample.n), counts[b])
-            ds = Dataset(z=sample.z[idx], epsilon=sample.epsilon[idx], tau=sample.tau)
+            ds = Dataset(z=sample.z[idx[b]], epsilon=sample.epsilon[idx[b]], tau=sample.tau)
             est_b = estimate_rte(ds)
             assert dist.thetas[b] == pytest.approx(est_b.theta_hat, abs=1e-12)
             assert dist.sigmas2[b] == pytest.approx(est_b.sigma2_hat, abs=1e-12)
@@ -199,9 +197,9 @@ class TestBootstrapDistribution:
         b = 25
         draw, _ = _engine.bootstrap_kernel(z, eps, times, 40)
         y, *dn = draw(np.random.default_rng(8), b)
-        counts = np.random.default_rng(8).multinomial(40, np.full(40, 1 / 40), size=b)
+        idx = np.random.default_rng(8).integers(0, 40, (b, 40))
         for r in range(b):
-            z_r, eps_r = np.repeat(z, counts[r]), np.repeat(eps, counts[r])
+            z_r, eps_r = z[idx[r]], eps[idx[r]]
             np.testing.assert_array_equal(y[r], [np.sum(z_r >= u) for u in times])
             for j in (1, 2, 3):
                 recount = [np.sum((z_r == u) & (eps_r == j)) for u in times]
@@ -216,6 +214,28 @@ class TestBootstrapDistribution:
         data = Dataset(z=[1.0], epsilon=[1], tau=2.0)
         with pytest.raises(ValidationError):
             bootstrap_distribution(data, InferenceConfig(method="bootstrap", b=5))
+
+
+class TestBootstrapDraw:
+    def test_record_counts_have_multinomial_moments(self):
+        # Every record has a grid time of its own and is an event, so a
+        # column's three event counts are the draws of one record. Across
+        # replicates these counts are Multinomial(n, 1/n): mean 1, variance
+        # (n - 1)/n, covariance -1/n. Each sample moment must lie within 4 of
+        # its Monte Carlo standard errors, estimated from the same draws.
+        n, reps = 8, 40_000
+        z = np.arange(1.0, n + 1)
+        eps = np.arange(n) % 3 + 1
+        draw, _ = _engine.bootstrap_kernel(z, eps, z, n)
+        _, *dn = draw(np.random.default_rng(26), reps)
+        counts = sum(dn)
+        np.testing.assert_array_equal(counts.sum(axis=1), n)
+        dev = counts - 1.0
+        i, j = np.triu_indices(n, 1)
+        moments = [(counts, 1.0), (dev**2, (n - 1) / n), (dev[:, i] * dev[:, j], -1 / n)]
+        for values, want in moments:
+            se = values.std(axis=0) / math.sqrt(reps)
+            assert np.all(np.abs(values.mean(axis=0) - want) <= 4 * se)
 
 
 class TestBootstrapKernel:
@@ -246,6 +266,7 @@ class TestBootstrapKernel:
             want = reference_bootstrap_counts(z, eps, times, ref_rng, rows)
             for g, w in zip(got, want):
                 assert g.shape == (rows, len(times))
+                assert g.dtype.kind == "i"
                 np.testing.assert_array_equal(g, w)
             ref = reference_theta_sigma2_cif(*want, len(z))
             for g, w in zip(evaluate(*got), ref):
@@ -478,19 +499,19 @@ class TestReportConstruction:
             assert 0.0 < rep.ci_lower <= rep.ci_upper < 1.0
 
     def test_bootstrap_skips_degenerate_replicates(self):
-        # 14 of the 400 resamples have a zero variance: the studentized
-        # statistics skip them, and the quantiles come from the other 386
+        # 25 of the 400 resamples have a zero variance: the studentized
+        # statistics skip them, and the quantiles come from the other 375
         rng = np.random.default_rng(1)
         z = rng.integers(1, 6, 10).astype(float)
         eps = rng.choice([0, 1, 2, 2, 2], 10)
         data = Dataset(z=z, epsilon=eps, tau=10.0)
         cfg = InferenceConfig(method="bootstrap", b=400, seed=1)
         dist = bootstrap_distribution(data, cfg)
-        assert dist.skipped == 14
-        assert len(dist.thetas) == 386
-        assert len(dist.values) == 386
+        assert dist.skipped == 25
+        assert len(dist.thetas) == 375
+        assert len(dist.values) == 375
         rep = make_report(estimate_rte(data), dist, cfg)
-        assert rep.skipped == 14
+        assert rep.skipped == 25
         assert rep.b == 400
         assert rep.critical_values == (np.quantile(dist.values, 0.025),
                                        np.quantile(dist.values, 0.975))

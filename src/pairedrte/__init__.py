@@ -16,7 +16,6 @@ from .errors import (
     InvalidParameter,
     JitterTooLarge,
     NonFiniteTime,
-    NonMonotoneWarning,
     NonPositiveTau,
     PairedRteError,
     ParseError,

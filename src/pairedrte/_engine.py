@@ -31,7 +31,6 @@ __all__ = [
     "BLOCK_CELLS",
     "sorted_grid",
     "event_grid",
-    "survival_left",
     "theta_sigma2_cif_from_counts",
     "bootstrap_kernel",
     "bootstrap_counts",
@@ -91,15 +90,6 @@ def event_grid(z: np.ndarray, eps: np.ndarray):
     return times[keep], at_risk[keep], dN[:, keep]
 
 
-def survival_left(dA_dot: np.ndarray) -> np.ndarray:
-    """Left limits S(u-) of the product-limit estimator along the last axis."""
-    one_minus = 1.0 - dA_dot
-    s_left = np.ones_like(one_minus)
-    if one_minus.shape[-1] > 1:
-        s_left[..., 1:] = np.cumprod(one_minus[..., :-1], axis=-1)
-    return s_left
-
-
 def _workspace(shape):
     """Temporaries of :func:`theta_sigma2_cif_from_counts` for counts of ``shape``."""
     return np.empty((6,) + shape), np.empty(shape, dtype=bool)
@@ -141,7 +131,7 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     dA_dot += dA2
     dA_dot += dA3
     one_minus = np.subtract(1.0, dA_dot, out=w4)
-    # S(u-), as survival_left computes it
+    # S(u-), the product of the earlier cells' 1 - dA_dot
     s_left = w5
     s_left[..., :1] = 1.0
     np.cumprod(one_minus[..., :-1], axis=-1, out=s_left[..., 1:])
@@ -238,8 +228,9 @@ def relabel_kernel(Y, dN, n: int):
     safe_y = np.where(Y > 0, Y, 1.0)
     dn_dot = dN.sum(axis=0)
     dA_dot = dn_dot / safe_y
-    s_left = survival_left(dA_dot)
     stay = 1.0 - dA_dot
+    s_left = np.ones_like(stay)  # S(u-)
+    s_left[..., 1:] = np.cumprod(stay[..., :-1], axis=-1)
     inv_stay = np.where(stay > 0, 1.0 / np.where(stay > 0, stay, 1.0), 0.0)
     weight = s_left / safe_y
     half3 = 0.5 * dN[2]

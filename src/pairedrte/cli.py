@@ -281,19 +281,20 @@ def simulate_power(settings, rest):
 
 
 @main.command()
-@click.option("--n-draws", default=1_000_000, show_default=True)
-@click.option("--tol", default=0.002, show_default=True)
-@click.option("--seed", default=20260809, show_default=True)
 @click.option("--output", type=_OUTPUT, default=None,
               help="Write the calibrated-parameter JSON here (stdout if omitted).")
-def calibrate(n_draws, tol, seed, output):
-    """Recompute the null-scenario marginal parameters (theta = 1/2)."""
+def calibrate(output):
+    """Recompute the null-scenario marginal parameters (theta = 1/2).
+
+    Each parameter is bisected on the scenario's exact effect, a quadrature
+    over the marginal distribution functions, so the result is deterministic
+    and there is nothing to draw, seed or tune.
+    """
     results = {}
     for key, target in sim.calibration_targets().items():
-        res = sim.calibrate_null(target["builder"], target["bracket"],
-                                 tol=tol, n_draws=n_draws, seed=seed)
+        res = sim.calibrate_null(target["builder"], target["bracket"])
         results[key] = dataclasses.asdict(res)
-        click.echo(f"{key}: param={res.param:.6f} theta={res.theta:.5f}", err=True)
+        click.echo(f"{key}: param={res.param:.7f} theta={res.theta:.9f}", err=True)
     text = json.dumps(results, indent=2)
     if output:
         with open(output, "w", encoding="utf-8") as fh:

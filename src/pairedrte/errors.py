@@ -74,7 +74,3 @@ class DegenerateRiskWarning(UserWarning):
     The incidences cannot grow past the last record time, so the effect and
     its variance are those at that time, not at ``tau``.
     """
-
-
-class NonMonotoneWarning(UserWarning):
-    """Calibration target does not appear monotone over the search bracket."""

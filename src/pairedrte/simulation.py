@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Sequence
@@ -23,12 +22,11 @@ from .errors import (
     BracketError,
     InferenceRefused,
     InvalidParameter,
-    NonMonotoneWarning,
     ScenarioError,
     ValidationError,
 )
 from .estimators import RteEstimate, _estimates_from_counts
-from ._streams import grid_seed, is_integer, rng_of, rngs_of, seed_words
+from ._streams import grid_seed, is_integer, rng_of, rngs_of
 from .inference import InferenceConfig, _distinct, _wald_decisions
 from .inference import resample_distribution, test_and_ci
 from .paired_data import Dataset, PairedSample, _plain_ints, _prepare_rows
@@ -349,88 +347,89 @@ def _draw_block(scenario: Scenario, seed: int, reps: range):
 
 
 # ---------------------------------------------------------------------------
-# Calibration of the null scenarios
+# The exact effect of a scenario, and calibration of the null scenarios
+
+
+def _copula_and_d2(copula: str, param: float, u, v):
+    """The copula ``C(u, v)`` and its partial derivative in ``v``, elementwise on [0, 1]."""
+    with np.errstate(all="ignore"):
+        if copula == "clayton":
+            base = np.maximum(u ** -param + v ** -param - 1.0, 0.0)
+            d2 = np.where(base > 0, base ** (-1.0 / param - 1.0) * v ** (-param - 1.0), 0.0)
+            return base ** (-1.0 / param), d2
+        y = -np.log(v)
+        a = (-np.log(u)) ** param + y ** param
+        c = np.exp(-a ** (1.0 / param))
+        return c, np.where(c > 0, c * a ** (1.0 / param - 1.0) * y ** (param - 1.0) / v, 0.0)
+
+
+# Times of the quadrature grid on [0, tau]; twice as many move no package
+# scenario's effect by 1e-7.
+_NODES = 20_001
+
+
+def _theta_of(scenario: Scenario) -> float:
+    """The effect of the scenario's lifetimes truncated at ``tau``, by quadrature.
+
+    Lifetimes are ``T_j = Q_j(1 - U_j)``, so ``U_j = S_j(T_j)`` and the copula
+    ``C`` is the survival copula of ``(T1, T2)``. With continuous margins the
+    effect is ``int_{S2(tau)}^1 d2C(S1(S2^-1(v)), v) dv + C(S1(tau), S2(tau)) / 2``.
+    The integral is a midpoint rule over :data:`_NODES` equally spaced times on
+    [0, tau]: each cell weighs ``d2C`` at the mean of its end survivals by its
+    mass of ``T2``, so the rule calls the marginals' ``cdf`` only. It is
+    second order where ``d2C`` is smooth. Clayton at -1 has a step ``d2C``,
+    and there the rule is first order: with equal exponential margins it
+    misses the null by 2.4e-5 at 20,001 nodes.
+    """
+    t = np.linspace(0.0, scenario.tau, _NODES)
+    s1 = 1.0 - np.asarray(scenario.marginal1.cdf(t), dtype=float)
+    f2 = np.asarray(scenario.marginal2.cdf(t), dtype=float)
+    s2 = 1.0 - f2
+    _, d2 = _copula_and_d2(scenario.copula, scenario.copula_param,
+                           0.5 * (s1[1:] + s1[:-1]), 0.5 * (s2[1:] + s2[:-1]))
+    both_survive, _ = _copula_and_d2(scenario.copula, scenario.copula_param, s1[-1], s2[-1])
+    mass = np.diff(f2)  # past a bounded support, where both survivals may be 0, it is 0
+    return float(np.where(mass > 0, d2, 0.0) @ mass + 0.5 * both_survive)
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     param: float
     theta: float
-    n_draws: int
-    seed: int
     iterations: int
 
 
 def calibrate_null(
     make_scenario: Callable[[float], Scenario],
     bracket: tuple[float, float],
-    *,
-    tol: float = 0.002,
-    n_draws: int = 1_000_000,
-    seed: int = 0,
 ) -> CalibrationResult:
     """Find the free marginal parameter that makes the effect one half, the null.
 
-    Stochastic bisection with common random numbers: one large uncensored
-    copula sample of ``n_draws >= 1`` pairs is drawn once, and each candidate
-    parameter is scored by the exact within-pair comparison of the
-    horizon-truncated lifetimes. The bisection takes at most 80 steps; from
-    the 10th on it stops once the effect is within ``tol`` of one half.
-    ``tol`` must be positive and finite. The map parameter -> effect must be
-    monotone over the bracket (checked empirically; a violation only warns).
+    Bisection on the exact effect of :func:`_theta_of`, until the midpoint
+    of the bracket equals one of its ends; the end whose effect is nearer one
+    half is returned. The effect must cross one half strictly over the
+    bracket, else :class:`BracketError`: an effect equal at both ends, as
+    when the parameter moves nothing, does not.
     """
-    if not is_integer(n_draws):
-        raise ValidationError(f"n_draws must be an integer, got {n_draws!r}")
-    if not n_draws >= 1:
-        raise ValidationError(f"n_draws must be at least 1, got {n_draws}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValidationError(f"tol must be a positive finite number, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"invalid bracket {bracket}")
-    probe = make_scenario(lo)
-    u1, u2 = sample_copula(probe.copula, probe.copula_param, n_draws, seed_words(seed)).T
-
-    def theta_of(param: float) -> float:
-        s = make_scenario(param)
-        if (s.copula, s.copula_param) != (probe.copula, probe.copula_param):
-            raise BracketError("the copula must not depend on the calibrated parameter")
-        m1 = np.minimum(np.asarray(s.marginal1.quantile(1.0 - u1)), s.tau)
-        m2 = np.minimum(np.asarray(s.marginal2.quantile(1.0 - u2)), s.tau)
-        return float(np.mean((m1 > m2) + 0.5 * (m1 == m2)))
-
-    th_lo = theta_of(lo)
-    th_hi = theta_of(hi)
-    if (th_lo - 0.5) * (th_hi - 0.5) > 0:
+    th_lo, th_hi = _theta_of(make_scenario(lo)), _theta_of(make_scenario(hi))
+    if not min(th_lo, th_hi) < 0.5 < max(th_lo, th_hi):
         raise BracketError(
-            f"no sign change over bracket: theta({lo})={th_lo:.4f}, theta({hi})={th_hi:.4f}"
+            f"no sign change over bracket: theta({lo})={th_lo:.7f}, theta({hi})={th_hi:.7f}"
         )
-    th_mid0 = theta_of(0.5 * (lo + hi))
-    if not (min(th_lo, th_hi) <= th_mid0 <= max(th_lo, th_hi)):
-        warnings.warn(
-            "effect does not look monotone over the calibration bracket",
-            NonMonotoneWarning,
-            stacklevel=2,
-        )
-
     increasing = th_hi > th_lo
-    best_param, best_theta = lo, th_lo
-    for iterations in range(1, 81):
-        mid = 0.5 * (lo + hi)
-        th = theta_of(mid)
-        if abs(th - 0.5) < abs(best_theta - 0.5):
-            best_param, best_theta = mid, th
-        if abs(th - 0.5) <= tol and iterations >= 10:
-            break
+    iterations = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        iterations += 1
+        th = _theta_of(make_scenario(mid))
         if (th < 0.5) == increasing:
-            lo = mid
+            lo, th_lo = mid, th
         else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, abs(hi)):
-            break
-    return CalibrationResult(
-        param=best_param, theta=best_theta, iterations=iterations, n_draws=n_draws, seed=seed
-    )
+            hi, th_hi = mid, th
+    param, theta = min((lo, th_lo), (hi, th_hi), key=lambda end: abs(end[1] - 0.5))
+    return CalibrationResult(param=param, theta=theta, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
 functions, which is the reference for the batched harness;
 :func:`reference_draw_block`, the harness draws one sample at a time;
+:func:`monte_carlo_theta`, a scenario's effect scored on the package's
+copula sampler, which checks the exact effect of the quadrature;
 :func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
 the earlier array formulations of the bootstrap counts and of the fused
 kernel, which the record-slot counts and the in-place kernel must reproduce
@@ -287,6 +289,20 @@ def reference_draw_block(scenario, seeds):
         u.append(prt.simulation.sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
         c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
     return prt.simulation._observe(np.array(u), np.array(c), scenario)
+
+
+def monte_carlo_theta(scenario, n_draws, seed):
+    """Monte Carlo effect of the scenario's lifetimes truncated at ``tau``, with its standard error.
+
+    One uncensored copula sample of ``n_draws`` pairs; each pair scores 1 if
+    the first truncated lifetime is the longer, 1/2 on a tie and 0 otherwise.
+    """
+    u1, u2 = prt.simulation.sample_copula(scenario.copula, scenario.copula_param, n_draws,
+                                          seed).T
+    m1 = np.minimum(np.asarray(scenario.marginal1.quantile(1.0 - u1)), scenario.tau)
+    m2 = np.minimum(np.asarray(scenario.marginal2.quantile(1.0 - u2)), scenario.tau)
+    score = (m1 > m2) + 0.5 * (m1 == m2)
+    return float(score.mean()), float(score.std(ddof=1) / np.sqrt(n_draws))
 
 
 def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=0.05,

@@ -319,8 +319,10 @@ class TestSimulate:
         assert "rate" in a.output and "randomization" in a.output
 
     def test_refused_replicates_are_counted_not_fatal(self, runner, tmp_path):
-        # acceptance cell 06(b); replicates 61 and 81 are all type 1, so the
-        # Wald test is refused on both, which used to end the run with exit 5
+        # a fixed input: acceptance cell 06(b) at the Gompertz rate pinned
+        # before the null was calibrated by quadrature, 2.78271484375, kept as
+        # it was; replicates 61 and 81 are all type 1, so the Wald test is
+        # refused on both, which used to end the run with exit 5
         p = tmp_path / "cell06b.json"
         p.write_text(json.dumps({
             "copula": "clayton", "copula_param": -0.6,
@@ -473,25 +475,24 @@ class TestSimulate:
 
 
 class TestCalibrate:
-    @pytest.mark.parametrize("n_draws", ["0", "-3"])
-    def test_draw_count_below_one_writes_nothing(self, runner, tmp_path, n_draws):
+    def test_writes_the_committed_parameters(self, runner, tmp_path):
         out = tmp_path / "params.json"
-        res = runner.invoke(main, ["calibrate", "--n-draws", n_draws, "--output", str(out)])
-        assert res.exit_code == EXIT_VALIDATION
-        assert res.stdout == ""
-        assert res.stderr == f"error: n_draws must be at least 1, got {n_draws}\n"
-        assert not out.exists()
+        res = runner.invoke(main, ["calibrate", "--output", str(out)])
+        assert res.exit_code == 0, res.output
+        written = json.loads(out.read_text())
+        committed = json.loads(DATA.joinpath("calibrated_params.json").read_text())
+        assert written.keys() == committed.keys()
+        for key, entry in committed.items():
+            assert written[key].keys() == entry.keys() == {"param", "theta", "iterations"}
+            assert written[key]["param"] == pytest.approx(entry["param"], rel=1e-9), key
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_tolerance_not_positive_and_finite_writes_nothing(self, runner, tmp_path, tol):
-        # such a tolerance never stopped the bisection early, and said nothing
-        out = tmp_path / "params.json"
-        res = runner.invoke(main, ["calibrate", "--tol", tol, "--n-draws", "10",
-                                   "--output", str(out)])
-        assert res.exit_code == EXIT_VALIDATION
-        assert res.stdout == ""
-        assert res.stderr == f"error: tol must be a positive finite number, got {float(tol)}\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("option", ["--n-draws", "--tol", "--seed"])
+    def test_the_monte_carlo_options_are_gone(self, runner, option):
+        # the quadrature draws nothing, so a draw count, a tolerance or a seed
+        # would change nothing; click refuses them as unknown options
+        res = runner.invoke(main, ["calibrate", option, "10"])
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr and option in res.stderr
 
 
 class TestNegativeSeed:
@@ -500,8 +501,7 @@ class TestNegativeSeed:
         ["analyze", "--input", str(DATA / "example1_table2.csv"), "--tau", "100",
          "--method", "rand", "--seed", "-1"],
         ["transform", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--seed", "-1"],
-        ["calibrate", "--seed", "-1", "--n-draws", "10"],
-    ], ids=["analyze-jitter", "analyze-resampling", "transform", "calibrate"])
+    ], ids=["analyze-jitter", "analyze-resampling", "transform"])
     def test_is_a_validation_error(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == EXIT_VALIDATION

@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # code calls, stays public in pairedrte.simulation only. InferenceRefused
 # joined it as the one base of the three refusals, which the command line
 # maps to exit 5 and the size harness counts as non-rejections.
+# NonMonotoneWarning left it with the sampled calibration it warned for:
+# calibrate_null bisects the exact effect by quadrature, and nothing raises it.
 PUBLIC_NAMES = [
     "BracketError",
     "CalibrationResult",
@@ -29,7 +31,6 @@ PUBLIC_NAMES = [
     "JitterTooLarge",
     "Mixture",
     "NonFiniteTime",
-    "NonMonotoneWarning",
     "NonPositiveTau",
     "PairedObservation",
     "PairedRteError",
@@ -66,7 +67,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(pairedrte.__all__) == PUBLIC_NAMES
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
-from oracles import reference_draw_block
+from oracles import monte_carlo_theta, reference_draw_block
 
 from pairedrte import (
     BracketError,
@@ -24,6 +24,7 @@ from pairedrte import (
     ValidationError,
     bootstrap_distribution,
     calibrate_null,
+    estimate_rte,
     power_scenario,
     prepare_dataset,
     run_power_experiment,
@@ -258,9 +259,7 @@ def simple_scenario():
     lambda s, seed: draw_paired_sample(s, seed),
     lambda s, seed: run_size_experiment(s, methods=["asymptotic"], r=2, seed=seed),
     lambda s, seed: run_power_experiment([("a", s)], methods=["asymptotic"], r=2, seed=seed),
-    lambda s, seed: calibrate_null(lambda p: replace(s, marginal2=Exponential(p)), (0.5, 4.0),
-                                   n_draws=10, seed=seed),
-], ids=["draw", "size", "power", "calibrate"])
+], ids=["draw", "size", "power"])
 def test_negative_seed_is_a_validation_error(simple_scenario, call):
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
         call(simple_scenario, -1)
@@ -285,8 +284,6 @@ COUNTS = {
     "r": lambda s, r: run_size_experiment(s, methods=["asymptotic"], r=r),
     "n": lambda s, n: draw_paired_sample(replace(s, n=n), 1),
     "seed": lambda s, seed: draw_paired_sample(s, seed),
-    "n_draws": lambda s, n_draws: calibrate_null(
-        lambda p: replace(s, marginal2=Exponential(p)), (0.5, 4.0), n_draws=n_draws),
 }
 
 
@@ -295,8 +292,6 @@ COUNTS = {
     ("r", 2.5, ValidationError), ("r", True, ValidationError), ("r", np.int64(2), None),
     ("n", 2.5, ScenarioError), ("n", True, ScenarioError), ("n", np.int32(5), None),
     ("seed", True, ValidationError), ("seed", np.uint32(3), None),
-    ("n_draws", 2.5, ValidationError), ("n_draws", False, ValidationError),
-    ("n_draws", np.int16(50), None),
 ])
 def test_counts_must_be_integers(simple_scenario, count, value, error):
     # a float or a bool count used to end in a bare TypeError, or, as a seed,
@@ -382,7 +377,7 @@ class TestCalibrateNull:
 
         with pytest.raises(BracketError):
             # No sign change because the curve is flat at the target.
-            calibrate_null(build, (0.5, 2.0), n_draws=20_000, seed=16)
+            calibrate_null(build, (0.5, 2.0))
         u = sample_copula("gumbel_hougaard", 5.0, 50_000, seed=17)
         t1 = Exponential(2.0).quantile(1.0 - u[:, 0])
         t2 = Exponential(2.0).quantile(1.0 - u[:, 1])
@@ -391,32 +386,14 @@ class TestCalibrateNull:
         theta = np.mean((m1 > m2) + 0.5 * (m1 == m2))
         assert theta == pytest.approx(0.5, abs=0.01)
 
-    def test_recovers_pinned_mixture_rate(self):
-        from pairedrte.simulation import calibration_targets, load_calibrated_params
-
-        pinned = load_calibrated_params()["gumbel_hougaard__exp_mix"]
-        target = calibration_targets()["gumbel_hougaard__exp_mix"]
-        res = calibrate_null(target["builder"], target["bracket"], n_draws=150_000, seed=18)
-        assert res.param == pytest.approx(pinned["param"], abs=0.05)
-        assert abs(res.theta - 0.5) <= 0.002
-
-    @pytest.mark.parametrize("n_draws", [0, -3])
-    def test_draw_count_below_one_raises_before_any_draw(self, n_draws, monkeypatch):
-        from pairedrte import simulation
-
-        target = simulation.calibration_targets()["clayton__exp_mix"]
-        monkeypatch.setattr(simulation, "sample_copula", None)
-        with pytest.raises(ValidationError, match="n_draws must be at least 1"):
-            calibrate_null(target["builder"], target["bracket"], n_draws=n_draws)
-
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-    def test_tolerance_must_be_positive_and_finite(self, tol, monkeypatch):
-        from pairedrte import simulation
-
-        target = simulation.calibration_targets()["clayton__exp_mix"]
-        monkeypatch.setattr(simulation, "sample_copula", None)
-        with pytest.raises(ValidationError, match="tol must be a positive finite number"):
-            calibrate_null(target["builder"], target["bracket"], tol=tol, n_draws=10)
+    @pytest.mark.parametrize("key", sorted(simulation.calibration_targets()))
+    def test_recovers_every_pinned_parameter(self, key):
+        pinned = simulation.load_calibrated_params()[key]
+        target = simulation.calibration_targets()[key]
+        res = calibrate_null(target["builder"], target["bracket"])
+        assert res.param == pytest.approx(pinned["param"], rel=1e-9)
+        assert abs(res.theta - 0.5) <= 1e-6
+        assert abs(simulation._theta_of(target["builder"](pinned["param"])) - 0.5) <= 1e-6
 
     def test_bracket_error(self):
         def build(param):
@@ -431,7 +408,61 @@ class TestCalibrateNull:
             )
 
         with pytest.raises(BracketError):
-            calibrate_null(build, (5.0, 9.0), n_draws=5_000, seed=19)
+            calibrate_null(build, (5.0, 9.0))
+
+
+def _exact_theta_cases():
+    """The pinned null targets, a point of each power family, and a bounded margin."""
+    params = simulation.load_calibrated_params()
+    cases = {key: target["builder"](params[key]["param"])
+             for key, target in simulation.calibration_targets().items()}
+    for family, value in ((1, 0.5), (2, 0.5), (3, 1.5)):
+        cases[f"power{family}"] = power_scenario(family, "gumbel_hougaard", value, 50)
+    # the second margin's support ends before tau, where both survivals are 0
+    cases["bounded"] = Scenario("clayton", 2.0, Exponential(1.0), Uniform(0.5), Uniform(1.0),
+                                1.0, 10)
+    return cases
+
+
+EXACT_THETA_CASES = _exact_theta_cases()
+
+
+class TestExactTheta:
+    """``simulation._theta_of``: the effect of a scenario by quadrature."""
+
+    def test_independent_exponentials_match_the_closed_form(self):
+        l1, l2, tau = 2.0, 3.0, 1.0
+        s = Scenario("gumbel_hougaard", 1.0, Exponential(l1), Exponential(l2), Uniform(1.0),
+                     tau, 10)
+        tail = math.exp(-(l1 + l2) * tau)
+        assert abs(simulation._theta_of(s) - (l2 / (l1 + l2) * (1.0 - tail) + 0.5 * tail)) <= 1e-9
+
+    @pytest.mark.parametrize("copula, param", [("gumbel_hougaard", 1.0), ("gumbel_hougaard", 5.0),
+                                               ("clayton", -0.6), ("clayton", 2.0)])
+    def test_identical_margins_are_null(self, simple_scenario, copula, param):
+        s = replace(simple_scenario, copula=copula, copula_param=param)
+        assert abs(simulation._theta_of(s) - 0.5) <= 1e-7
+
+    @pytest.mark.parametrize("key", sorted(EXACT_THETA_CASES))
+    def test_agrees_with_monte_carlo(self, key):
+        scenario = EXACT_THETA_CASES[key]
+        theta, se = monte_carlo_theta(scenario, 200_000, 23)
+        assert abs(theta - simulation._theta_of(scenario)) <= 4 * se
+
+    @pytest.mark.parametrize("key", sorted(EXACT_THETA_CASES))
+    def test_doubling_the_nodes_moves_nothing(self, key, monkeypatch):
+        scenario = EXACT_THETA_CASES[key]
+        theta = simulation._theta_of(scenario)
+        monkeypatch.setattr(simulation, "_NODES", 2 * simulation._NODES - 1)
+        assert abs(simulation._theta_of(scenario) - theta) < 1e-7
+
+    @pytest.mark.parametrize("family, value", [(1, 0.5), (2, 0.5), (3, 1.5)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_estimate_is_consistent_at_large_n(self, family, value, seed):
+        scenario = power_scenario(family, "gumbel_hougaard", value, 20_000)
+        est = estimate_rte(prepare_dataset(draw_paired_sample(scenario, seed), scenario.tau))
+        se = math.sqrt(est.sigma2_hat / est.n)
+        assert abs(est.theta_hat - simulation._theta_of(scenario)) <= 4 * se
 
 
 class TestExperiments:

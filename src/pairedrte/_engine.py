@@ -11,14 +11,17 @@ Estimates and bootstrap replicates go through the fused kernel
 :func:`theta_sigma2_cif_from_counts`. Each resampling route builds a sample's
 invariants once per distribution and returns them as a ``(draw, evaluate)``
 pair: ``draw(rng, rows)`` gives the counts of ``rows`` replicates as a tuple,
-and ``evaluate`` of that tuple gives their effects and variances.
+and ``evaluate`` of that tuple gives their effects and variances. Each pair
+owns one workspace, allocated at its first row block and reused by the
+later ones, so a one-block distribution allocates no more than its block.
 :func:`bootstrap_kernel` maps each record to its cell of the record-slot
 counts (cause by at-risk slot), so :func:`bootstrap_counts` is one draw of
-record indices and one bincount per block, and the fused kernel runs in a
-workspace reused across blocks; its blocks are sized by the draw's ``n``
-cells per replicate. Relabeling replicates change only how type-1/2 events
-split, so the draw of :func:`relabel_kernel` is :func:`relabel_counts`, just
-their type-2 counts, and its evaluator works from the sample's invariants.
+record indices and one bincount per block, and the fused kernel runs in the
+workspace; its blocks are sized by the draw's ``n`` cells per replicate.
+Relabeling replicates change only how type-1/2 events split, so the draw of
+:func:`relabel_kernel` is :func:`relabel_counts`, just their type-2 counts,
+written into the workspace from coins made in place, and its evaluator works
+from the sample's invariants.
 """
 
 from __future__ import annotations
@@ -114,6 +117,11 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     passes the same arrays (or leading-row slices of them) each time, so the
     kernel allocates nothing of their size. Without ``work`` it allocates
     them. The arithmetic is the same either way.
+
+    ``Y`` holds counts, each 0 or at least 1, so the safe divisor is
+    ``max(Y, 1)``. ``Y^3`` is formed as ``Y^2 * Y``, which equals
+    ``Y**3`` bit for bit while ``Y^3 < 2^53``, that is for every count up to
+    208,063.
     """
     Y = np.asarray(Y)
     shape = np.broadcast_shapes(Y.shape, np.shape(dN1), np.shape(dN2), np.shape(dN3))
@@ -122,9 +130,7 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     (safe_y, w1, w2, w3, w4, w5), mask = work
     # each step below is one operation of the formulas, in their order, with
     # its result in a buffer whose earlier content is no longer needed
-    positive = np.greater(Y, 0, out=mask)
-    safe_y[...] = 1.0
-    np.copyto(safe_y, Y, where=positive)
+    np.maximum(Y, 1.0, out=safe_y)  # counts are 0 or at least 1
     dA2 = np.divide(dN2, safe_y, out=w1)
     dA3 = np.divide(dN3, safe_y, out=w2)
     dA_dot = np.divide(dN1, safe_y, out=w3)
@@ -167,14 +173,16 @@ def theta_sigma2_cif_from_counts(Y, dN1, dN2, dN3, n: int, work=None):
     psi3 *= dN3
     quad += psi3
     # n sum (quad / Y^2 - lin^2 / Y^3)
-    quad /= np.square(safe_y, out=term)
+    y_power = np.square(safe_y, out=term)
+    quad /= y_power
     np.square(lin, out=lin)
-    lin /= np.power(safe_y, 3, out=term)
+    y_power *= safe_y
+    lin /= y_power
     quad -= lin
     return b_tau[..., 0], n * np.sum(quad, axis=-1)
 
 
-def relabel_counts(dN, rng: np.random.Generator, b: int) -> np.ndarray:
+def relabel_counts(dN, rng: np.random.Generator, b: int, out=None) -> np.ndarray:
     """Type-2 counts of ``b`` within-pair relabelings of type-1/2 events, shape ``(b, k)``.
 
     Each type-1/2 event flips to type 1 or 2 with probability one half,
@@ -183,13 +191,29 @@ def relabel_counts(dN, rng: np.random.Generator, b: int) -> np.ndarray:
     returned rows. Uses one uniform draw per (replicate, event) in grid order,
     a draw below one half making the event type 1, so a record-level
     relabeling with the same draws agrees exactly.
+
+    The uniforms become 0/1 coins in place. Each grid time's first coin is
+    taken into its column and the further coins of tied times are added once
+    per tie depth, a loop as long as the deepest tie; sums of 0/1 coins are
+    exact in any order, so the rows equal a bincount of the coins. Given
+    ``out``, a C-contiguous ``(b, k)`` float array, the rows go there; on a
+    grid without ties the call then allocates only the uniforms.
     """
     m = (dN[0] + dN[1]).astype(np.int64)
-    k = len(m)
-    flip_slots = np.repeat(np.arange(k), m)
-    type2 = rng.random((b, len(flip_slots))) >= 0.5
-    cells = np.arange(b)[:, None] * k + flip_slots[None, :]
-    return np.bincount(cells.ravel(), weights=type2.ravel(), minlength=b * k).reshape(b, k)
+    first = np.cumsum(m) - m
+    coins = rng.random((b, int(m.sum())))
+    np.greater_equal(coins, 0.5, out=coins)
+    out = np.empty((b, len(m))) if out is None else out
+    if coins.size:
+        # clipped indices skip the copy a bounds-checked take makes of out; a
+        # trailing time without type-1/2 events clips to the last coin, and
+        # every such time's column is cleared next
+        np.take(coins, first, axis=1, out=out, mode="clip")
+    out[:, m == 0] = 0.0
+    for depth in range(1, m.max(initial=1)):
+        tied = np.flatnonzero(m > depth)
+        out[:, tied] += coins[:, first[tied] + depth]
+    return out
 
 
 def relabel_kernel(Y, dN, n: int):
@@ -214,14 +238,16 @@ def relabel_kernel(Y, dN, n: int):
 
     Returns ``(draw, evaluate)``. ``draw(rng, rows)`` is ``(dn2,)``, the
     :func:`relabel_counts` of ``rows`` relabelings; ``evaluate(dn2) -> (theta,
-    sigma2)`` takes type-2 rows of shape ``(..., k)``. The terms ``alpha q^2``
-    and ``gamma (dN2 + dN3/4)`` are nonnegative and the other two
-    nonpositive. A variance at most :data:`ZERO_VARIANCE_RTOL` times its
-    nonnegative part is zero in exact arithmetic, for instance when every
-    type-1/2 event is relabeled type 2 and the last event time empties the
-    risk set; it is returned as exactly 0, as the variance of an all-type-1
-    relabeling is, so such a replicate is skipped whatever the sign of its
-    round-off.
+    sigma2)`` takes type-2 rows of shape ``(rows, k)``. Both work in one
+    workspace, the type-2 rows, ``g`` and the cumulative credits, sized by
+    the first, largest, block and reused for every later one, so a drawn
+    ``dn2`` is valid until the next draw. The terms ``alpha q^2`` and
+    ``gamma (dN2 + dN3/4)`` are nonnegative and the other two nonpositive. A
+    variance at most :data:`ZERO_VARIANCE_RTOL` times its nonnegative part is
+    zero in exact arithmetic, for instance when every type-1/2 event is
+    relabeled type 2 and the last event time empties the risk set; it is
+    returned as exactly 0, as the variance of an all-type-1 relabeling is, so
+    such a replicate is skipped whatever the sign of its round-off.
     """
     Y = np.asarray(Y, dtype=float)
     dN = np.asarray(dN, dtype=float)
@@ -242,12 +268,22 @@ def relabel_kernel(Y, dN, n: int):
     gamma = n * weight**2
     gamma_type3 = float(np.sum(gamma * 0.25 * dN[2]))
 
+    work = []  # the type-2 rows, g and the cumulative credits
+
+    def buffers(rows):
+        if not work:
+            # one allocation: three separate ones were returned to the system
+            # and faulted in again by nearly every harness replicate
+            work.extend(np.empty((3, rows, len(Y))))
+        return [a[:rows] for a in work]
+
     def draw(rng, rows):
-        return (relabel_counts(dN, rng, rows),)
+        return (relabel_counts(dN, rng, rows, buffers(rows)[0]),)
 
     def evaluate(dn2):
-        g = dn2 + half3
-        b = g * weight
+        _, g, b = buffers(len(dn2))
+        np.add(dn2, half3, out=g)
+        np.multiply(g, weight, out=b)
         np.cumsum(b, axis=-1, out=b)
         theta = b[..., -1:].sum(axis=-1)  # 0 on an empty grid
         rest = np.subtract(theta[..., None], b, out=b)
@@ -301,19 +337,23 @@ def bootstrap_counts(rng: np.random.Generator, cells, times, rows: int):
     record-slot counts, ``k = len(times)``: row ``j`` holds the records of
     cause ``j`` (0 for censored), column ``s + 1`` those whose last grid time
     at or before their time is ``times[s]``, and column 0 those before the
-    first. One unweighted bincount of the drawn records' cells over the
-    ``(replicate, 4, k + 1)`` cells gives them all. Rows 1 to 3 are the event
-    counts; the records of a column summed over the four rows, cumulated from
-    the last column down, are the at-risk counts (times missing from a
-    resample carry zero counts). Memory is linear in ``rows * (n + k)``.
+    first. One unweighted bincount of the drawn records' cells over a
+    cause-major ``(4, rows, k + 1)`` tally gives them all, so each returned
+    array is a view of one cause's ``(rows, k + 1)`` block, its rows
+    contiguous. Causes 1 to 3 are the event counts; the records of a column
+    summed over the four causes, cumulated from the last column down, are the
+    at-risk counts (times missing from a resample carry zero counts). Memory
+    is linear in ``rows * (n + k)``.
     """
     n, width = len(cells), len(times) + 1
+    # cause * width + slot becomes cause * rows * width + slot; each row adds row * width
+    cells = cells + cells // width * ((rows - 1) * width)
     flat = cells[rng.integers(0, n, (rows, n))]
-    flat += np.arange(0, rows * 4 * width, 4 * width)[:, None]
-    tally = np.bincount(flat.ravel(), minlength=rows * 4 * width).reshape(rows, 4, width)
-    at_risk = tally[:, 0]
+    flat += np.arange(0, rows * width, width)[:, None]
+    tally = np.bincount(flat.ravel(), minlength=4 * rows * width).reshape(4, rows, width)
+    at_risk = tally[0]
     for cause in (1, 2, 3):
-        at_risk += tally[:, cause]
+        at_risk += tally[cause]
     suffix = at_risk[:, ::-1]
     np.cumsum(suffix, axis=-1, out=suffix)
-    return tally[:, 0, 1:], tally[:, 1, 1:], tally[:, 2, 1:], tally[:, 3, 1:]
+    return tally[0, :, 1:], tally[1, :, 1:], tally[2, :, 1:], tally[3, :, 1:]

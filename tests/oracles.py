@@ -8,10 +8,11 @@ functions, which is the reference for the batched harness;
 :func:`reference_draw_block`, the harness draws one sample at a time;
 :func:`monte_carlo_theta`, a scenario's effect scored on the package's
 copula sampler, which checks the exact effect of the quadrature;
-:func:`reference_bootstrap_counts` and :func:`reference_theta_sigma2_cif`,
-the earlier array formulations of the bootstrap counts and of the fused
-kernel, which the record-slot counts and the in-place kernel must reproduce
-bit for bit.
+:func:`reference_bootstrap_counts`, :func:`reference_relabel_counts` and
+:func:`reference_theta_sigma2_cif`, the earlier array formulations of the
+bootstrap counts, the relabeling counts and the fused kernel, which the
+record-slot counts, the in-place coin draw and the in-place kernel must
+reproduce bit for bit.
 """
 
 import warnings
@@ -252,6 +253,21 @@ def reference_bootstrap_counts(z, eps, times, rng, b):
     dN = np.bincount(cells.ravel(), weights=counts[:, events].ravel(), minlength=3 * b * k)
     dN = dN.reshape(b, 3, k)
     return at_risk, dN[:, 0], dN[:, 1], dN[:, 2]
+
+
+def reference_relabel_counts(dN, rng, b):
+    """Type-2 counts ``(b, k)`` of ``b`` relabelings by one weighted bincount.
+
+    Draws ``rng.random((b, M)) >= 0.5`` for the ``M`` type-1/2 events in grid
+    order, as the package does, and bincounts each coin into its
+    ``(replicate, time)`` cell.
+    """
+    m = (dN[0] + dN[1]).astype(np.int64)
+    k = len(m)
+    flip_slots = np.repeat(np.arange(k), m)
+    type2 = rng.random((b, len(flip_slots))) >= 0.5
+    cells = np.arange(b)[:, None] * k + flip_slots[None, :]
+    return np.bincount(cells.ravel(), weights=type2.ravel(), minlength=b * k).reshape(b, k)
 
 
 def reference_theta_sigma2_cif(Y, dN1, dN2, dN3, n):

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import pairedrte
 from oracles import (exact_theta_sigma2_cif, randomize_labels, reference_bootstrap_counts,
-                     reference_theta_sigma2_cif, relabeling_pvalues)
+                     reference_relabel_counts, reference_theta_sigma2_cif, relabeling_pvalues)
 
 from pairedrte import (
     Dataset,
@@ -275,6 +277,13 @@ class TestBootstrapKernel:
             for g, w in zip(_engine.theta_sigma2_cif_from_counts(*want, len(z)), ref):
                 np.testing.assert_array_equal(g, w)
 
+    def test_cube_from_the_square_is_exact_in_the_stated_range(self):
+        # the kernel forms Y^3 as Y^2 * Y; every integer count up to 208,063
+        # has its cube below 2^53, so both products are exact
+        y = np.arange(1.0, 208_064.0)
+        np.testing.assert_array_equal(y * y * y, np.power(y, 3))
+        assert 208_063**3 < 2**53 < 208_064**3
+
     @pytest.mark.parametrize("name, skipped", [("all_censored", 50), ("all_type_2", 16)])
     def test_degenerate_samples_raise(self, name, skipped):
         z, eps = self.SAMPLES[name]
@@ -383,6 +392,60 @@ class TestRandomizationDistribution:
         out = randomize_labels(sample, seed=5)
         assert int((out.epsilon == 3).sum()) == int((sample.epsilon == 3).sum())
         assert int((out.epsilon == 0).sum()) == int((sample.epsilon == 0).sum())
+
+
+# grid cells (type-1/2 events, type-3 events), at least one event each
+relabel_cells = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 2)).filter(lambda c: sum(c) > 0),
+    min_size=1, max_size=12)
+
+
+class TestRelabelDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(relabel_cells, st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example([(1, 0)], 5, 0)  # one-cell grid
+    @example([(0, 1), (0, 2)], 5, 1)  # no flippable event
+    # type-3-only cells between and after flippable ones
+    @example([(2, 0), (0, 1), (0, 2), (4, 1), (0, 1), (3, 0), (0, 2)], 9, 2)
+    @example([(4, 0), (4, 2), (1, 0), (4, 0)], 9, 3)  # ties of multiplicity 4
+    def test_equals_the_bincount_reference(self, cells, b, seed):
+        m, dn3 = np.array(cells, dtype=float).T
+        dn = np.stack([m // 2, m - m // 2, dn3])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _engine.relabel_counts(dn, rng, b)
+        np.testing.assert_array_equal(got, reference_relabel_counts(dn, ref_rng, b))
+        assert got.dtype == float
+        # the same uniforms were drawn, so the generators stand at one position
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", TestBootstrapKernel.SAMPLES)
+    def test_kernel_blocks_equal_fresh_draws(self, name):
+        # blocks of falling size run in leading rows of the first block's
+        # workspace; each must equal a fresh draw and a fresh evaluation
+        z, eps = (np.asarray(a) for a in TestBootstrapKernel.SAMPLES[name])
+        _, at_risk, dn = event_grid(Dataset(z=z.astype(float), epsilon=eps, tau=100.0))
+        draw, evaluate = _engine.relabel_kernel(at_risk, dn, len(z))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for rows in (40, 7, 1):
+            (got,) = draw(rng, rows)
+            want = reference_relabel_counts(dn, ref_rng, rows)
+            np.testing.assert_array_equal(got, want)
+            fresh = _engine.relabel_kernel(at_risk, dn, len(z))[1](want)
+            for g, w in zip(evaluate(got), fresh):
+                np.testing.assert_array_equal(g, w)
+
+    def test_allocates_only_the_uniforms_and_the_rows(self):
+        rng = np.random.default_rng(9)
+        data = Dataset(z=rng.permutation(100) + 1.0, epsilon=rng.integers(0, 4, 100), tau=1e3)
+        _, _, dn = event_grid(data)
+        b, k, flippable = 500, dn.shape[1], int((dn[0] + dn[1]).sum())
+        tracemalloc.start()
+        try:
+            _engine.relabel_counts(dn, np.random.default_rng(10), b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * b * (flippable + k)
 
 
 class TestRelabelKernel:

@@ -300,21 +300,53 @@ def _studentizable(theta, sigma2, transform: str):
     return in_domain, np.logical_not(sigma2 <= 0)
 
 
-def _wald_decisions(theta, sigma2, n: int, cfg: InferenceConfig):
-    """The asymptotic test of :func:`test_and_ci` on arrays of estimates from samples of size ``n``.
+def _sorted_quantile(rows, counts, q):
+    """``np.quantile(values, q)`` of each sorted row's first ``counts`` values.
 
-    Returns ``(usable, reject)``: ``usable`` marks the estimates that
-    :func:`test_and_ci` can studentize, ``reject`` its decision for those
-    (False elsewhere).
+    numpy's ``linear`` method: the index ``(counts - 1) q`` split by
+    ``floor``, then numpy's ``_lerp`` of the two neighbouring order
+    statistics, its ``t >= 0.5`` branch included. ``rows`` is one sorted row
+    with an integer ``counts`` or a block of rows with a count per row.
     """
-    theta = np.asarray(theta, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    in_domain, has_variance = _studentizable(theta, sigma2, cfg.transform)
+    last = np.asarray(counts)[..., None] - 1
+    below = np.floor(last * q)
+    t = (last * q - below)[..., 0]
+    a, b = (np.take_along_axis(rows, i.astype(np.intp), -1)[..., 0]
+            for i in (below, np.minimum(below + 1, last)))
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
+               replicates=None):
+    """The test of :func:`test_and_ci` on arrays of estimates from samples of size ``n``.
+
+    ``replicates`` is ``None`` for the normal limit, else ``(refs, thetas,
+    sigmas2)``: per estimate the ``theta_ref``, ``thetas`` and ``sigmas2`` of
+    its :class:`ResampleDistribution`, the rows padded with NaN (all NaN for
+    a refused distribution). Each row is studentized, log-log exclusions
+    masked, sorted once and read as :func:`test_and_ci` reads a distribution.
+    Returns ``(usable, reject)``: ``usable`` marks the estimates that
+    :func:`test_and_ci` would decide rather than refuse, ``reject`` its
+    decision for those (False elsewhere).
+    """
+    in_domain, has_variance = _studentizable(theta, sigma2, transform)
     usable = in_domain & has_variance
+    quantile = _NORMAL.inv_cdf
+    if replicates is not None:
+        refs, thetas, sigmas2 = replicates
+        thetas = np.where(_studentizable(thetas, sigmas2, transform)[0], thetas, np.nan)
+        values = _studentize(thetas, refs[:, None], np.sqrt(sigmas2 / n), transform)
+        counts = np.count_nonzero(~np.isnan(values), axis=-1)
+        usable &= counts >= 20
+        rows, counts = np.sort(values[usable], axis=-1), counts[usable]
+
+        def quantile(q):
+            return _sorted_quantile(rows, counts, q)
+
     reject = np.zeros(theta.shape, dtype=bool)
     reject[usable] = _test_arithmetic(
-        theta[usable], np.sqrt(sigma2[usable] / n), cfg.transform, cfg.sided, cfg.alpha,
-        _NORMAL.inv_cdf,
+        theta[usable], np.sqrt(sigma2[usable] / n), transform, sided, alpha, quantile
     )[-1]
     return usable, reject
 
@@ -349,9 +381,10 @@ def test_and_ci(
             )
         method, b_eff, seed = cfg.method, dist.b_requested, cfg.seed
         skipped = dist.skipped + excluded
+        ordered = np.sort(values)
 
         def quantile(q):
-            return float(np.quantile(values, q))
+            return float(_sorted_quantile(ordered, len(values), q))
 
     t_obs, critical, ci_lower, ci_upper, reject = _test_arithmetic(
         est.theta_hat, est.se, cfg.transform, cfg.sided, cfg.alpha, quantile

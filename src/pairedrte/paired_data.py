@@ -159,10 +159,12 @@ class Dataset:
             raise ValidationError(f"z must be nonnegative, got {z[z < 0][0]}")
         if np.any(z > self.tau):
             raise ValidationError("all record times must be <= tau")
-        # checked before the integer cast, which would truncate a label like 1.5
-        if not np.all(np.isin(eps, (0, 1, 2, 3))):
+        # a label like 1.5, NaN or inf does not survive the integer cast unchanged
+        with np.errstate(invalid="ignore"):
+            labels = eps.astype(np.int64, copy=False) if eps.dtype.kind in "biuf" else None
+        if labels is None or not ((labels == eps) & (labels >= 0) & (labels <= 3)).all():
             raise ValidationError("epsilon labels must be in {0,1,2,3}")
-        object.__setattr__(self, "epsilon", eps.astype(np.int64, copy=False))
+        object.__setattr__(self, "epsilon", labels)
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -25,10 +25,9 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .estimators import RteEstimate, _estimates_from_counts
+from .estimators import _estimates_from_counts
 from ._streams import grid_seed, is_integer, rng_of, rngs_of
-from .inference import InferenceConfig, _distinct, _wald_decisions
-from .inference import resample_distribution, test_and_ci
+from .inference import InferenceConfig, _decisions, _distinct, resample_distribution
 from .paired_data import Dataset, PairedSample, _plain_ints, _prepare_rows
 
 __all__ = [
@@ -549,8 +548,9 @@ def run_size_experiment(
     use ``seed=(seed, rep)``. Results are therefore independent of
     scheduling. Replicates run in blocks of at most ``_engine.BLOCK_CELLS //
     n``: the quantile transforms, the preparation, the estimates and the
-    asymptotic test are one array pass per block; resampling runs one
-    replicate at a time. Truncation at the horizon counts as censoring in
+    asymptotic test are one array pass per block. Resampled distributions are
+    drawn one replicate at a time and decided per block, ``BLOCK_CELLS // b``
+    replicates per array pass. Truncation at the horizon counts as censoring in
     the reported censoring rates. Each test of a prepared replicate rejects,
     does not, or is refused (:class:`InferenceRefused`): a non-rejection
     counted in ``refused``, which leaves the replicate's other tests as they
@@ -566,15 +566,28 @@ def run_size_experiment(
     methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
     for method in methods:  # a bad setting raises here, not on a replicate
         InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
-    asymptotic = {t: InferenceConfig(method="asymptotic", sided=sided, alpha=alpha, transform=t)
-                  for t in transforms} if "asymptotic" in methods else {}
-    resampled = [m for m in methods if m != "asymptotic"]
     r, b, seed = int(r), int(b), _plain_ints(seed)
     n, tau = scenario.n, float(scenario.tau)
     rejections = {(m, t): 0 for m in methods for t in transforms}
     refused = dict(rejections)
     failures = []
     margins_censored = pairs_censored = risk_exhausted = 0
+
+    def replicates(method, rows, z, eps, reps):
+        """The NaN-padded distributions of ``method`` on ``rows``; a refused one stays NaN."""
+        refs, thetas = np.full(len(rows), np.nan), np.full((len(rows), b), np.nan)
+        sigmas2 = thetas.copy()
+        for j, i in enumerate(rows):
+            cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
+                                  seed=(seed, reps[i]))
+            try:
+                dist = resample_distribution(Dataset(z=z[i], epsilon=eps[i], tau=tau), cfg)
+            except InferenceRefused:
+                continue
+            m = len(dist.thetas)
+            refs[j], thetas[j, :m], sigmas2[j, :m] = dist.theta_ref, dist.thetas, dist.sigmas2
+        return refs, thetas, sigmas2
+
     step = max(1, _engine.BLOCK_CELLS // n)
     for start in range(0, r, step):
         reps = range(start, min(r, start + step))
@@ -588,29 +601,16 @@ def run_size_experiment(
         margins_censored += censored
         pairs_censored += int((eps[prepared] == 0).sum())
         risk_exhausted += int((prepared & exhausted).sum())
-        for t, cfg in asymptotic.items():
-            usable, reject = _wald_decisions(theta, sigma2, n, cfg)
-            rejections[("asymptotic", t)] += int((prepared & reject).sum())
-            refused[("asymptotic", t)] += int((prepared & ~usable).sum())
-        for method in resampled:
-            for i in np.flatnonzero(prepared):
-                data = Dataset(z=z[i], epsilon=eps[i], tau=tau)
-                est = RteEstimate(theta_hat=float(theta[i]), sigma2_hat=float(sigma2[i]),
-                                  n=n, tau=tau)
-                cfg = InferenceConfig(method=method, sided=sided, alpha=alpha, b=b,
-                                      seed=(seed, reps[i]))
-                try:
-                    dist = resample_distribution(data, cfg)
-                except InferenceRefused:
-                    for t in transforms:
-                        refused[(method, t)] += 1
-                    continue
+        ready = np.flatnonzero(prepared)
+        for method in methods:
+            size = len(reps) if method == "asymptotic" else max(1, _engine.BLOCK_CELLS // b)
+            for rows in (ready[k:k + size] for k in range(0, len(ready), size)):
+                block = None if method == "asymptotic" else replicates(method, rows, z, eps, reps)
                 for t in transforms:
-                    try:
-                        rejections[(method, t)] += int(
-                            test_and_ci(est, dist, replace(cfg, transform=t)).reject)
-                    except InferenceRefused:
-                        refused[(method, t)] += 1
+                    usable, reject = _decisions(theta[rows], sigma2[rows], n, t, sided, alpha,
+                                                block)
+                    rejections[(method, t)] += int(reject.sum())
+                    refused[(method, t)] += int((~usable).sum())
     return ExperimentResult(
         scenario=scenario,
         label=label,

@@ -1,5 +1,6 @@
 """The batched Monte Carlo harness against the replicate-at-a-time reference."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -67,6 +68,12 @@ CASES = {
     # two refused randomization replicates: past the 1 % cap, which counts
     # only replicates that could not be prepared
     "refusals-past-the-failure-cap": (SMALL, dict(PARTIAL, r=10, seed=1)),
+    # fewer than 20 replicates: every resampled test is refused
+    "b-19": (CELL_06B, dict(methods=["asymptotic", "bootstrap", "randomization"],
+                            transforms=["linear", "loglog"], r=10, b=19, seed=12)),
+    # replicates 0, 3, 5 and 6 skip 1 to 4 resamples and 1, 4 and 7 are
+    # refused: the decided rows are padded to unequal lengths
+    "bootstrap-skipped-rows": (SMALL, dict(PARTIAL, methods=["bootstrap"], r=10, b=40, seed=7)),
 }
 
 
@@ -164,6 +171,42 @@ class TestEquivalence:
         whole = batched(scenario, **kwargs)
         monkeypatch.setattr(_engine, "BLOCK_CELLS", 3 * scenario.n)
         assert batched(scenario, **kwargs) == whole
+
+    def test_fewer_than_20_replicates_refuse_every_resampled_test(self):
+        scenario, kwargs = CASES["b-19"]
+        res = batched(scenario, **kwargs)
+        for method in ("bootstrap", "randomization"):
+            for transform in kwargs["transforms"]:
+                assert res["refused"][(method, transform)] == kwargs["r"]
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_decision_sub_blocks_change_nothing(self, rows, monkeypatch):
+        # BLOCK_CELLS = rows * b decides the resampled tests of ``rows``
+        # replicates at a time; at 3 * b a harness block holds 4 replicates
+        scenario, kwargs = CASES["all-two-sided"]
+        monkeypatch.setattr(_engine, "BLOCK_CELLS", rows * kwargs["b"])
+        assert batched(scenario, **kwargs) == reference_size_experiment(scenario, **kwargs)
+
+    def test_resampled_statistics_stay_within_block_cells(self, monkeypatch):
+        # a harness block at n = 25 holds 2,621 replicates: at b = 2,000 their
+        # statistics alone would take 84 MB, where sub-blocks of BLOCK_CELLS // b
+        # replicates take 1 MB. Every replicate gets one stored relabeling
+        # distribution, so only the harness's own arrays count
+        r = _engine.BLOCK_CELLS // CELL_06B.n
+        obs = sim.draw_paired_sample(CELL_06B, np.random.default_rng([3, 0]))
+        data = prt.prepare_dataset(obs, CELL_06B.tau, seed=0)
+        dist = prt.randomization_distribution(
+            data, prt.InferenceConfig(method="randomization", b=2000, seed=1))
+        monkeypatch.setattr(sim, "resample_distribution", lambda data, cfg: dist)
+        tracemalloc.start()
+        try:
+            res = sim.run_size_experiment(CELL_06B, methods=["randomization"],
+                                          transforms=["linear"], r=r, b=2000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.refused == {("randomization", "linear"): 0}
+        assert peak < 20e6
 
     def test_invalid_settings_raise_before_any_replicate(self, monkeypatch):
         monkeypatch.setattr(sim, "_draw_block", None)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -613,7 +614,8 @@ class TestWaldDecisions:
         theta = np.concatenate([rng.uniform(0.2, 0.8, 60), [0.0, 1.0, 0.5, 0.6]])
         sigma2 = np.concatenate([rng.uniform(0.0, 0.5, 60), [0.3, 0.3, 0.0, -1.0]])
         cfg = InferenceConfig(method="asymptotic", sided=sided, transform=transform)
-        usable, reject = pairedrte.inference._wald_decisions(theta, sigma2, sample.n, cfg)
+        usable, reject = pairedrte.inference._decisions(theta, sigma2, sample.n, transform, sided,
+                                                        0.05)
         for th, s2, ok, rej in zip(theta, sigma2, usable, reject):
             est = pairedrte.RteEstimate(theta_hat=float(th), sigma2_hat=float(s2), n=sample.n,
                                         tau=sample.tau)
@@ -623,6 +625,71 @@ class TestWaldDecisions:
                 assert not rej
                 with pytest.raises((DegenerateVariance, ThetaOutOfDomain)):
                     make_report(est, None, cfg)
+
+
+class TestResampledDecisions:
+    @pytest.mark.parametrize("sided", ["right", "left", "two"])
+    @pytest.mark.parametrize("transform", ["linear", "loglog"])
+    @pytest.mark.parametrize("method", ["bootstrap", "randomization"])
+    def test_padded_rows_equal_test_and_ci(self, method, sided, transform):
+        # samples of 8 records on the times 1 to 4 skip replicates, exclude
+        # log-log ones and refuse whole distributions, so the padded rows
+        # differ in length; each setting has refused and rejecting rows
+        rng = np.random.default_rng(44)
+        samples = [Dataset(z=rng.integers(1, 5, 8).astype(float),
+                           epsilon=rng.choice(4, 8, p=[0.3, 0.25, 0.25, 0.2]), tau=10.0)
+                   for _ in range(60)]
+        b = 30
+        refs = np.full(len(samples), np.nan)
+        thetas, sigmas2 = np.full((len(samples), b), np.nan), np.full((len(samples), b), np.nan)
+        ests, outcomes = [], []
+        for j, data in enumerate(samples):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", pairedrte.DegenerateRiskWarning)
+                ests.append(estimate_rte(data))
+            cfg = InferenceConfig(method=method, sided=sided, transform=transform, b=b, seed=j)
+            try:
+                dist = resample_distribution(data, cfg)
+                outcomes.append(make_report(ests[-1], dist, cfg).reject)
+            except pairedrte.InferenceRefused:
+                outcomes.append(None)
+            else:
+                m = len(dist.thetas)
+                refs[j], thetas[j, :m], sigmas2[j, :m] = dist.theta_ref, dist.thetas, dist.sigmas2
+        theta = np.array([e.theta_hat for e in ests])
+        sigma2 = np.array([e.sigma2_hat for e in ests])
+        usable, reject = pairedrte.inference._decisions(
+            theta, sigma2, 8, transform, sided, 0.05, (refs, thetas, sigmas2))
+        assert list(usable) == [out is not None for out in outcomes]
+        assert list(reject) == [bool(out) for out in outcomes]
+        assert usable.sum() < len(samples) and reject.any()
+
+
+class TestSortedQuantile:
+    QS = (0.0, 0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995, 1.0)
+
+    def test_equals_numpy_quantile(self):
+        # 3,400 rows of lengths 1 to 2,500 at nine levels, one row and a
+        # NaN-padded block at a time; every other row is rounded, so it ties.
+        # Rounding makes both zeros, which sorting and numpy's partition may
+        # order differently: a result may differ in the sign of a zero alone
+        rng = np.random.default_rng(29)
+        lengths = np.concatenate([np.arange(1, 101), rng.integers(1, 2501, 3300)])
+        sorted_quantile = pairedrte.inference._sorted_quantile
+        cases = 0
+        for part in np.array_split(lengths, 34):
+            rows = [rng.standard_normal(m) for m in part]
+            rows = [np.round(v, 1) if i % 2 else v for i, v in enumerate(rows)]
+            block = np.full((len(part), part.max()), np.nan)
+            for i, v in enumerate(rows):
+                block[i, :len(v)] = v
+            block, ordered = np.sort(block, axis=-1), [np.sort(v) for v in rows]
+            want = np.array([np.quantile(v, self.QS) for v in rows])
+            for k, q in enumerate(self.QS):
+                assert list(sorted_quantile(block, part, q)) == list(want[:, k])
+                assert [sorted_quantile(v, len(v), q) for v in ordered] == list(want[:, k])
+                cases += len(rows)
+        assert cases >= 30_000
 
 
 class TestReplicateBlocks:

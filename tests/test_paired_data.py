@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,28 @@ class TestDataset:
         data = Dataset(z=[1.0, 2.0], epsilon=[1.0, 3.0], tau=3.0)
         assert data.epsilon.dtype == np.int64
         np.testing.assert_array_equal(data.epsilon, [1, 3])
+
+    @pytest.mark.parametrize(
+        "labels, accepted",
+        [([True, False], True), ([0.0, 1.0, 2.0, 3.0], True), ([-0.0, 2.0], True),
+         (np.array([3, 1], dtype=np.int8), True), (np.array([2, 0], dtype=np.uint64), True),
+         ([1.5, 2.0], False), ([-1, 2], False), ([4, 2], False), ([math.nan, 1.0], False),
+         ([math.inf, 1.0], False), ([-math.inf, 1.0], False), ([2.0**63, 1.0], False),
+         (np.array([2**64 - 1, 1], dtype=np.uint64), False), (["1", "2"], False),
+         (["a", "2"], False), ([b"1", b"2"], False)],
+    )
+    def test_label_values_accepted_and_refused(self, labels, accepted):
+        # the cast of NaN or inf must neither warn nor pass as a label
+        z = np.arange(1.0, len(labels) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accepted:
+                data = Dataset(z=z, epsilon=labels, tau=10.0)
+                assert data.epsilon.dtype == np.int64
+                np.testing.assert_array_equal(data.epsilon, np.asarray(labels, dtype=np.int64))
+            else:
+                with pytest.raises(ValidationError, match="epsilon labels must be in"):
+                    Dataset(z=z, epsilon=labels, tau=10.0)
 
 
 class TestReadPairedCsv:

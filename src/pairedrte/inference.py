@@ -120,8 +120,7 @@ class ResampleDistribution:
 
     ``thetas``/``sigmas2`` hold the replicates whose variance estimate was
     positive; degenerate replicates are counted in ``skipped``. ``values``
-    are the studentized statistics on the linear scale; ``statistics`` also
-    provides the log-log-transformed version. Replicates center on
+    are the studentized statistics on the linear scale. Replicates center on
     ``theta_ref``: the estimate for the bootstrap, one half for relabeling.
     """
 
@@ -135,17 +134,7 @@ class ResampleDistribution:
 
     @property
     def values(self) -> np.ndarray:
-        vals, _ = self.statistics("linear")
-        return vals
-
-    def statistics(self, transform: str) -> tuple[np.ndarray, int]:
-        """Studentized replicate statistics and the count excluded for the transform."""
-        se = np.sqrt(self.sigmas2 / self.n)
-        if transform == "linear":
-            return _studentize(self.thetas, self.theta_ref, se, transform), 0
-        usable = (self.thetas > 0.0) & (self.thetas < 1.0)
-        vals = _studentize(self.thetas[usable], self.theta_ref, se[usable], transform)
-        return vals, int((~usable).sum())
+        return _studentize(self.thetas, self.theta_ref, np.sqrt(self.sigmas2 / self.n), "linear")
 
 
 def _transform_funcs(transform: str):
@@ -155,7 +144,8 @@ def _transform_funcs(transform: str):
     return (
         lambda t: np.log(-np.log(t)),
         lambda t: 1.0 / (t * np.log(t)),
-        lambda y: np.exp(-np.exp(y)),
+        # exp(y) may overflow far out; exp(-inf) is then the inverse's limit, 0
+        np.errstate(over="ignore")(lambda y: np.exp(-np.exp(y))),
     )
 
 
@@ -165,17 +155,11 @@ def _studentize(theta, ref: float, se, transform: str):
     return (psi(theta) - psi(ref)) / (dpsi(theta) * se)
 
 
-def _normal_sf(x: float) -> float:
-    """Standard normal upper tail; erfc keeps the far tail accurate."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def _normal_pvalue(t_obs: float, sided: str) -> float:
-    if sided == "right":
-        return _normal_sf(t_obs)
-    if sided == "left":
-        return _normal_sf(-t_obs)
-    return 2.0 * _normal_sf(abs(t_obs))
+def _normal_pvalue(t_obs, sided: str):
+    """Standard normal tail beyond each statistic; erfc keeps the far tail accurate."""
+    x = {"right": t_obs, "left": -t_obs, "two": np.abs(t_obs)}[sided] / math.sqrt(2.0)
+    tail = 0.5 * np.array([math.erfc(v) for v in x.tolist()])
+    return 2.0 * tail if sided == "two" else tail
 
 
 def _replicate_distribution(kind: str, kernel, width: int, n: int, theta_ref: float,
@@ -240,29 +224,30 @@ def _tie_tolerance(t):
     return _TIE_TOL * np.maximum(1.0, np.abs(t))
 
 
-def _resample_pvalue(values: np.ndarray, t_obs: float, sided: str) -> float:
-    """``(1 + count) / (b + 1)``, counting the replicates at least as extreme as ``t_obs``.
+def _resample_pvalue(rows, counts, t_obs, sided: str):
+    """``(1 + count) / (counts + 1)``, per row the replicates at least as extreme as ``t_obs``.
 
-    A replicate within :func:`_tie_tolerance` of ``t_obs`` counts as a tie:
-    its statistic equals ``t_obs`` in exact arithmetic and differs only by the
-    round-off of its own evaluation.
+    ``rows`` hold each estimate's studentized replicates, padded with NaN,
+    which compares false and so counts on no side. A replicate within
+    :func:`_tie_tolerance` of ``t_obs`` counts as a tie: its statistic equals
+    ``t_obs`` in exact arithmetic and differs only by the round-off of its
+    own evaluation.
     """
-    b = len(values)
-    tol = _tie_tolerance(t_obs)
+    t, tol = t_obs[:, None], _tie_tolerance(t_obs)[:, None]
     if sided == "right":
-        count = int((values >= t_obs - tol).sum())
+        hits = rows >= t - tol
     elif sided == "left":
-        count = int((values <= t_obs + tol).sum())
+        hits = rows <= t + tol
     else:
-        count = int((np.abs(values) >= abs(t_obs) - tol).sum())
-    return (1 + count) / (b + 1)
+        hits = np.abs(rows) >= np.abs(t) - tol
+    return (1 + np.count_nonzero(hits, axis=-1)) / (counts + 1)
 
 
 def _test_arithmetic(theta, se, transform: str, sided: str, alpha: float, quantile):
     """Statistic, critical values, interval and decision of the test of ``theta = 1/2``.
 
-    Elementwise on scalars or on equal-shape arrays of estimates and standard
-    errors; ``quantile`` maps a probability to a critical value. Interval
+    Elementwise on equal-shape arrays of estimates and standard errors;
+    ``quantile`` maps a probability to their critical values. Interval
     endpoints invert the studentized statistic on the transform scale and
     are mapped back, so the decision and the interval are exact duals. A
     critical value that ties the statistic, as :func:`_resample_pvalue`
@@ -278,26 +263,16 @@ def _test_arithmetic(theta, se, transform: str, sided: str, alpha: float, quanti
 
     if sided == "right":
         critical = (quantile(1.0 - alpha),)
-        ci_lower, ci_upper = endpoint(critical[0]), 1.0
+        ci_lower, ci_upper = endpoint(critical[0]), np.ones_like(t_obs)
     elif sided == "left":
         critical = (quantile(alpha),)
-        ci_lower, ci_upper = 0.0, endpoint(critical[0])
+        ci_lower, ci_upper = np.zeros_like(t_obs), endpoint(critical[0])
     else:
         critical = (quantile(alpha / 2.0), quantile(1.0 - alpha / 2.0))
         lo, hi = endpoint(critical[1]), endpoint(critical[0])
         ci_lower, ci_upper = np.minimum(lo, hi), np.maximum(lo, hi)
     reject = np.logical_not((ci_lower <= 0.5) & (0.5 <= ci_upper))
     return t_obs, critical, ci_lower, ci_upper, reject
-
-
-def _studentizable(theta, sigma2, transform: str):
-    """``(in_domain, has_variance)``: whether the estimates can be studentized.
-
-    ``in_domain`` fails only for log-log with ``theta`` outside (0, 1);
-    ``has_variance`` fails for a variance estimate of zero or below.
-    """
-    in_domain = True if transform == "linear" else (theta > 0.0) & (theta < 1.0)
-    return in_domain, np.logical_not(sigma2 <= 0)
 
 
 def _sorted_quantile(rows, counts, q):
@@ -317,38 +292,59 @@ def _sorted_quantile(rows, counts, q):
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
+_REFUSALS = (ThetaOutOfDomain, DegenerateVariance, InsufficientReplicates)
+
+
 def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
                replicates=None):
-    """The test of :func:`test_and_ci` on arrays of estimates from samples of size ``n``.
+    """The tests of ``theta = 1/2`` of arrays of estimates from samples of size ``n``.
 
     ``replicates`` is ``None`` for the normal limit, else ``(refs, thetas,
     sigmas2)``: per estimate the ``theta_ref``, ``thetas`` and ``sigmas2`` of
     its :class:`ResampleDistribution`, the rows padded with NaN (all NaN for
     a refused distribution). Each row is studentized, log-log exclusions
-    masked, sorted once and read as :func:`test_and_ci` reads a distribution.
-    Returns ``(usable, reject)``: ``usable`` marks the estimates that
-    :func:`test_and_ci` would decide rather than refuse, ``reject`` its
-    decision for those (False elsewhere).
+    masked, and sorted once; its critical values are the empirical quantiles
+    of its usable replicates (linear interpolation between order
+    statistics), see :func:`_test_arithmetic`.
+
+    Returns ``(refusal, counts, decided)``. ``refusal`` indexes
+    :data:`_REFUSALS`, or is -1 for a decided estimate, checked in order:
+    log-log with ``theta`` outside (0, 1), a variance of zero or below, fewer
+    than 20 usable replicates. ``counts`` holds each row's usable replicates
+    (0 for the normal limit). ``decided`` is ``(statistic, critical,
+    ci_lower, ci_upper, reject, p_value)`` of the decided estimates, in
+    order, ``critical`` a tuple of arrays.
     """
-    in_domain, has_variance = _studentizable(theta, sigma2, transform)
-    usable = in_domain & has_variance
-    quantile = _NORMAL.inv_cdf
+    loglog = transform == "loglog"
+    refusal = np.full(theta.shape, -1)  # checked last to first: the first failed check stays
+    counts = np.zeros(theta.shape, dtype=int)
     if replicates is not None:
         refs, thetas, sigmas2 = replicates
-        thetas = np.where(_studentizable(thetas, sigmas2, transform)[0], thetas, np.nan)
+        if loglog:
+            thetas = np.where((thetas > 0.0) & (thetas < 1.0), thetas, np.nan)
         values = _studentize(thetas, refs[:, None], np.sqrt(sigmas2 / n), transform)
         counts = np.count_nonzero(~np.isnan(values), axis=-1)
-        usable &= counts >= 20
-        rows, counts = np.sort(values[usable], axis=-1), counts[usable]
+        refusal[counts < 20] = 2
+    refusal[sigma2 <= 0] = 1
+    if loglog:
+        refusal[~((theta > 0.0) & (theta < 1.0))] = 0
+    decided = refusal < 0
+    se = np.sqrt(sigma2[decided] / n)
+    if replicates is None:
+        def quantile(q):
+            return np.full(se.shape, _NORMAL.inv_cdf(q))
+    else:
+        rows, used = np.sort(values[decided], axis=-1), counts[decided]
 
         def quantile(q):
-            return _sorted_quantile(rows, counts, q)
+            return _sorted_quantile(rows, used, q)
 
-    reject = np.zeros(theta.shape, dtype=bool)
-    reject[usable] = _test_arithmetic(
-        theta[usable], np.sqrt(sigma2[usable] / n), transform, sided, alpha, quantile
-    )[-1]
-    return usable, reject
+    t_obs, *rest = _test_arithmetic(theta[decided], se, transform, sided, alpha, quantile)
+    if replicates is None:
+        p_value = _normal_pvalue(t_obs, sided)
+    else:
+        p_value = _resample_pvalue(rows, used, t_obs, sided)
+    return refusal, counts, (t_obs, *rest, p_value)
 
 
 def test_and_ci(
@@ -356,44 +352,33 @@ def test_and_ci(
 ) -> InferenceReport:
     """Test ``theta = 1/2`` and build the dual confidence interval.
 
-    The estimate is studentized with ``est.se``, or refused: log-log with
-    ``theta_hat`` outside (0, 1) raises :class:`ThetaOutOfDomain`, a variance
-    of zero :class:`DegenerateVariance`. ``dist=None`` then uses standard
-    normal quantiles (the Wald route); otherwise the empirical quantiles of
-    the studentized replicates (linear interpolation between order
-    statistics), of which at least 20 must be usable; see
-    :func:`_test_arithmetic`.
+    The one-row case of :func:`_decisions`: ``dist=None`` uses standard
+    normal quantiles (the Wald route), otherwise the empirical quantiles of
+    the studentized replicates, of which at least 20 must be usable. A
+    refused estimate raises :class:`ThetaOutOfDomain` (log-log with
+    ``theta_hat`` outside (0, 1)), :class:`DegenerateVariance` (a variance of
+    zero) or :class:`InsufficientReplicates`. An estimate and replicates
+    from samples of different sizes are a :class:`ValidationError`.
     """
-    in_domain, has_variance = _studentizable(est.theta_hat, est.sigma2_hat, cfg.transform)
-    if not in_domain:
-        raise ThetaOutOfDomain(f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}")
-    if not has_variance:
-        raise DegenerateVariance("variance estimate is zero; too few events to studentize")
-
+    replicates = None
+    if dist is not None:
+        if dist.n != est.n:
+            raise ValidationError(f"estimate of n={est.n} tested against replicates of n={dist.n}")
+        replicates = np.array([dist.theta_ref]), dist.thetas[None], dist.sigmas2[None]
+    refusal, counts, (t_obs, critical, ci_lower, ci_upper, reject, p_value) = _decisions(
+        np.array([est.theta_hat]), np.array([est.sigma2_hat]), est.n, cfg.transform,
+        cfg.sided, cfg.alpha, replicates,
+    )
+    if refusal[0] >= 0:
+        messages = (f"log-log transform needs theta_hat in (0, 1), got {est.theta_hat}",
+                    "variance estimate is zero; too few events to studentize",
+                    f"{counts[0]} usable replicates; need at least 20 for quantiles")
+        raise _REFUSALS[refusal[0]](messages[refusal[0]])
     if dist is None:
         method, b_eff, seed, skipped = "asymptotic", None, None, 0
-        quantile = _NORMAL.inv_cdf
     else:
-        values, excluded = dist.statistics(cfg.transform)
-        if len(values) < 20:
-            raise InsufficientReplicates(
-                f"{len(values)} usable replicates; need at least 20 for quantiles"
-            )
         method, b_eff, seed = cfg.method, dist.b_requested, cfg.seed
-        skipped = dist.skipped + excluded
-        ordered = np.sort(values)
-
-        def quantile(q):
-            return float(_sorted_quantile(ordered, len(values), q))
-
-    t_obs, critical, ci_lower, ci_upper, reject = _test_arithmetic(
-        est.theta_hat, est.se, cfg.transform, cfg.sided, cfg.alpha, quantile
-    )
-    t_obs = float(t_obs)
-    if dist is None:
-        p_value = _normal_pvalue(t_obs, cfg.sided)
-    else:
-        p_value = _resample_pvalue(values, t_obs, cfg.sided)
+        skipped = dist.skipped + len(dist.thetas) - int(counts[0])
 
     return InferenceReport(
         method=method,
@@ -404,12 +389,12 @@ def test_and_ci(
         tau=est.tau,
         theta_hat=est.theta_hat,
         sigma_hat=float(np.sqrt(est.sigma2_hat)),
-        statistic=t_obs,
-        critical_values=critical,
-        p_value=p_value,
-        ci_lower=float(ci_lower),
-        ci_upper=float(ci_upper),
-        reject=bool(reject),
+        statistic=float(t_obs[0]),
+        critical_values=tuple(float(c[0]) for c in critical),
+        p_value=float(p_value[0]),
+        ci_lower=float(ci_lower[0]),
+        ci_upper=float(ci_upper[0]),
+        reject=bool(reject[0]),
         b=b_eff,
         seed=seed,
         skipped=skipped,

@@ -607,10 +607,10 @@ def run_size_experiment(
             for rows in (ready[k:k + size] for k in range(0, len(ready), size)):
                 block = None if method == "asymptotic" else replicates(method, rows, z, eps, reps)
                 for t in transforms:
-                    usable, reject = _decisions(theta[rows], sigma2[rows], n, t, sided, alpha,
-                                                block)
+                    refusal, _, (*_, reject, _) = _decisions(theta[rows], sigma2[rows], n, t,
+                                                             sided, alpha, block)
                     rejections[(method, t)] += int(reject.sum())
-                    refused[(method, t)] += int((~usable).sum())
+                    refused[(method, t)] += int((refusal >= 0).sum())
     return ExperimentResult(
         scenario=scenario,
         label=label,

@@ -4,7 +4,8 @@ Everything here is written straight from first principles with plain loops,
 deliberately ignoring the package's optimized kernels, so that agreement is
 meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
-functions, which is the reference for the batched harness;
+estimate and distributions and :func:`reference_test`, which is the
+reference for the batched harness;
 :func:`reference_draw_block`, the harness draws one sample at a time;
 :func:`monte_carlo_theta`, a scenario's effect scored on the package's
 copula sampler, which checks the exact effect of the quadrature;
@@ -15,10 +16,12 @@ record-slot counts, the in-place coin draw and the in-place kernel must
 reproduce bit for bit.
 """
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -321,6 +324,95 @@ def monte_carlo_theta(scenario, n_draws, seed):
     return float(score.mean()), float(score.std(ddof=1) / np.sqrt(n_draws))
 
 
+TIE_TOL = 1e-9
+
+
+def reference_test(est, dist, cfg):
+    """The test of ``theta = 1/2`` written out on scalar floats, one replicate at a time.
+
+    Refuses as the package does, raising its ``InferenceRefused`` classes, in
+    this order: log-log with ``theta_hat`` outside (0, 1), a variance of zero
+    or below, fewer than 20 usable replicates (for log-log, those with an
+    estimate inside (0, 1)). Each replicate is studentized on its own with
+    ``math``; resampled critical values are ``np.quantile`` of the list of
+    statistics, normal ones ``NormalDist().inv_cdf``. The p-value counts the
+    replicates at least as extreme as the statistic, one within ``TIE_TOL``
+    (relative) of it counting as a tie; the normal one is ``erfc``'s tail.
+    Interval endpoints invert the statistic on the transform scale; one whose
+    critical value ties the statistic sits on 1/2. Returns the report's
+    ``statistic``, ``critical_values``, ``ci_lower``, ``ci_upper``,
+    ``reject``, ``p_value`` and ``skipped`` as a dict.
+    """
+    loglog = cfg.transform == "loglog"
+
+    def psi(x):
+        return math.log(-math.log(x)) if loglog else x
+
+    def dpsi(x):
+        return 1.0 / (x * math.log(x)) if loglog else 1.0
+
+    def psi_inv(y):
+        if not loglog:
+            return y
+        try:
+            return math.exp(-math.exp(y))
+        except OverflowError:
+            return 0.0
+
+    def studentize(x, ref, sigma2):
+        return (psi(x) - psi(ref)) / (dpsi(x) * math.sqrt(sigma2 / est.n))
+
+    theta, sigma2 = est.theta_hat, est.sigma2_hat
+    if loglog and not 0.0 < theta < 1.0:
+        raise prt.ThetaOutOfDomain(f"theta_hat {theta}")
+    if sigma2 <= 0:
+        raise prt.DegenerateVariance(f"sigma2_hat {sigma2}")
+    t = studentize(theta, 0.5, sigma2)
+    tol = TIE_TOL * max(1.0, abs(t))
+    if dist is None:
+        quantile, skipped = NormalDist().inv_cdf, 0
+        x = {"right": t, "left": -t, "two": abs(t)}[cfg.sided] / math.sqrt(2.0)
+        p_value = (2.0 if cfg.sided == "two" else 1.0) * (0.5 * math.erfc(x))
+    else:
+        values = [studentize(x, dist.theta_ref, s2)
+                  for x, s2 in zip(dist.thetas.tolist(), dist.sigmas2.tolist())
+                  if not loglog or 0.0 < x < 1.0]
+        if len(values) < 20:
+            raise prt.InsufficientReplicates(f"{len(values)} usable replicates")
+        skipped = dist.skipped + len(dist.thetas) - len(values)
+
+        def quantile(q):
+            return float(np.quantile(values, q))
+
+        if cfg.sided == "right":
+            count = sum(v >= t - tol for v in values)
+        elif cfg.sided == "left":
+            count = sum(v <= t + tol for v in values)
+        else:
+            count = sum(abs(v) >= abs(t) - tol for v in values)
+        p_value = (1 + count) / (len(values) + 1)
+
+    def endpoint(c):
+        if abs(c - t) <= tol:
+            return 0.5
+        return min(max(psi_inv(psi(theta) - dpsi(theta) * math.sqrt(sigma2 / est.n) * c), 0.0),
+                   1.0)
+
+    alpha = cfg.alpha
+    if cfg.sided == "right":
+        critical = (quantile(1.0 - alpha),)
+        lower, upper = endpoint(critical[0]), 1.0
+    elif cfg.sided == "left":
+        critical = (quantile(alpha),)
+        lower, upper = 0.0, endpoint(critical[0])
+    else:
+        critical = (quantile(alpha / 2.0), quantile(1.0 - alpha / 2.0))
+        ends = endpoint(critical[1]), endpoint(critical[0])
+        lower, upper = min(ends), max(ends)
+    return {"statistic": t, "critical_values": critical, "ci_lower": lower, "ci_upper": upper,
+            "reject": not lower <= 0.5 <= upper, "p_value": p_value, "skipped": skipped}
+
+
 def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=0.05,
                               sided="right", seed=0):
     """The size harness one replicate at a time.
@@ -328,7 +420,7 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
     Replicate ``rep`` draws from ``default_rng([seed, rep])``, is prepared
     with jitter at ``seed=rep`` and estimated by ``estimate_rte``; each
     method's distribution, at ``seed=(seed, rep)``, and each transform's
-    ``test_and_ci`` is then tried on its own. A test that raises
+    :func:`reference_test` is then tried on its own. A test that raises
     ``InferenceRefused`` is a non-rejection counted in ``refused``; a
     replicate that fails to prepare goes to ``failures``, which may hold at
     most 1 % of ``r``. Returns the fields the harness reports.
@@ -358,11 +450,11 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
             for transform in transforms:
                 try:
                     dist = prt.inference.resample_distribution(data, cfg)
-                    report = prt.test_and_ci(est, dist, replace(cfg, transform=transform))
+                    test = reference_test(est, dist, replace(cfg, transform=transform))
                 except prt.InferenceRefused:
                     refused[(method, transform)] += 1
                 else:
-                    rejections[(method, transform)] += int(report.reject)
+                    rejections[(method, transform)] += int(test["reject"])
     return {
         "rejections": rejections,
         "refused": refused,

@@ -17,7 +17,8 @@ from scipy.stats import norm
 
 import pairedrte
 from oracles import (exact_theta_sigma2_cif, randomize_labels, reference_bootstrap_counts,
-                     reference_relabel_counts, reference_theta_sigma2_cif, relabeling_pvalues)
+                     reference_relabel_counts, reference_test, reference_theta_sigma2_cif,
+                     relabeling_pvalues)
 
 from pairedrte import (
     Dataset,
@@ -493,6 +494,13 @@ class TestReportConstruction:
         with pytest.raises(InsufficientReplicates):
             make_report(est, dist, cfg)
 
+    def test_estimate_and_replicates_of_different_sizes(self, sample, est):
+        # the estimate and its replicates are studentized with one n
+        cfg = InferenceConfig(method="randomization", b=40, seed=1)
+        dist = randomization_distribution(censored_sample(seed=1, n=40), cfg)
+        with pytest.raises(ValidationError, match="n=80 tested against replicates of n=40"):
+            make_report(est, dist, cfg)
+
     def test_pvalue_convention(self, sample, est):
         cfg = InferenceConfig(method="randomization", sided="right", b=199, seed=4)
         dist = randomization_distribution(sample, cfg)
@@ -606,35 +614,67 @@ class TestReplicateSeedDerivation:
             resample_distribution(sample, InferenceConfig(method=method, b=40, seed=seed))
 
 
+def assert_rows_equal_reference(decisions, ests, dists, cfg):
+    """Each row of ``_decisions`` against ``reference_test`` on its estimate and distribution.
+
+    The refusal class, decision and p-value must be equal, the statistic,
+    critical values and interval within 1e-12, and a decided row's usable
+    count that of the reference. ``test_and_ci`` on the row, its one-row
+    case, must give the block's fields exactly.
+    """
+    refusal, counts, (stat, critical, lower, upper, reject, p_value) = decisions
+    k = 0
+    for i, (est, dist) in enumerate(zip(ests, dists)):
+        try:
+            want = reference_test(est, dist, cfg)
+        except pairedrte.InferenceRefused as exc:
+            assert pairedrte.inference._REFUSALS[refusal[i]] is type(exc)
+            with pytest.raises(type(exc)):
+                make_report(est, dist, cfg)
+            continue
+        assert refusal[i] == -1
+        assert (reject[k], p_value[k]) == (want["reject"], want["p_value"])
+        got = [stat[k], *(c[k] for c in critical), lower[k], upper[k]]
+        np.testing.assert_allclose(got, [want["statistic"], *want["critical_values"],
+                                         want["ci_lower"], want["ci_upper"]],
+                                   rtol=1e-12, atol=1e-12)
+        if dist is not None:
+            assert counts[i] == len(dist.thetas) + dist.skipped - want["skipped"]
+        rep = make_report(est, dist, cfg)
+        assert (rep.statistic, *rep.critical_values, rep.ci_lower, rep.ci_upper) == tuple(got)
+        assert (rep.reject, rep.p_value, rep.skipped) == (reject[k], p_value[k], want["skipped"])
+        k += 1
+    assert k == len(stat)
+
+
 class TestWaldDecisions:
     @pytest.mark.parametrize("sided", ["right", "left", "two"])
     @pytest.mark.parametrize("transform", ["linear", "loglog"])
-    def test_equal_test_and_ci_per_estimate(self, sample, sided, transform):
+    def test_rows_equal_reference(self, sample, sided, transform):
         rng = np.random.default_rng(43)
-        theta = np.concatenate([rng.uniform(0.2, 0.8, 60), [0.0, 1.0, 0.5, 0.6]])
-        sigma2 = np.concatenate([rng.uniform(0.0, 0.5, 60), [0.3, 0.3, 0.0, -1.0]])
+        # of the six edge rows, linear refuses the four without a positive
+        # variance; log-log refuses the four at 0 or 1 for their domain first
+        theta = np.concatenate([rng.uniform(0.2, 0.8, 60), [0.0, 1.0, 0.0, 1.0, 0.5, 0.6]])
+        sigma2 = np.concatenate([rng.uniform(0.0, 0.5, 60), [0.0, -1.0, 0.3, 0.3, 0.0, -1.0]])
         cfg = InferenceConfig(method="asymptotic", sided=sided, transform=transform)
-        usable, reject = pairedrte.inference._decisions(theta, sigma2, sample.n, transform, sided,
-                                                        0.05)
-        for th, s2, ok, rej in zip(theta, sigma2, usable, reject):
-            est = pairedrte.RteEstimate(theta_hat=float(th), sigma2_hat=float(s2), n=sample.n,
-                                        tau=sample.tau)
-            if ok:
-                assert make_report(est, None, cfg).reject == rej
-            else:
-                assert not rej
-                with pytest.raises((DegenerateVariance, ThetaOutOfDomain)):
-                    make_report(est, None, cfg)
+        decisions = pairedrte.inference._decisions(theta, sigma2, sample.n, transform, sided, 0.05)
+        ests = [pairedrte.RteEstimate(theta_hat=float(th), sigma2_hat=float(s2), n=sample.n,
+                                      tau=sample.tau) for th, s2 in zip(theta, sigma2)]
+        assert_rows_equal_reference(decisions, ests, [None] * len(ests), cfg)
+        assert list(decisions[0][60:]) == ([1, 1, -1, -1, 1, 1] if transform == "linear"
+                                           else [0, 0, 0, 0, 1, 1])
 
 
 class TestResampledDecisions:
     @pytest.mark.parametrize("sided", ["right", "left", "two"])
     @pytest.mark.parametrize("transform", ["linear", "loglog"])
     @pytest.mark.parametrize("method", ["bootstrap", "randomization"])
-    def test_padded_rows_equal_test_and_ci(self, method, sided, transform):
+    def test_padded_rows_equal_reference(self, method, sided, transform):
         # samples of 8 records on the times 1 to 4 skip replicates, exclude
         # log-log ones and refuse whole distributions, so the padded rows
-        # differ in length; each setting has refused and rejecting rows
+        # differ in length; each setting has refused and rejecting rows. A
+        # refused distribution leaves its row NaN: its test refuses as the
+        # reference does on no replicates
         rng = np.random.default_rng(44)
         samples = [Dataset(z=rng.integers(1, 5, 8).astype(float),
                            epsilon=rng.choice(4, 8, p=[0.3, 0.25, 0.25, 0.2]), tau=10.0)
@@ -642,7 +682,7 @@ class TestResampledDecisions:
         b = 30
         refs = np.full(len(samples), np.nan)
         thetas, sigmas2 = np.full((len(samples), b), np.nan), np.full((len(samples), b), np.nan)
-        ests, outcomes = [], []
+        ests, dists = [], []
         for j, data in enumerate(samples):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", pairedrte.DegenerateRiskWarning)
@@ -650,19 +690,54 @@ class TestResampledDecisions:
             cfg = InferenceConfig(method=method, sided=sided, transform=transform, b=b, seed=j)
             try:
                 dist = resample_distribution(data, cfg)
-                outcomes.append(make_report(ests[-1], dist, cfg).reject)
             except pairedrte.InferenceRefused:
-                outcomes.append(None)
+                dist = pairedrte.ResampleDistribution(method, np.empty(0), np.empty(0), 8,
+                                                      np.nan, b, b)
             else:
                 m = len(dist.thetas)
                 refs[j], thetas[j, :m], sigmas2[j, :m] = dist.theta_ref, dist.thetas, dist.sigmas2
+            dists.append(dist)
         theta = np.array([e.theta_hat for e in ests])
         sigma2 = np.array([e.sigma2_hat for e in ests])
-        usable, reject = pairedrte.inference._decisions(
+        decisions = pairedrte.inference._decisions(
             theta, sigma2, 8, transform, sided, 0.05, (refs, thetas, sigmas2))
-        assert list(usable) == [out is not None for out in outcomes]
-        assert list(reject) == [bool(out) for out in outcomes]
-        assert usable.sum() < len(samples) and reject.any()
+        assert_rows_equal_reference(decisions, ests, dists, cfg)
+        refusal, _, (*_, reject, _) = decisions
+        assert (refusal >= 0).any() and reject.any()
+
+
+lattice_samples = st.integers(1, 13).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 4), min_size=n, max_size=n),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+
+
+class TestEdgeContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lattice_samples, st.integers(0, 2**32 - 1))
+    def test_every_test_reports_finite_fields_or_refuses_typed(self, records, seed):
+        # every method, transform and side on a sample of 1 to 13 records on
+        # the times 1 to 4: a report whose every number is finite, or an
+        # error of the package raised by the distribution or the test
+        z, eps = records
+        data = Dataset(z=np.array(z, dtype=float), epsilon=np.array(eps), tau=10.0)
+        est = estimate_rte(data)
+        for method in pairedrte.inference.METHODS:
+            cfg = InferenceConfig(method=method, b=200, seed=seed)
+            try:
+                dist = resample_distribution(data, cfg)
+            except pairedrte.PairedRteError:
+                continue
+            for transform in pairedrte.inference.TRANSFORMS:
+                for sided in pairedrte.inference.SIDES:
+                    try:
+                        rep = make_report(est, dist, replace(cfg, transform=transform,
+                                                             sided=sided))
+                    except pairedrte.PairedRteError:
+                        continue
+                    numbers = [x for v in rep.to_dict().values()
+                               for x in (v if isinstance(v, list) else [v])
+                               if not isinstance(x, str)]
+                    assert all(math.isfinite(x) for x in numbers), rep
 
 
 class TestSortedQuantile:

@@ -155,7 +155,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         doc["groups"].append(entry)
 
     if fmt == "json":
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2, allow_nan=False)
     else:
         lines = []
         for entry in doc["groups"]:
@@ -295,7 +295,7 @@ def calibrate(output):
         res = sim.calibrate_null(target["builder"], target["bracket"])
         results[key] = dataclasses.asdict(res)
         click.echo(f"{key}: param={res.param:.7f} theta={res.theta:.9f}", err=True)
-    text = json.dumps(results, indent=2)
+    text = json.dumps(results, indent=2, allow_nan=False)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

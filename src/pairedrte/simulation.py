@@ -70,11 +70,14 @@ class Exponential:
             raise InvalidParameter(f"exponential rate must be positive and finite, got {self.rate}")
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0, -np.expm1(-self.rate * t), 0.0)
+        return -np.expm1(-self.rate * np.maximum(t, 0.0))
 
     def quantile(self, p):
-        return -np.log1p(-np.asarray(p, dtype=float)) / self.rate
+        with np.errstate(divide="ignore"):  # p = 1 maps to inf
+            return -np.log1p(-np.asarray(p, dtype=float)) / self.rate
+
+    def _density(self, t):
+        return self.rate * np.exp(-self.rate * t)
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,18 @@ class Gompertz:
             )
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
         a, b = self.shape, self.rate
-        return np.where(t > 0, -np.expm1(-(b / a) * np.expm1(a * t)), 0.0)
+        return -np.expm1(-(b / a) * np.expm1(a * np.maximum(t, 0.0)))
 
     def quantile(self, p):
         a, b = self.shape, self.rate
-        return np.log1p(-(a / b) * np.log1p(-np.asarray(p, dtype=float))) / a
+        with np.errstate(divide="ignore"):  # p = 1 maps to inf
+            return np.log1p(-(a / b) * np.log1p(-np.asarray(p, dtype=float))) / a
+
+    def _density(self, t):
+        a, b = self.shape, self.rate  # one exp, so 0 far out, not inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(t < np.inf, b * np.exp(a * t - (b / a) * np.expm1(a * t)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -121,16 +129,20 @@ class Uniform:
     def quantile(self, p):
         return self.upper * np.asarray(p, dtype=float)
 
+    def _density(self, t):
+        return np.where(t < self.upper, 1.0 / self.upper, 0.0)
+
 
 @dataclass(frozen=True)
 class Mixture:
     """Two-component mixture; ``weight`` is the mass of ``first``.
 
-    The quantile function is the true inverse of the mixture CDF (computed by
-    bisection between the component quantiles), so transforming copula
-    uniforms through it preserves the dependence structure exactly. The
-    bisection stops once a step leaves both brackets unchanged: every later
-    step would repeat it.
+    The quantile function is the true inverse of the mixture CDF, so
+    transforming copula uniforms through it preserves the dependence structure
+    exactly. It is the bisection between the component quantiles that stops
+    once a step changes no bracket, run from narrower brackets that straddle
+    ``p``: the CDF is nondecreasing in floating point, so each ends at the same
+    neighbouring doubles and the result is the same bit for bit.
     """
 
     weight: float
@@ -144,16 +156,44 @@ class Mixture:
     def cdf(self, t):
         return self.weight * self.first.cdf(t) + (1.0 - self.weight) * self.second.cdf(t)
 
+    def _density(self, t):
+        return self.weight * self.first._density(t) + (1.0 - self.weight) * self.second._density(t)
+
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if self.weight == 1.0:
             return self.first.quantile(p)
         if self.weight == 0.0:
             return self.second.quantile(p)
-        q1 = np.asarray(self.first.quantile(p), dtype=float)
-        q2 = np.asarray(self.second.quantile(p), dtype=float)
-        lo = np.minimum(q1, q2)
-        hi = np.maximum(q1, q2)
+        a, b = self._bracket(p.ravel())
+        return self._bisect(p, a.reshape(p.shape), b.reshape(p.shape))
+
+    def _bracket(self, p):
+        """Brackets that straddle the flat ``p``: about Newton points, widened 16-fold until they do."""
+        lo, hi = self.first.quantile(p), self.second.quantile(p)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        with np.errstate(all="ignore"):
+            y, x = np.log1p(-p), 0.5 * (lo + hi)
+            for _ in range(8):
+                f, d = self.cdf(x), self._density(x)
+                lo, hi = np.where(f < p, x, lo), np.where(f < p, hi, x)
+                t = x + (np.log1p(-f) - y) * (1.0 - f) / d
+                t = np.where((lo < t) & (t < hi) | (t == x), t, 0.5 * (lo + hi))
+                x, moved = t, np.abs(t - x) > 1e-7 * x
+                if not moved.any():
+                    break
+            h = 2.0 * (np.spacing(p) / d + np.spacing(x))
+            a, b = np.fmax(lo, x - h), np.fmin(hi, x + h)
+            wide = bad = np.flatnonzero((a > lo) & (self.cdf(a) >= p) | (b < hi) & (self.cdf(b) < p))
+            while bad.size:
+                h[bad] *= 16.0
+                a[bad], b[bad] = np.fmax(lo[bad], x[bad] - h[bad]), np.fmin(hi[bad], x[bad] + h[bad])
+                fa, fb = self.cdf(np.stack([a[bad], b[bad]]))
+                bad = bad[(a[bad] > lo[bad]) & (fa >= p[bad]) | (b[bad] < hi[bad]) & (fb < p[bad])]
+        a[wide] = b[wide] = self._bisect(p[wide], a[wide], b[wide])
+        return a, b
+
+    def _bisect(self, p, lo, hi):
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             below = self.cdf(mid) < p

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +93,24 @@ class TestAnalyze:
         assert res.exit_code == EXIT_DEGENERATE
         assert "theta_hat=" in res.output
         assert "refused" in res.output
+
+    def test_nonfinite_number_in_the_json_is_an_error(self, tmp_path):
+        # a NaN that reached a report would make invalid JSON: the command
+        # fails with exit 1, its traceback names the error, and nothing is written
+        out = tmp_path / "report.json"
+        script = ("import dataclasses, sys\n"
+                  "from pairedrte import cli\n"
+                  "real = cli.run_inference\n"
+                  "cli.run_inference = lambda *args, **kwargs: [\n"
+                  "    dataclasses.replace(r, p_value=float('nan')) for r in real(*args, **kwargs)]\n"
+                  "cli.main(sys.argv[1:])\n")
+        res = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "--input", str(DATA / "diabetic.csv"),
+             "--tau", "60", "--method", "asy", "--format", "json", "--output", str(out)],
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 1
+        assert res.stdout == "" and not out.exists()
+        assert "ValueError: Out of range float values are not JSON compliant" in res.stderr
 
     def test_parse_error_exit_code(self, runner, tmp_path):
         p = tmp_path / "bad.csv"
@@ -485,6 +505,14 @@ class TestCalibrate:
         for key, entry in committed.items():
             assert written[key].keys() == entry.keys() == {"param", "theta", "iterations"}
             assert written[key]["param"] == pytest.approx(entry["param"], rel=1e-9), key
+
+    def test_nonfinite_number_in_the_json_is_an_error(self, runner, monkeypatch):
+        monkeypatch.setattr(cli.sim, "calibrate_null", lambda make_scenario, bracket:
+                            cli.sim.CalibrationResult(param=float("nan"), theta=0.5, iterations=0))
+        res = runner.invoke(main, ["calibrate"])
+        assert res.exit_code == 1 and res.stdout == ""
+        assert isinstance(res.exception, ValueError)
+        assert "Out of range float values are not JSON compliant" in str(res.exception)
 
     @pytest.mark.parametrize("option", ["--n-draws", "--tol", "--seed"])
     def test_the_monte_carlo_options_are_gone(self, runner, option):

@@ -208,6 +208,20 @@ class TestEquivalence:
         assert res.refused == {("randomization", "linear"): 0}
         assert peak < 20e6
 
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_peak_memory_is_bounded_by_the_block_size(self, n):
+        # one full block of BLOCK_CELLS // n replicates and one more; measured
+        # 9.6 MB, about 18.4 arrays of BLOCK_CELLS doubles, at each n
+        scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "medium", n)
+        tracemalloc.start()
+        try:
+            sim.run_size_experiment(scenario, methods=["asymptotic"], transforms=["linear", "loglog"],
+                                    r=_engine.BLOCK_CELLS // n + 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 8 * _engine.BLOCK_CELLS
+
     def test_invalid_settings_raise_before_any_replicate(self, monkeypatch):
         monkeypatch.setattr(sim, "_draw_block", None)
         with pytest.raises(prt.ValidationError):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,15 @@ from pairedrte.simulation import (
 )
 
 N_BIG = 100_000
+
+# Every mixture the package builds: both calibrated exp_mix nulls, and power
+# families 1 (the U(0, 2) component's kink at 2) and 2 (Gompertz(0.1, 2)).
+PACKAGE_MIXTURES = {
+    **{f"{copula}-exp_mix": table1_scenario(copula, "exp_mix", "medium", n=100).marginal2
+       for copula in ("gumbel_hougaard", "clayton")},
+    **{f"family{family}-{weight}": power_scenario(family, "gumbel_hougaard", weight, 25).marginal1
+       for family in (1, 2) for weight in (0.1, 0.5, 0.9)},
+}
 
 
 def kendall(u):
@@ -203,6 +213,34 @@ class TestMarginals:
         np.testing.assert_array_equal(marginal.quantile(p), expected)
         assert len(cdf_calls) < 90
         assert marginal.quantile(0.3) == expected_scalar
+
+    @pytest.mark.parametrize("marginal", PACKAGE_MIXTURES.values(), ids=PACKAGE_MIXTURES.keys())
+    def test_mixture_quantile_is_the_90_step_bisection_bit_for_bit(self, marginal):
+        # the density-guided bracket must change no bit: 10^5 uniform points,
+        # the ends, points within 1e-12 of either end, a scalar and a block
+        rng = np.random.default_rng(2032)
+        edge = 1e-12 * rng.random(1000)
+        p = np.concatenate([rng.random(10**5), [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)],
+                            edge, 1.0 - edge])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # p = 1 maps to inf without a warning
+            assert np.array_equal(marginal.quantile(p), self._quantile_90_steps(marginal, p))
+            block = p[-1200:].reshape(12, 100)
+            assert np.array_equal(marginal.quantile(block), self._quantile_90_steps(marginal, block))
+            assert marginal.quantile(0.3) == self._quantile_90_steps(marginal, 0.3)
+            assert marginal.quantile(1.0) == np.inf
+
+    @pytest.mark.parametrize("dist", [Exponential(2.0), Gompertz(0.6, 2.0), Gompertz(0.1, 2.0),
+                                      Uniform(2.0), *PACKAGE_MIXTURES.values()])
+    def test_quantile_and_density_do_not_warn_on_the_closed_unit_interval(self, dist):
+        p = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, np.nextafter(1.0, 0.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = dist.quantile(p)
+            density = dist._density(t)
+        assert np.all(np.diff(t[:1001]) >= 0)
+        assert t[1000] == (dist.upper if isinstance(dist, Uniform) else np.inf)
+        assert np.all(np.isfinite(density) & (density >= 0)) and density[1000] == 0.0
 
     @pytest.mark.parametrize(
         "dist",

@@ -197,53 +197,16 @@ class Mixture:
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             below = self.cdf(mid) < p
-            new_lo = np.where(below, mid, lo)
-            new_hi = np.where(below, hi, mid)
-            if (new_lo == lo).all() and (new_hi == hi).all():
+            # the midpoint lies in the bracket, so a step moves an end iff the
+            # midpoint is strictly inside; a NaN bracket, as of a NaN p, never moves
+            if not ((below & (mid > lo)).any() or (~below & (mid < hi)).any()):
                 break
-            lo, hi = new_lo, new_hi
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
 # Copula samplers
-
-
-def _frailty_pairs(param: float, theta, w, e) -> np.ndarray:
-    """Gumbel-Hougaard pairs ``exp(-(e / V) ** alpha)``, ``alpha = 1/param``, of any leading shape.
-
-    ``V`` is positive stable with Laplace transform ``exp(-t**alpha)``: the
-    Chambers-Mallows-Stuck construction specialized to total positive skew,
-    ``sin(alpha theta) sin(theta)^(-1/alpha) (sin((1-alpha) theta)/w)^((1-alpha)/alpha)``
-    of ``theta ~ U(0, pi)`` and a unit exponential ``w``. The last axis of
-    the unit exponentials ``e`` is the pair. A draw that overflows ends
-    outside (0, 1), where the samplers redraw it, so it does not warn.
-    """
-    alpha = 1.0 / param
-    with np.errstate(all="ignore"):
-        v = (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
-             * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
-        return np.exp(-((e / v[..., None]) ** alpha))
-
-
-def _open_unit(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Redraw entries that touched 0 or 1 so downstream transforms stay finite."""
-    bad = ~((u > 0.0) & (u < 1.0))
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum()))
-        bad = ~((u > 0.0) & (u < 1.0))
-    return u
-
-
-def _clayton_v(u, w, param: float):
-    """Clayton partners of uniforms ``u`` by inversion at ``w``, without overflow warnings.
-
-    ``v = ((w**(-param/(1+param)) - 1) u**(-param) + 1)**(-1/param)``, countermonotone at -1.
-    """
-    if param == -1.0:
-        return 1.0 - u
-    with np.errstate(all="ignore"):
-        return ((w ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0) ** (-1.0 / param)
 
 
 COPULAS = ("gumbel_hougaard", "clayton")
@@ -262,33 +225,86 @@ def _copula_problem(copula: str, param: float):
     return None
 
 
+def _draw_rows(copula: str, param: float, n: int, upper: float, rngs, rows: int):
+    """Copula uniforms and censoring times, each (rows, n, 2), one row per generator of ``rngs``.
+
+    Also returns whether each row lies strictly inside (0, 1). Each generator
+    makes its row's raw calls into block arrays before the next is taken:
+    Gumbel-Hougaard's angles ``theta ~ U(0, pi)``, unit exponentials ``w``
+    and the pairs' unit exponentials ``e``, then the censoring times. Its
+    uniforms are ``exp(-(e / V) ** alpha)``, ``alpha = 1/param``, of the
+    positive stable ``V`` with Laplace transform ``exp(-t**alpha)``: the
+    Chambers-Mallows-Stuck construction specialized to total positive skew,
+    ``sin(alpha theta) sin(theta)^(-1/alpha) (sin((1-alpha) theta)/w)^((1-alpha)/alpha)``.
+    Independence and Clayton read their uniforms and then the censoring
+    times in one ``random`` call, since ``uniform(0, upper)`` is ``upper *
+    random()`` for a finite ``upper``: independence its pairs, Clayton ``u``
+    and ``w``, whose partner is by inversion
+    ``v = ((w**(-param/(1+param)) - 1) u**(-param) + 1)**(-1/param)``, or
+    ``1 - u`` alone at the countermonotone -1. The copula transform then runs
+    once on the block. Clayton's ``w`` must lie inside (0, 1) too, since a 0
+    there can give a ``v`` inside. A draw that overflows ends outside, so it
+    does not warn.
+    """
+    def inside(a):
+        return ((a > 0.0) & (a < 1.0)).reshape(rows, -1).all(axis=1)
+
+    if copula == "gumbel_hougaard" and param != 1.0:
+        theta, w, e = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 2))
+        c = np.empty((rows, 2, n))
+        for i, rng in enumerate(rngs):
+            theta[i], w[i] = rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n)
+            e[i], c[i] = rng.exponential(1.0, (n, 2)), rng.uniform(0.0, upper, (2, n))
+        alpha = 1.0 / param
+        with np.errstate(all="ignore"):
+            v = (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
+                 * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+            u = np.exp(-((e / v[..., None]) ** alpha))
+        ok = inside(u)
+    else:
+        width = n if param == -1.0 else 2 * n
+        raw = np.empty((rows, width + 2 * n))
+        for i, rng in enumerate(rngs):
+            rng.random(out=raw[i])
+        c = upper * raw[:, width:].reshape(rows, 2, n)
+        if copula == "gumbel_hougaard":
+            u = raw[:, :width].reshape(rows, n, 2).copy()
+        else:
+            u, w = raw[:, :n], raw[:, n:width]
+            with np.errstate(all="ignore"):
+                v = 1.0 - u if param == -1.0 else (
+                    ((w ** (-param / (1.0 + param)) - 1.0) * u ** (-param) + 1.0) ** (-1.0 / param))
+            u = np.stack([u, v], -1)
+        ok = inside(u) & inside(raw[:, n:width])
+    return u, c.transpose(0, 2, 1), ok
+
+
+def _draw_row(copula: str, param: float, n: int, upper: float, rng: np.random.Generator):
+    """The one-row case of :func:`_draw_rows`: ``rng``'s row, drawn whole until inside (0, 1).
+
+    A redraw makes the same calls again, continuing ``rng``, so it samples
+    the copula conditioned to the open unit square.
+    """
+    while True:
+        u, c, ok = _draw_rows(copula, param, n, upper, [rng], 1)
+        if ok[0]:
+            return u[0], c[0]
+
+
 def sample_copula(name: str, param: float, n: int, seed) -> np.ndarray:
     """Draw ``n`` pairs from the named copula, each uniform strictly inside (0, 1).
 
-    Gumbel-Hougaard (parameter >= 1, independence at 1) by the frailty
-    construction of :func:`_frailty_pairs`, Clayton (parameter in [-1, inf)
-    excluding 0) by the inversion of :func:`_clayton_v`. Boundary uniforms are
-    redrawn: Gumbel-Hougaard's column 0, then 1; Clayton's ``u``, ``w``, ``v``.
-    A copula or parameter :class:`Scenario` refuses is an :class:`InvalidParameter`.
+    Gumbel-Hougaard (parameter >= 1, independence at 1) by a positive stable
+    frailty, Clayton (parameter in [-1, inf) excluding 0) by conditional
+    inversion, as :func:`_draw_rows` draws them. These are the uniforms
+    :func:`draw_paired_sample` draws from ``seed`` for ``n`` pairs: the
+    censoring times are drawn and dropped. A copula or parameter
+    :class:`Scenario` refuses is an :class:`InvalidParameter`.
     """
     problem = _copula_problem(name, param)
     if problem is not None:
         raise InvalidParameter(problem[1])
-    rng = rng_of(seed)
-    if name == "clayton":
-        u = _open_unit(rng.random(n), rng)
-        if param == -1.0:
-            return np.column_stack([u, _clayton_v(u, None, param)])
-        w = _open_unit(rng.random(n), rng)
-        return np.column_stack([u, _open_unit(_clayton_v(u, w, param), rng)])
-    if param == 1.0:
-        u = rng.random((n, 2))
-    else:
-        u = _frailty_pairs(param, rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n),
-                           rng.exponential(1.0, (n, 2)))
-    for j in (0, 1):
-        u[:, j] = _open_unit(u[:, j], rng)
-    return u
+    return _draw_row(name, param, n, 1.0, rng_of(seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +344,11 @@ def _observe(u: np.ndarray, c: np.ndarray, scenario: Scenario):
     return np.minimum(t, c), (t <= c).astype(np.int64)
 
 
-def _draw_sample(scenario: Scenario, rng: np.random.Generator):
-    """Copula uniforms with their redraws, then censoring times, each (n, 2), from ``rng``."""
-    u = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-    return u, rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T
-
-
 def draw_paired_sample(scenario: Scenario, seed) -> PairedSample:
-    """Sample one paired dataset of the scenario's size."""
-    x, delta = _observe(*_draw_sample(scenario, rng_of(seed)), scenario)
+    """Sample one paired dataset of the scenario's size: the one-row case of the harness draw."""
+    x, delta = _observe(*_draw_row(scenario.copula, scenario.copula_param, scenario.n,
+                                   scenario.censoring.upper, rng_of(seed)), scenario)
     return PairedSample(x, delta)
-
-
-def _inside(a: np.ndarray) -> np.ndarray:
-    """Whether each row of ``a`` lies strictly inside (0, 1)."""
-    return ((a > 0.0) & (a < 1.0)).reshape(len(a), -1).all(axis=1)
 
 
 def _draw_block(scenario: Scenario, seed: int, reps: range):
@@ -350,38 +356,14 @@ def _draw_block(scenario: Scenario, seed: int, reps: range):
 
     Replicate ``rep`` draws :func:`draw_paired_sample`'s stream from
     ``rng_of((seed, rep))``, whose generator ``rngs_of`` seeds with the rest
-    of the block's. Each generator makes, into block arrays, the raw calls
-    :func:`_draw_sample` makes when no uniform touches 0 or 1; the copula
-    transform and the open-interval check then run once on the block.
-    A row that touched 0 or 1 is drawn again by :func:`_draw_sample` from a
-    fresh generator, so its stream is the per-sample one with its redraws.
+    of the block's, in one call of :func:`_draw_rows`. A row that touched 0
+    or 1 is drawn again as the one-row case, from a fresh generator of its
+    seed words, so its stream continues past that first draw.
     """
-    n, param, upper = scenario.n, scenario.copula_param, scenario.censoring.upper
-    rows, rngs = len(reps), rngs_of(seed, reps)
-    if scenario.copula == "gumbel_hougaard" and param != 1.0:
-        theta, w, e = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, 2))
-        c = np.empty((rows, 2, n))
-        for i, rng in enumerate(rngs):
-            theta[i], w[i] = rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n)
-            e[i], c[i] = rng.exponential(1.0, (n, 2)), rng.uniform(0.0, upper, (2, n))
-        u = _frailty_pairs(param, theta, w, e)
-        ok = _inside(u)
-        del theta, w, e
-    else:
-        # one call per row reads the copula's uniforms, then the censoring
-        # times, since uniform(0, upper) is upper * random() for a finite upper
-        width = n if param == -1.0 else 2 * n
-        raw = np.empty((rows, width + 2 * n))
-        for i, rng in enumerate(rngs):
-            rng.random(out=raw[i])
-        c = upper * raw[:, width:].reshape(rows, 2, n)
-        u = (np.stack([raw[:, :n], _clayton_v(raw[:, :n], raw[:, n:width], param)], -1)
-             if scenario.copula == "clayton" else raw[:, :width].reshape(rows, n, 2).copy())
-        ok = _inside(raw[:, :width]) & _inside(u)  # w too: a 0 there can give a v inside
-        del raw
-    c = c.transpose(0, 2, 1)
+    sampler = (scenario.copula, scenario.copula_param, scenario.n, scenario.censoring.upper)
+    u, c, ok = _draw_rows(*sampler, rngs_of(seed, reps), len(reps))
     for i in np.flatnonzero(~ok):
-        u[i], c[i] = _draw_sample(scenario, rng_of((seed, reps[i])))
+        u[i], c[i] = _draw_row(*sampler, rng_of((seed, reps[i])))
     return _observe(u, c, scenario)
 
 

@@ -6,7 +6,8 @@ meaningful. The exceptions are :func:`reference_size_experiment`, the size
 harness one replicate at a time through the package's single-sample
 estimate and distributions and :func:`reference_test`, which is the
 reference for the batched harness;
-:func:`reference_draw_block`, the harness draws one sample at a time;
+:func:`reference_draw_block`, the harness draws one sample at a time, whose
+lifetimes come from the package's quantile transforms;
 :func:`monte_carlo_theta`, a scenario's effect scored on the package's
 copula sampler, which checks the exact effect of the quadrature;
 :func:`reference_bootstrap_counts`, :func:`reference_relabel_counts` and
@@ -296,17 +297,56 @@ def reference_theta_sigma2_cif(Y, dN1, dN2, dN3, n):
     return b_tau[..., 0], n * np.sum(quad / safe_y**2 - lin**2 / safe_y**3, axis=-1)
 
 
+def reference_draw(scenario, rng):
+    """One draw of a sample from ``rng``: copula uniforms and censoring times, each (n, 2).
+
+    Also returns whether the draw lies inside (0, 1). The raw calls are the
+    sampler's: Gumbel-Hougaard away from independence draws the angles, the
+    frailty exponentials, the pairs' exponentials and then the censoring
+    times; independence and Clayton draw their uniforms and then the
+    censoring times as one call of ``random``. Clayton's ``w`` must lie inside
+    (0, 1) as well as its pairs.
+    """
+    n, param, upper = scenario.n, scenario.copula_param, scenario.censoring.upper
+    with np.errstate(all="ignore"):
+        if scenario.copula == "gumbel_hougaard" and param != 1.0:
+            theta, w = rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n)
+            e, c = rng.exponential(1.0, (n, 2)), rng.uniform(0.0, upper, (2, n)).T
+            alpha = 1.0 / param
+            frailty = (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
+                       * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+            u = np.exp(-((e / frailty[:, None]) ** alpha))
+            return u, c, bool(np.all((u > 0) & (u < 1)))
+        k = n if param == -1.0 else 2 * n
+        raw = rng.random(k + 2 * n)
+        c = upper * raw[k:].reshape(2, n).T
+        if scenario.copula == "gumbel_hougaard":
+            u = raw[:k].reshape(n, 2)
+        elif param == -1.0:
+            u = np.column_stack([raw[:n], 1.0 - raw[:n]])
+        else:
+            x, w = raw[:n], raw[n:k]
+            v = ((w ** (-param / (1.0 + param)) - 1.0) * x ** (-param) + 1.0) ** (-1.0 / param)
+            u = np.column_stack([x, v])
+        return u, c, bool(np.all((u > 0) & (u < 1)) and np.all((raw[:k] > 0) & (raw[:k] < 1)))
+
+
 def reference_draw_block(scenario, seeds):
     """Times and indicators, each (R, n, 2), of one sample per seed, drawn one sample at a time.
 
-    Each seed's generator comes from ``simulation.rng_of`` and draws the
-    copula with its boundary redraws, then the uniform censoring times; the
-    quantile transforms then run on the stacked draws.
+    A seed is a generator or the words of ``default_rng``. A draw that
+    touched 0 or 1 is drawn again whole, continuing its generator, until one
+    lies inside (0, 1); the package's quantile transforms then run on the
+    stacked draws.
     """
     u, c = [], []
-    for rng in map(prt.simulation.rng_of, seeds):
-        u.append(prt.simulation.sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng))
-        c.append(rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T)
+    for seed in seeds:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(list(seed))
+        inside = False
+        while not inside:
+            sample, censoring, inside = reference_draw(scenario, rng)
+        u.append(sample)
+        c.append(censoring)
     return prt.simulation._observe(np.array(u), np.array(c), scenario)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
 
-from oracles import monte_carlo_theta, reference_draw_block
+from oracles import monte_carlo_theta, reference_draw, reference_draw_block
 
 from pairedrte import (
     BracketError,
@@ -90,16 +90,53 @@ class FirstDraw(np.random.Generator):
         return out
 
 
-@pytest.mark.parametrize("copula, param", [
-    ("gumbel_hougaard", 1.0), ("gumbel_hougaard", 5.0),
-    ("clayton", -1.0), ("clayton", -0.6), ("clayton", 2.0),
-])
+class ValueAt(np.random.Generator):
+    """A generator of ``default_rng(seed)``'s draws with ``value`` at position ``index``.
+
+    Positions count, in order, every value ``random`` and ``uniform`` returned so far.
+    """
+
+    def __init__(self, seed, index, value=0.0):
+        super().__init__(np.random.PCG64(seed))
+        self.index, self.value, self.drawn = index, value, 0
+
+    def random(self, size=None, *args, out=None, **kwargs):
+        return self._set(super().random(size, *args, out=out, **kwargs))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._set(super().uniform(low, high, size))
+
+    def _set(self, got):
+        flat = got.reshape(-1)
+        if 0 <= self.index - self.drawn < flat.size:
+            flat[self.index - self.drawn] = self.value
+        self.drawn += flat.size
+        return got
+
+
+COPULA_CASES = [("gumbel_hougaard", 1.0), ("gumbel_hougaard", 5.0),
+                ("clayton", -1.0), ("clayton", -0.6), ("clayton", 2.0)]
+
+
+@pytest.mark.parametrize("copula, param", COPULA_CASES)
 def test_copula_uniforms_stay_inside_the_unit_interval(copula, param):
     # the first uniform draws all 0: the sampler must redraw them itself
     for rng in (FirstDraw(1), np.random.default_rng(2)):
         u = sample_copula(copula, param, 2000, rng)
         assert u.shape == (2000, 2)
         assert np.all((u > 0.0) & (u < 1.0)), (copula, param)
+
+
+@pytest.mark.parametrize("copula, param", COPULA_CASES)
+def test_sample_copula_is_the_uniforms_of_draw_paired_sample(copula, param):
+    # Uniform(1) margins make the times 1 - u bit for bit, with censoring far
+    # out of reach; a first draw that holds a 0 must be drawn again the same way
+    scenario = Scenario(copula, param, Uniform(1.0), Uniform(1.0), Uniform(1e9), 1.0, 200)
+    for seed in (lambda: 5, lambda: ValueAt(5, 7)):
+        u = sample_copula(copula, param, scenario.n, seed())
+        obs = draw_paired_sample(scenario, seed())
+        assert (obs.delta == 1).all()
+        np.testing.assert_array_equal(obs.x, 1.0 - u)
 
 
 @pytest.mark.parametrize("copula, param", [
@@ -229,6 +266,23 @@ class TestMarginals:
             assert np.array_equal(marginal.quantile(block), self._quantile_90_steps(marginal, block))
             assert marginal.quantile(0.3) == self._quantile_90_steps(marginal, 0.3)
             assert marginal.quantile(1.0) == np.inf
+
+    def test_a_nan_probability_adds_no_bisection_step(self, monkeypatch):
+        # a NaN p keeps a NaN bracket, which has converged: it must not run
+        # the block's bisection to all 90 steps
+        marginal = PACKAGE_MIXTURES["gumbel_hougaard-exp_mix"]
+        p = np.random.default_rng(2033).random(1000)
+        p[417] = np.nan
+        calls, cdf = [], Mixture.cdf
+        monkeypatch.setattr(Mixture, "cdf", lambda m, t: calls.append(1) or cdf(m, t))
+        finite = marginal.quantile(np.delete(p, 417))
+        finite_calls = len(calls)
+        got = marginal.quantile(p)
+        assert len(calls) - finite_calls == finite_calls
+        monkeypatch.undo()
+        assert np.isnan(got[417])
+        assert np.array_equal(np.delete(got, 417), finite)
+        assert np.array_equal(got, self._quantile_90_steps(marginal, p), equal_nan=True)
 
     @pytest.mark.parametrize("dist", [Exponential(2.0), Gompertz(0.6, 2.0), Gompertz(0.1, 2.0),
                                       Uniform(2.0), *PACKAGE_MIXTURES.values()])
@@ -366,18 +420,17 @@ class TestApplyMarginalsAndCensoring:
         assert (obs.delta == 1).all()
 
     def test_boundary_uniforms_are_redrawn(self, simple_scenario):
-        # independence draws its uniforms in one call; the sampler redraws the
-        # 0 of column 0, then the 1 of column 1, from the draws that follow,
-        # and the censoring times come after them
-        u = np.array([[0.0, 0.5], [0.5, 1.0], [0.25, 0.75]])
+        # independence draws its pairs and then the censoring times in one
+        # call; a first call whose pairs hold a 0 and a 1 is drawn again whole,
+        # from the draws that follow, which FirstDraw leaves untouched
+        first = np.array([0.0, 0.5, 0.5, 1.0, 0.25, 0.75, *[0.5] * 6])
         rng = np.random.default_rng(12)
-        want = u.copy()
-        want[0, 0], want[1, 1] = rng.random(), rng.random()
+        want = rng.random((3, 2))
         c = rng.uniform(0.0, simple_scenario.censoring.upper, (2, 3)).T
         np.testing.assert_array_equal(
-            sample_copula("gumbel_hougaard", 1.0, 3, FirstDraw(12, u)), want)
+            sample_copula("gumbel_hougaard", 1.0, 3, FirstDraw(12, first)), want)
         obs = draw_paired_sample(replace(simple_scenario, copula_param=1.0, n=3),
-                                 FirstDraw(12, u))
+                                 FirstDraw(12, first))
         t = Exponential(2.0).quantile(1.0 - want)
         np.testing.assert_array_equal(obs.x, np.minimum(t, c))
         assert np.isfinite(obs.x).all()
@@ -730,15 +783,30 @@ class TestScenarioBuilders:
         power_scenario(3, "gumbel_hougaard", 1.5, 20),
     ])
     def test_draw_is_copula_then_marginals_and_censoring(self, scenario):
-        # the stream every harness replicate and its reference loop draw
+        # the stream every harness replicate and its reference loop draw, one
+        # call per variable: Clayton's u and w, or Gumbel-Hougaard's angles,
+        # frailty exponentials and pair exponentials, then the censoring
+        # times; a sample that touched 0 or 1 is drawn again whole
+        n, param = scenario.n, scenario.copula_param
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            u = sample_copula(scenario.copula, scenario.copula_param, scenario.n, rng)
-            for j in (0, 1):
-                while not ((u[:, j] > 0) & (u[:, j] < 1)).all():
-                    bad = ~((u[:, j] > 0) & (u[:, j] < 1))
-                    u[bad, j] = rng.random(int(bad.sum()))
-            c = rng.uniform(0.0, scenario.censoring.upper, (2, scenario.n)).T
+            inside = False
+            while not inside:
+                with np.errstate(all="ignore"):
+                    if scenario.copula == "clayton":
+                        u, w = rng.random(n), rng.random(n)
+                        v = ((w ** (-param / (1.0 + param)) - 1.0) * u ** (-param)
+                             + 1.0) ** (-1.0 / param)
+                        drawn, u = np.column_stack([u, w, v]), np.column_stack([u, v])
+                    else:
+                        alpha = 1.0 / param
+                        theta, w = rng.uniform(0.0, np.pi, n), rng.exponential(1.0, n)
+                        frailty = (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
+                                   * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+                        drawn = u = np.exp(-((rng.exponential(1.0, (n, 2)) / frailty[:, None])
+                                             ** alpha))
+                c = rng.uniform(0.0, scenario.censoring.upper, (2, n)).T
+                inside = np.all((drawn > 0) & (drawn < 1))
             t = np.column_stack([scenario.marginal1.quantile(1.0 - u[:, 0]),
                                  scenario.marginal2.quantile(1.0 - u[:, 1])])
             got = draw_paired_sample(scenario, seed)
@@ -785,8 +853,8 @@ class TestBlockDraws:
     def substitute(monkeypatch, swap):
         """Give replicate ``(seed, rep)`` the generator ``swap((seed, rep))`` unless that is None.
 
-        The block draws take it from ``simulation.rngs_of``, the replays and
-        ``reference_draw_block`` from ``simulation.rng_of``.
+        The block draws take it from ``simulation.rngs_of``, the one-row
+        redraws of a row that touched 0 or 1 from ``simulation.rng_of``.
         """
         rng_of, rngs_of = simulation.rng_of, simulation.rngs_of
 
@@ -804,54 +872,38 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("name", ["06b", "clayton-1.0", "gh1.0", "07"])
     def test_rows_that_touch_0_or_1_are_drawn_again(self, name, monkeypatch):
-        # the first draw of rows 0, 12 and 24 holds 0s or 1s; such a row must
-        # take the sampler's redraws, and the others keep their block draws
+        # the first draw of rows 0, 12 and 24 holds a 0 or a 1 at its sixth
+        # uniform; such a row must be its generator's next row, drawn whole,
+        # and the other rows must keep their block draws
         scenario, forced = BLOCK_SCENARIOS[name], {0: 0.0, 12: 1.0, 24: 0.0}
-        draw_sample = simulation._draw_sample
 
-        def swap(seed):
-            if seed[1] in forced:
-                rng = FirstDraw(list(seed), forced[seed[1]])
-                rng.rep = seed[1]
-                return rng
-            return None
+        def rng(rep):
+            return (ValueAt([41, rep], 5, forced[rep]) if rep in forced
+                    else np.random.default_rng([41, rep]))
 
-        def spy(scenario, rng):
-            replayed.append(getattr(rng, "rep", None))
-            return draw_sample(scenario, rng)
-
-        replayed = []
-        self.substitute(monkeypatch, swap)
-        monkeypatch.setattr(simulation, "_draw_sample", spy)
-        got = simulation._draw_block(scenario, 41, range(25))
-        # a first uniform of 1 is a Gumbel-Hougaard angle of 1, inside its range
-        assert replayed == ([0, 24] if name == "07" else [0, 12, 24])
-        assert_draws_equal(got, reference_draw_block(scenario, [(41, rep) for rep in range(25)]))
+        # a uniform of 1 is a Gumbel-Hougaard angle of 1, inside its range
+        touched = [rep for rep in forced if not reference_draw(scenario, rng(rep))[2]]
+        assert touched == ([0, 24] if name == "07" else [0, 12, 24])
+        seeds = [(41, rep) for rep in forced]
+        self.substitute(monkeypatch, lambda seed: rng(seed[1]) if seed in seeds else None)
+        assert_draws_equal(simulation._draw_block(scenario, 41, range(25)),
+                           reference_draw_block(scenario, map(rng, range(25))))
 
     def test_a_boundary_w_alone_is_drawn_again(self, monkeypatch):
         # at a negative Clayton parameter, w = 0 still gives a partner inside
         # (0, 1), so only the check of the raw uniforms sends the row back
-        class ZeroAt(np.random.Generator):
-            """A generator whose ``random`` stream holds a 0 at position ``index``."""
-
-            def __init__(self, seed, index):
-                super().__init__(np.random.PCG64(seed))
-                self.index, self.drawn = index, 0
-
-            def random(self, size=None, *args, out=None, **kwargs):
-                got = super().random(size, *args, out=out, **kwargs)
-                flat = got.reshape(-1)
-                if 0 <= self.index - self.drawn < flat.size:
-                    flat[self.index - self.drawn] = 0.0
-                self.drawn += flat.size
-                return got
-
         scenario = CELL_06B
         assert scenario.copula == "clayton" and scenario.copula_param < 0
-        self.substitute(monkeypatch,
-                        lambda seed: ZeroAt(list(seed), scenario.n + 3) if seed[1] == 7 else None)
+
+        def rng(rep):
+            return (ValueAt([41, rep], scenario.n + 3) if rep == 7
+                    else np.random.default_rng([41, rep]))
+
+        u, _, inside = reference_draw(scenario, rng(7))
+        assert not inside and np.all((u > 0) & (u < 1))
+        self.substitute(monkeypatch, lambda seed: rng(7) if seed == (41, 7) else None)
         assert_draws_equal(simulation._draw_block(scenario, 41, range(10)),
-                           reference_draw_block(scenario, [(41, rep) for rep in range(10)]))
+                           reference_draw_block(scenario, map(rng, range(10))))
 
     def test_block_size_changes_no_draw(self, monkeypatch):
         blocks, draw_block = [], simulation._draw_block

@@ -31,8 +31,8 @@ class JitterTooLarge(ValidationError):
     """Tie-breaking jitter would reorder event times relative to censoring times."""
 
 
-class EmptyDataset(PairedRteError):
-    """An operation requires at least one record."""
+class EmptyDataset(ValidationError):
+    """An input holds no record: a sample, a dataset or a CSV data section."""
 
 
 class InferenceRefused(PairedRteError):

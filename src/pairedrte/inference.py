@@ -243,38 +243,6 @@ def _resample_pvalue(rows, counts, t_obs, sided: str):
     return (1 + np.count_nonzero(hits, axis=-1)) / (counts + 1)
 
 
-def _test_arithmetic(theta, se, transform: str, sided: str, alpha: float, quantile):
-    """Statistic, critical values, interval and decision of the test of ``theta = 1/2``.
-
-    Elementwise on equal-shape arrays of estimates and standard errors;
-    ``quantile`` maps a probability to their critical values. Interval
-    endpoints invert the studentized statistic on the transform scale and
-    are mapped back, so the decision and the interval are exact duals. A
-    critical value that ties the statistic, as :func:`_resample_pvalue`
-    counts ties, puts its endpoint on 1/2 exactly, where exact arithmetic
-    puts it, so round-off cannot turn such a tie into a rejection.
-    """
-    psi, dpsi, psi_inv = _transform_funcs(transform)
-    t_obs = _studentize(theta, 0.5, se, transform)
-
-    def endpoint(c):
-        inverted = np.minimum(np.maximum(psi_inv(psi(theta) - dpsi(theta) * se * c), 0.0), 1.0)
-        return np.where(np.abs(c - t_obs) <= _tie_tolerance(t_obs), 0.5, inverted)
-
-    if sided == "right":
-        critical = (quantile(1.0 - alpha),)
-        ci_lower, ci_upper = endpoint(critical[0]), np.ones_like(t_obs)
-    elif sided == "left":
-        critical = (quantile(alpha),)
-        ci_lower, ci_upper = np.zeros_like(t_obs), endpoint(critical[0])
-    else:
-        critical = (quantile(alpha / 2.0), quantile(1.0 - alpha / 2.0))
-        lo, hi = endpoint(critical[1]), endpoint(critical[0])
-        ci_lower, ci_upper = np.minimum(lo, hi), np.maximum(lo, hi)
-    reject = np.logical_not((ci_lower <= 0.5) & (0.5 <= ci_upper))
-    return t_obs, critical, ci_lower, ci_upper, reject
-
-
 def _sorted_quantile(rows, counts, q):
     """``np.quantile(values, q)`` of each sorted row's first ``counts`` values.
 
@@ -304,16 +272,23 @@ def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
     its :class:`ResampleDistribution`, the rows padded with NaN (all NaN for
     a refused distribution). Each row is studentized, log-log exclusions
     masked, and sorted once; its critical values are the empirical quantiles
-    of its usable replicates (linear interpolation between order
-    statistics), see :func:`_test_arithmetic`.
+    of its usable replicates (linear interpolation between order statistics).
+    Interval endpoints invert the studentized statistic on the transform
+    scale and are mapped back, so the decision and the interval are exact
+    duals. A critical value that ties the statistic, as
+    :func:`_resample_pvalue` counts ties, puts its endpoint on 1/2 exactly,
+    where exact arithmetic puts it, so round-off cannot turn such a tie into
+    a rejection.
 
     Returns ``(refusal, counts, decided)``. ``refusal`` indexes
     :data:`_REFUSALS`, or is -1 for a decided estimate, checked in order:
     log-log with ``theta`` outside (0, 1), a variance of zero or below, fewer
     than 20 usable replicates. ``counts`` holds each row's usable replicates
     (0 for the normal limit). ``decided`` is ``(statistic, critical,
-    ci_lower, ci_upper, reject, p_value)`` of the decided estimates, in
-    order, ``critical`` a tuple of arrays.
+    ci_lower, ci_upper, reject, rows)`` of the decided estimates, in order,
+    ``critical`` a tuple of arrays and ``rows`` their sorted studentized
+    replicates (``None`` for the normal limit). No p-value is computed here:
+    :func:`test_and_ci` computes the one its report holds.
     """
     loglog = transform == "loglog"
     refusal = np.full(theta.shape, -1)  # checked last to first: the first failed check stays
@@ -329,22 +304,29 @@ def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
     if loglog:
         refusal[~((theta > 0.0) & (theta < 1.0))] = 0
     decided = refusal < 0
-    se = np.sqrt(sigma2[decided] / n)
+    theta, se = theta[decided], np.sqrt(sigma2[decided] / n)
+    probs = {"right": (1.0 - alpha,), "left": (alpha,), "two": (alpha / 2.0, 1.0 - alpha / 2.0)}
     if replicates is None:
-        def quantile(q):
-            return np.full(se.shape, _NORMAL.inv_cdf(q))
+        rows, critical = None, tuple(np.full(se.shape, _NORMAL.inv_cdf(q)) for q in probs[sided])
     else:
-        rows, used = np.sort(values[decided], axis=-1), counts[decided]
+        rows = np.sort(values[decided], axis=-1)
+        critical = tuple(_sorted_quantile(rows, counts[decided], q) for q in probs[sided])
+    psi, dpsi, psi_inv = _transform_funcs(transform)
+    t_obs = _studentize(theta, 0.5, se, transform)
 
-        def quantile(q):
-            return _sorted_quantile(rows, used, q)
+    def endpoint(c):
+        inverted = np.minimum(np.maximum(psi_inv(psi(theta) - dpsi(theta) * se * c), 0.0), 1.0)
+        return np.where(np.abs(c - t_obs) <= _tie_tolerance(t_obs), 0.5, inverted)
 
-    t_obs, *rest = _test_arithmetic(theta[decided], se, transform, sided, alpha, quantile)
-    if replicates is None:
-        p_value = _normal_pvalue(t_obs, sided)
+    if sided == "right":
+        ci_lower, ci_upper = endpoint(critical[0]), np.ones_like(t_obs)
+    elif sided == "left":
+        ci_lower, ci_upper = np.zeros_like(t_obs), endpoint(critical[0])
     else:
-        p_value = _resample_pvalue(rows, used, t_obs, sided)
-    return refusal, counts, (t_obs, *rest, p_value)
+        lo, hi = endpoint(critical[1]), endpoint(critical[0])
+        ci_lower, ci_upper = np.minimum(lo, hi), np.maximum(lo, hi)
+    reject = np.logical_not((ci_lower <= 0.5) & (0.5 <= ci_upper))
+    return refusal, counts, (t_obs, critical, ci_lower, ci_upper, reject, rows)
 
 
 def test_and_ci(
@@ -365,7 +347,7 @@ def test_and_ci(
         if dist.n != est.n:
             raise ValidationError(f"estimate of n={est.n} tested against replicates of n={dist.n}")
         replicates = np.array([dist.theta_ref]), dist.thetas[None], dist.sigmas2[None]
-    refusal, counts, (t_obs, critical, ci_lower, ci_upper, reject, p_value) = _decisions(
+    refusal, counts, (t_obs, critical, ci_lower, ci_upper, reject, rows) = _decisions(
         np.array([est.theta_hat]), np.array([est.sigma2_hat]), est.n, cfg.transform,
         cfg.sided, cfg.alpha, replicates,
     )
@@ -376,9 +358,11 @@ def test_and_ci(
         raise _REFUSALS[refusal[0]](messages[refusal[0]])
     if dist is None:
         method, b_eff, seed, skipped = "asymptotic", None, None, 0
+        p_value = _normal_pvalue(t_obs, cfg.sided)
     else:
         method, b_eff, seed = cfg.method, dist.b_requested, cfg.seed
         skipped = dist.skipped + len(dist.thetas) - int(counts[0])
+        p_value = _resample_pvalue(rows, counts, t_obs, cfg.sided)
 
     return InferenceReport(
         method=method,

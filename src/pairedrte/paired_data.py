@@ -187,9 +187,8 @@ def _classify(x: np.ndarray, delta: np.ndarray):
 
 def _event_censoring_gaps(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Distances from each censoring time to its neighbouring event times, ends clamped."""
+    # the one caller found a censoring time equal to an event time: ``ev`` is not empty
     ev, ce = np.unique(x[delta == 1]), np.unique(x[delta == 0])
-    if len(ev) == 0:
-        return np.empty(0)
     idx = np.searchsorted(ev, ce)
     near = np.concatenate([ev[np.maximum(idx - 1, 0)], ev[np.minimum(idx, len(ev) - 1)]])
     return np.abs(np.concatenate([ce, ce]) - near)
@@ -255,7 +254,7 @@ def prepare_dataset(
         raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
     sample = PairedSample.of(data)
     if len(sample) == 0:
-        raise ValidationError("empty dataset")
+        raise EmptyDataset("empty dataset")
     seeds = None if jitter is None else [seed]
     z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau, seeds)
     if errors:
@@ -365,7 +364,7 @@ def read_paired_csv(path) -> PairedSample:
             ds.append((d1, d2))
             groups += [g or None for g in cells[4:]]  # the optional group label
     if not xs:
-        raise ValidationError(f"{path}: empty dataset")
+        raise EmptyDataset(f"{path}: empty dataset")
     return PairedSample(xs, ds, groups or None)
 
 
@@ -381,7 +380,7 @@ def read_competing_csv(path, tau: float) -> Dataset:
                 raise ValidationError(f"row {i}: epsilon must be in {{0,1,2,3}}, got {cells[1]!r}")
             eps.append(int(cells[1]))
     if not zs:
-        raise ValidationError(f"{path}: empty dataset")
+        raise EmptyDataset(f"{path}: empty dataset")
     return Dataset(z=np.array(zs), epsilon=np.array(eps), tau=tau)
 
 

@@ -578,8 +578,9 @@ def run_size_experiment(
     counted in ``refused``, which leaves the replicate's other tests as they
     are. A replicate that cannot be prepared is recorded as ``(rep, error
     class name)`` in ``failures``; past 1% of ``r`` its error is raised.
-    Invalid test settings (``b`` and ``seed`` included), ``r < 1`` and an
-    empty or repeated method or transform raise before any replicate runs.
+    Invalid test settings (``b`` and ``seed`` included), ``r < 1``, an empty
+    or repeated method or transform, and a bootstrap of one pair raise before
+    any replicate runs.
     """
     if not is_integer(r):
         raise ValidationError(f"r must be an integer, got {r!r}")
@@ -588,6 +589,8 @@ def run_size_experiment(
     methods, transforms = _distinct("methods", methods), _distinct("transforms", transforms)
     for method in methods:  # a bad setting raises here, not on a replicate
         InferenceConfig(method=method, sided=sided, alpha=alpha, b=b, seed=seed)
+    if "bootstrap" in methods and scenario.n < 2:
+        raise ValidationError("bootstrap needs at least two records")
     r, b, seed = int(r), int(b), _plain_ints(seed)
     n, tau = scenario.n, float(scenario.tau)
     rejections = {(m, t): 0 for m in methods for t in transforms}

@@ -134,6 +134,14 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("header", ["x1,delta1,x2,delta2", "z,epsilon"])
+    def test_header_only_input_is_a_validation_error(self, runner, tmp_path, header):
+        p = tmp_path / "records.csv"
+        p.write_text(header + "\n")
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output == f"error: {p}: empty dataset\n"
+
     @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--B", "0")])
     def test_invalid_inference_setting_is_a_validation_error(self, runner, option, value):
         res = runner.invoke(main, ["analyze", "--input", str(DATA / "diabetic.csv"),
@@ -238,6 +246,48 @@ class TestAnalyze:
             group = [o for o in obs if o.group == entry["group"]]
             plain = estimate_rte(prepare_dataset(group, 60.0, jitter=None))
             assert entry["theta_hat"] == plain.theta_hat
+
+
+    def test_competing_input_equals_the_paired_file_it_was_transformed_from(self, runner,
+                                                                            tmp_path):
+        cr = tmp_path / "cr.csv"
+        base = ["--tau", "60", "--seed", "1"]
+        res = invoke(runner, "transform", "--input", str(DATA / "diabetic.csv"), *base,
+                     "--output", str(cr))
+        assert res.exit_code == 0, res.output
+        docs = []
+        for path in (DATA / "diabetic.csv", cr):
+            res = invoke(runner, "analyze", "--input", str(path), *base, "--B", "200",
+                         "--format", "json")
+            assert res.exit_code == 0, res.output
+            docs.append(json.loads(res.output))
+        paired, ready = docs
+        del paired["input"], ready["input"]
+        # only the paired input knows what its jitter changed
+        assert "theta_hat_unjittered" in paired["groups"][0]
+        del paired["groups"][0]["theta_hat_unjittered"]
+        assert ready == paired
+        assert len(ready["groups"][0]["reports"]) == 6
+
+    @pytest.mark.parametrize("text", [
+        "z,epsilon\n1,1\n2,2\n",
+        "x1,delta1,x2,delta2,group\n1,1,2,1,a\n3,0,1.5,1,\n",
+    ], ids=["competing-input", "row-without-label"])
+    def test_group_by_needs_a_label_on_every_paired_row(self, runner, tmp_path, text):
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10", "--group-by"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith("error: --group-by")
+
+    def test_table_shows_the_unjittered_estimate(self, runner):
+        args = ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--group-by",
+                "--method", "asy"]
+        table = invoke(runner, *args).output
+        for entry in json.loads(invoke(runner, *args, "--format", "json").output)["groups"]:
+            assert (f"group={entry['group']}  n={entry['n']}  "
+                    f"theta_hat={entry['theta_hat']:.4f}  sigma_hat={entry['sigma_hat']:.4f}"
+                    f"  (unjittered: {entry['theta_hat_unjittered']:.4f})\n") in table
 
 
 class TestTransform:
@@ -505,6 +555,15 @@ class TestCalibrate:
         for key, entry in committed.items():
             assert written[key].keys() == entry.keys() == {"param", "theta", "iterations"}
             assert written[key]["param"] == pytest.approx(entry["param"], rel=1e-9), key
+
+    def test_stdout_matches_written_file(self, runner, tmp_path):
+        out = tmp_path / "params.json"
+        to_file = runner.invoke(main, ["calibrate", "--output", str(out)])
+        to_stdout = runner.invoke(main, ["calibrate"])
+        assert to_file.exit_code == to_stdout.exit_code == 0
+        assert to_file.stdout == ""
+        assert to_stdout.stdout == out.read_text()
+        assert to_stdout.stderr == to_file.stderr != ""
 
     def test_nonfinite_number_in_the_json_is_an_error(self, runner, monkeypatch):
         monkeypatch.setattr(cli.sim, "calibrate_null", lambda make_scenario, bracket:

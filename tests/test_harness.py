@@ -100,6 +100,18 @@ class TestEquivalence:
                     assert alone[field] == {(method, transform): whole[field][(method, transform)]}
                 assert alone["failures"] == whole["failures"]
 
+    @pytest.mark.parametrize("case", ["all-two-sided", "reordered-left",
+                                      "bootstrap-first-mixture"])
+    def test_decides_without_p_values(self, case, monkeypatch):
+        # the harness counts rejections and refusals; only a report has a p-value
+        def computed(*args):
+            raise AssertionError("the harness computed a p-value")
+
+        monkeypatch.setattr(prt.inference, "_normal_pvalue", computed)
+        monkeypatch.setattr(prt.inference, "_resample_pvalue", computed)
+        scenario, kwargs = CASES[case]
+        assert batched(scenario, **kwargs) == reference_size_experiment(scenario, **kwargs)
+
     def test_ledger_case_refuses_rep_44(self):
         # replicate 44 has 15 type-1 events and no others: no variance
         scenario, kwargs = CASES["ledger"]
@@ -238,6 +250,12 @@ class TestEquivalence:
             settings = {"methods": ["asymptotic"], field: names}
             with pytest.raises(prt.ValidationError, match=f"{field} must be nonempty and distinct"):
                 sim.run_size_experiment(CELL_06B, r=5, **settings)
+
+    def test_bootstrap_of_one_pair_raises_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(sim, "_estimate_block", None)
+        with pytest.raises(prt.ValidationError, match="bootstrap needs at least two records"):
+            sim.run_size_experiment(replace(CELL_06B, n=1), methods=["asymptotic", "bootstrap"],
+                                    r=5000)
 
 
 class TestBlockEstimates:

@@ -127,6 +127,16 @@ class TestAsymptoticTest:
         assert rep.statistic == pytest.approx(expected, rel=1e-12)
 
 
+class TestInferenceConfig:
+    @pytest.mark.parametrize("setting, message", [
+        (dict(method="jackknife"), "method must be one of"),
+        (dict(method="asymptotic", transform="logit"), "transform must be one of"),
+    ])
+    def test_unknown_method_or_transform(self, setting, message):
+        with pytest.raises(ValidationError, match=message):
+            InferenceConfig(**setting)
+
+
 class TestNormalRoute:
     def test_far_tail_pvalue_matches_reference(self, est):
         # |t| = 9: the p-value is about 1e-19, not the 0 of 1 - cdf
@@ -617,12 +627,14 @@ class TestReplicateSeedDerivation:
 def assert_rows_equal_reference(decisions, ests, dists, cfg):
     """Each row of ``_decisions`` against ``reference_test`` on its estimate and distribution.
 
-    The refusal class, decision and p-value must be equal, the statistic,
-    critical values and interval within 1e-12, and a decided row's usable
-    count that of the reference. ``test_and_ci`` on the row, its one-row
-    case, must give the block's fields exactly.
+    The refusal class and decision must be equal, the statistic, critical
+    values and interval within 1e-12, and a decided row's usable count that
+    of the reference. ``test_and_ci`` on the row, its one-row case, must give
+    the block's fields exactly, and the reference's p-value, which the block
+    does not compute.
     """
-    refusal, counts, (stat, critical, lower, upper, reject, p_value) = decisions
+    refusal, counts, (stat, critical, lower, upper, reject, rows) = decisions
+    assert (rows is None) == (dists[0] is None)
     k = 0
     for i, (est, dist) in enumerate(zip(ests, dists)):
         try:
@@ -633,7 +645,7 @@ def assert_rows_equal_reference(decisions, ests, dists, cfg):
                 make_report(est, dist, cfg)
             continue
         assert refusal[i] == -1
-        assert (reject[k], p_value[k]) == (want["reject"], want["p_value"])
+        assert reject[k] == want["reject"]
         got = [stat[k], *(c[k] for c in critical), lower[k], upper[k]]
         np.testing.assert_allclose(got, [want["statistic"], *want["critical_values"],
                                          want["ci_lower"], want["ci_upper"]],
@@ -642,7 +654,8 @@ def assert_rows_equal_reference(decisions, ests, dists, cfg):
             assert counts[i] == len(dist.thetas) + dist.skipped - want["skipped"]
         rep = make_report(est, dist, cfg)
         assert (rep.statistic, *rep.critical_values, rep.ci_lower, rep.ci_upper) == tuple(got)
-        assert (rep.reject, rep.p_value, rep.skipped) == (reject[k], p_value[k], want["skipped"])
+        assert (rep.reject, rep.p_value, rep.skipped) == (reject[k], want["p_value"],
+                                                          want["skipped"])
         k += 1
     assert k == len(stat)
 

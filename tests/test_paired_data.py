@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -290,6 +291,17 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(z=[2.0], epsilon=[1], tau=1.0)
 
+    @pytest.mark.parametrize("z, epsilon", [([1.0, 2.0], [1]), ([[1.0, 2.0]], [[1, 2]])],
+                             ids=["misaligned", "two-dimensional"])
+    def test_arrays_must_be_aligned_and_flat(self, z, epsilon):
+        with pytest.raises(ValidationError, match="one-dimensional and aligned"):
+            Dataset(z=z, epsilon=epsilon, tau=5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        with pytest.raises(NonFiniteTime, match="all record times must be finite"):
+            Dataset(z=[1.0, bad], epsilon=[1, 0], tau=5.0)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError, match="z must be nonnegative, got -1.0"):
             Dataset(z=[2.0, -1.0], epsilon=[1, 0], tau=5.0)
@@ -357,6 +369,20 @@ class TestReadPairedCsv:
         with pytest.raises(ValidationError):
             read_paired_csv(p)
 
+    def test_decimal_indicators_are_read(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("x1,delta1,x2,delta2\n2,1.0,1,0.0\n")
+        obs = read_paired_csv(p)
+        assert obs[0] == PairedObservation(2.0, 1, 1.0, 0)
+        assert obs.delta.dtype == np.int64
+
+    def test_indicator_that_is_no_number_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("x1,delta1,x2,delta2\n2,1,1,x\n")
+        with pytest.raises(ParseError, match="not a 0/1 indicator: 'x'") as exc:
+            read_paired_csv(p)
+        assert (exc.value.row, exc.value.column) == (2, "delta2")
+
     def test_parse_error_carries_row_and_column(self, tmp_path):
         p = tmp_path / "pairs.csv"
         p.write_text("x1,delta1,x2,delta2\n2,1,1,1\nfoo,1,1,1\n")
@@ -380,6 +406,27 @@ class TestReadCompetingCsv:
         np.testing.assert_array_equal(data.z, [1.5, 2.0])
         np.testing.assert_array_equal(data.epsilon, [1, 0])
 
+    @pytest.mark.parametrize("reader, header, expected", [
+        (read_paired_csv, "x1,delta1,x2", "expected header x1,delta1,x2,delta2[,group]"),
+        (read_paired_csv, "x1,delta1,x2,delta2,group,site",
+         "expected header x1,delta1,x2,delta2[,group]"),
+        (lambda p: read_competing_csv(p, 1.0), "epsilon,z", "expected header z,epsilon"),
+    ], ids=["paired-short", "paired-long", "competing"])
+    def test_wrong_header_is_a_parse_error(self, tmp_path, reader, header, expected):
+        p = tmp_path / "records.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(ParseError, match=re.escape(expected)) as exc:
+            reader(p)
+        assert (exc.value.row, exc.value.column) == (1, header)
+
+    @pytest.mark.parametrize("label", ["4", "1.0", "-1"])
+    def test_competing_label_outside_the_four_causes(self, tmp_path, label):
+        p = tmp_path / "records.csv"
+        p.write_text(f"z,epsilon\n0.5,1\n0.7,{label}\n")
+        with pytest.raises(ValidationError,
+                           match=f"row 3: epsilon must be in {{0,1,2,3}}, got '{label}'"):
+            read_competing_csv(p, tau=1.0)
+
     @pytest.mark.parametrize("reader", [read_paired_csv, lambda p: read_competing_csv(p, 1.0)],
                              ids=["paired", "competing"])
     def test_empty_file(self, tmp_path, reader):
@@ -387,6 +434,33 @@ class TestReadCompetingCsv:
         p.write_text("")
         with pytest.raises(ValidationError, match="empty file"):
             reader(p)
+
+
+class TestEmptyInput:
+    """Every input without a record raises :class:`EmptyDataset`, a ``ValidationError``."""
+
+    def test_dataset(self):
+        with pytest.raises(EmptyDataset, match="dataset must contain at least one record"):
+            Dataset(z=[], epsilon=[], tau=1.0)
+
+    @pytest.mark.parametrize("data", [[], PairedSample(np.empty((0, 2)), np.empty((0, 2)))],
+                             ids=["rows", "sample"])
+    def test_prepare_dataset(self, data):
+        with pytest.raises(EmptyDataset, match="^empty dataset$"):
+            prepare_dataset(data, 1.0)
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_paired_csv, "x1,delta1,x2,delta2"),
+        (lambda p: read_competing_csv(p, 1.0), "z,epsilon"),
+    ], ids=["paired", "competing"])
+    def test_header_only_csv(self, tmp_path, reader, header):
+        p = tmp_path / "records.csv"
+        p.write_text(header + "\n\n")
+        with pytest.raises(EmptyDataset, match="records.csv: empty dataset$"):
+            reader(p)
+
+    def test_is_a_validation_error(self):
+        assert issubclass(EmptyDataset, ValidationError)
 
 
 class TestPrepareDataset:

@@ -220,6 +220,13 @@ class TestMarginals:
     def test_uniform_quantile(self):
         assert Uniform(2.0).quantile(0.25) == 0.5
 
+    def test_mixture_of_one_component_is_its_quantile(self):
+        first, second = Exponential(3.0), Gompertz(0.6, 2.0)
+        p = np.linspace(0.0, 1.0, 23)
+        for weight, component in ((1.0, first), (0.0, second)):
+            got = Mixture(weight, first, second).quantile(p)
+            np.testing.assert_array_equal(got, component.quantile(p))
+
     @staticmethod
     def _quantile_90_steps(m, p):
         p = np.asarray(p, dtype=float)
@@ -501,6 +508,14 @@ class TestCalibrateNull:
         with pytest.raises(BracketError):
             calibrate_null(build, (5.0, 9.0))
 
+    @pytest.mark.parametrize("bracket", [(2.0, 2.0), (3.0, 1.0), (math.nan, 1.0)])
+    def test_bracket_must_be_increasing(self, bracket):
+        def build(param):
+            raise AssertionError("a scenario was built for an invalid bracket")
+
+        with pytest.raises(BracketError, match="invalid bracket"):
+            calibrate_null(build, bracket)
+
 
 def _exact_theta_cases():
     """The pinned null targets, a point of each power family, and a bounded margin."""
@@ -636,6 +651,21 @@ class TestScenarioSerialization:
             marginal_from_dict({"name": "gompertz", "shape": 1.0}, "marginal1")
         assert exc.value.field == "marginal1.rate"
 
+    def test_marginal_without_a_name(self):
+        for d in ({"rate": 1.0}, ["exponential"]):
+            with pytest.raises(ScenarioError, match="expected an object with a 'name' key") as exc:
+                marginal_from_dict(d, "marginal1")
+            assert exc.value.field == "marginal1"
+
+    @pytest.mark.parametrize("key", ["copula", "copula_param", "marginal1", "marginal2",
+                                     "censoring", "tau", "n"])
+    def test_scenario_missing_field_names_it(self, key):
+        d = dict(SIMPLE)
+        del d[key]
+        with pytest.raises(ScenarioError, match="missing field") as exc:
+            scenario_from_dict(d)
+        assert exc.value.field == key
+
     def test_mixture_nested_path(self):
         with pytest.raises(ScenarioError) as exc:
             marginal_from_dict(
@@ -761,6 +791,12 @@ class TestScenarioBuilders:
     def test_unknown_level_rejected(self):
         with pytest.raises(ScenarioError):
             table1_scenario("clayton", "exp_mix", "extreme", n=50)
+
+    @pytest.mark.parametrize("copula, family", [("clayton", "weibull"), ("frank", "exp_mix")])
+    def test_unknown_family_or_copula_has_no_calibrated_parameter(self, copula, family):
+        with pytest.raises(ScenarioError, match="no calibrated parameter for") as exc:
+            table1_scenario(copula, family, "medium", n=50)
+        assert exc.value.field == "scenario"
 
     def test_power_families(self):
         s1 = power_scenario(1, "gumbel_hougaard", 0.5, 25)

@@ -14,7 +14,6 @@ from .errors import (
     InferenceRefused,
     InsufficientReplicates,
     InvalidParameter,
-    JitterTooLarge,
     NonFiniteTime,
     NonPositiveTau,
     PairedRteError,

@@ -17,7 +17,6 @@ from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
     PairedSample,
-    _event_censoring_ties,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
@@ -95,12 +94,11 @@ def _load_input(input_path: str, tau: float):
 @click.option("--B", "b", default=2000, show_default=True, help="Resampling iterations.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--group-by", is_flag=True, help="Analyze each group label separately.")
-@click.option("--no-jitter", is_flag=True, help="Skip censoring-tie jitter.")
 @click.option("--output", type=_OUTPUT, default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table",
               show_default=True)
 def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by,
-            no_jitter, output, fmt):
+            output, fmt):
     """Estimate the relative treatment effect and run the requested tests."""
     methods = list(_METHOD_NAMES.values()) if method == "all" else [_METHOD_NAMES[method]]
     transforms = (
@@ -125,14 +123,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
            "b": b, "seed": seed, "groups": []}
     refused = False
     for label, group_obs in partitions:
-        data_plain = None
-        if ready is not None:
-            data = ready
-        else:
-            data = prepare_dataset(group_obs, tau, jitter=None if no_jitter else "auto", seed=seed)
-            # a jitter-free copy can differ only where auto jitter fired
-            if not no_jitter and _event_censoring_ties(group_obs.x, group_obs.delta):
-                data_plain = prepare_dataset(group_obs, tau, jitter=None, seed=seed)
+        data = prepare_dataset(group_obs, tau) if ready is None else ready
         est = estimate_rte(data)
         entry = {
             "group": label,
@@ -141,8 +132,6 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
             "sigma_hat": float(np.sqrt(est.sigma2_hat)),
             "reports": [],
         }
-        if data_plain is not None and not np.array_equal(data_plain.epsilon, data.epsilon):
-            entry["theta_hat_unjittered"] = estimate_rte(data_plain).theta_hat
         try:
             reports = run_inference(
                 data, methods, transforms, sided=sided, alpha=alpha, b=b, seed=seed, est=est,
@@ -159,15 +148,9 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
     else:
         lines = []
         for entry in doc["groups"]:
-            theta_extra = (
-                f"  (unjittered: {entry['theta_hat_unjittered']:.4f})"
-                if "theta_hat_unjittered" in entry
-                else ""
-            )
             lines.append(
                 f"group={entry['group']}  n={entry['n']}  "
                 f"theta_hat={entry['theta_hat']:.4f}  sigma_hat={entry['sigma_hat']:.4f}"
-                + theta_extra
             )
             if entry["reports"]:
                 rows = [
@@ -200,14 +183,11 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
 @main.command()
 @click.option("--input", "input_path", required=True, type=_INPUT)
 @click.option("--tau", required=True, type=float)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--no-jitter", is_flag=True)
 @click.option("--output", type=_OUTPUT, default=None,
               help="Competing-risks CSV destination (stdout if omitted).")
-def transform(input_path, tau, seed, no_jitter, output):
+def transform(input_path, tau, output):
     """Write the competing-risks transformation of a paired CSV."""
-    obs = read_paired_csv(input_path)
-    data = prepare_dataset(obs, tau, jitter=None if no_jitter else "auto", seed=seed)
+    data = prepare_dataset(read_paired_csv(input_path), tau)
     counts = {j: int((data.epsilon == j).sum()) for j in (0, 1, 2, 3)}
     summary = (
         f"n={data.n}  eps0={counts[0]}  eps1={counts[1]}  eps2={counts[2]}  "

@@ -27,10 +27,6 @@ class NonPositiveTau(ValidationError):
     """The follow-up horizon must be strictly positive."""
 
 
-class JitterTooLarge(ValidationError):
-    """Tie-breaking jitter would reorder event times relative to censoring times."""
-
-
 class EmptyDataset(ValidationError):
     """An input holds no record: a sample, a dataset or a CSV data section."""
 

@@ -1,10 +1,11 @@
-"""Paired right-censored survival data: ingestion, truncation, tie handling,
-and the transformation into a competing-risks sample.
+"""Paired right-censored survival data: ingestion, truncation, and the
+transformation into a competing-risks sample.
 
 A matched pair contributes one record ``(z, epsilon)`` to the competing-risks
 sample: ``z`` is the smallest of the pair's observed times and ``epsilon``
 encodes which member was observed to fail first (1 or 2), whether both failed
-simultaneously (3), or whether the pair minimum is a censoring time (0).
+simultaneously (3), or whether the pair minimum is a censoring time (0). An
+event precedes a censoring at the same time.
 
 A :class:`PairedSample` carries the pairs as columns from ingest to
 :func:`prepare_dataset`, which returns the records as the columns of a
@@ -17,6 +18,7 @@ import csv
 import math
 import operator
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,14 +27,12 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
-    JitterTooLarge,
     NonFiniteTime,
     NonPositiveTau,
-    PairedRteError,
     ParseError,
     ValidationError,
 )
-from ._streams import is_integer, rng_of, seed_words
+from ._streams import is_integer
 
 __all__ = [
     "PairedObservation",
@@ -42,11 +42,7 @@ __all__ = [
     "read_competing_csv",
     "write_competing_csv",
     "prepare_dataset",
-    "DEFAULT_JITTER_FRACTION",
 ]
-
-# Default tie-breaking jitter, as a fraction of the largest observed time.
-DEFAULT_JITTER_FRACTION = 1e-9
 
 
 def _plain_ints(value):
@@ -175,103 +171,56 @@ def _classify(x: np.ndarray, delta: np.ndarray):
     """Competing-risks records ``(z, epsilon)`` of truncated pairs of shape ``(..., 2)``.
 
     ``epsilon`` is 1 (2) when the first (second) margin is observed to fail
-    strictly before the other, 3 when both are observed to fail at the same
-    time, and 0 otherwise. The pattern ``x1 == x2`` with exactly one event
-    counts as censored; the censoring-tie jitter removes it first.
+    before the other, 3 when both are observed to fail at the same time, and
+    0 otherwise. An event precedes a censoring at the same time, so the pair
+    ``x1 == x2`` with exactly one event takes that event's label.
     """
     x1, x2 = x[..., 0], x[..., 1]
     e1, e2 = delta[..., 0] == 1, delta[..., 1] == 1
-    eps = np.select([(x1 < x2) & e1, (x2 < x1) & e2, (x1 == x2) & e1 & e2], [1, 2, 3], 0)
+    tie = x1 == x2
+    first1 = e1 & ((x1 < x2) | (tie & ~e2))
+    first2 = e2 & ((x2 < x1) | (tie & ~e1))
+    eps = np.select([first1, first2, tie & e1 & e2], [1, 2, 3], 0)
     return np.minimum(x1, x2), eps
-
-
-def _event_censoring_gaps(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Distances from each censoring time to its neighbouring event times, ends clamped."""
-    # the one caller found a censoring time equal to an event time: ``ev`` is not empty
-    ev, ce = np.unique(x[delta == 1]), np.unique(x[delta == 0])
-    idx = np.searchsorted(ev, ce)
-    near = np.concatenate([ev[np.maximum(idx - 1, 0)], ev[np.minimum(idx, len(ev) - 1)]])
-    return np.abs(np.concatenate([ce, ce]) - near)
-
-
-def _event_censoring_ties(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Whether some censoring time equals an event time, per sample of shape ``(..., n, 2)``.
-
-    Sorting a sample's times puts equal times next to each other, and a run
-    of equal times holding both kinds has two neighbours of different kinds.
-    """
-    flat = x.reshape(x.shape[:-2] + (-1,))
-    order = np.argsort(flat, axis=-1)
-    times = np.take_along_axis(flat, order, -1)
-    kinds = np.take_along_axis(delta.reshape(flat.shape), order, -1)
-    return ((times[..., 1:] == times[..., :-1]) & (kinds[..., 1:] != kinds[..., :-1])).any(axis=-1)
-
-
-def _jitter_censored(x: np.ndarray, delta: np.ndarray, seed: int) -> np.ndarray:
-    """Censoring-tie jitter on columns, of width ``DEFAULT_JITTER_FRACTION`` times the largest time.
-
-    One draw per censored cell in C order (pair 1 x1, pair 1 x2, pair 2 x1,
-    ...), which is the stream a row-by-row loop draws.
-    """
-    jitter = DEFAULT_JITTER_FRACTION * x.max()
-    if jitter == 0:
-        raise ValidationError(
-            "every time is 0, so the automatic jitter width (a fraction of the largest "
-            "time) is 0 and cannot break a censoring time tied with an event time"
-        )
-    gaps = _event_censoring_gaps(x, delta)
-    gap = float(gaps[gaps > 0].min(initial=math.inf))
-    if jitter >= gap:
-        raise JitterTooLarge(
-            f"jitter {jitter} is not smaller than the minimum event/censoring gap {gap}"
-        )
-    censored = delta == 0
-    out = x.copy()
-    out[censored] += rng_of(seed).uniform(0.0, jitter, int(censored.sum()))
-    return out
 
 
 def prepare_dataset(
     data: PairedSample | Iterable[PairedObservation],
     tau: float,
     *,
-    jitter: str | None = "auto",
-    seed: int = 0,
+    seed=None,
 ) -> Dataset:
-    """Run the analysis pipeline: tie-break censored times, truncate, transform.
+    """Run the analysis pipeline: truncate at the horizon, then transform.
 
-    ``jitter="auto"`` adds independent uniform increments, of width 1e-9
-    times the largest observed time and drawn from ``seed``, to every
-    censored time, but only when some censoring time exactly equals an event
-    time; event times are untouched, so each tied censoring time ends up just
-    above its event. ``jitter=None`` disables tie breaking. ``seed`` is
-    checked first, whether or not jitter fires. This is the one-sample case
-    of :func:`_prepare_rows`, so an invalid ``tau`` is reported before any
-    error of the data.
+    At a time where a censoring equals an event, the event comes first
+    (Kalbfleisch & Prentice 2002): a censored record stays at risk at that
+    event, and :func:`_classify` gives a pair's tie of one event and one
+    censoring the event's label. Nothing is drawn. This is the one-sample
+    case of :func:`_prepare_rows`, so an invalid ``tau`` is reported before
+    any error of the data.
+
+    ``seed`` is ignored, and passing it is deprecated. It stays only until
+    the benchmark's call sites stop passing it (ROADMAP item 8 (a)).
     """
-    seed_words(seed)
-    if jitter not in ("auto", None):
-        raise ValidationError(f"jitter must be 'auto' or None, got {jitter!r}")
+    if seed is not None:
+        warnings.warn("prepare_dataset draws nothing, so its seed is ignored",
+                      DeprecationWarning, stacklevel=2)
     sample = PairedSample.of(data)
     if len(sample) == 0:
         raise EmptyDataset("empty dataset")
-    seeds = None if jitter is None else [seed]
-    z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau, seeds)
+    z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau)
     if errors:
         raise errors[0]
     return Dataset(z=z[0], epsilon=eps[0], tau=float(tau))
 
 
-def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):
+def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float):
     """Competing-risks records of samples of shape ``(R, n, 2)``, prepared as one block.
 
-    ``tau`` is checked first. Sample ``i`` is jittered with seed ``seeds[i]``
-    (none when ``seeds`` is None) only when one of its censoring times equals
-    one of its event times; ``x`` itself is left as it is. Jitter precedes
-    truncation, so no perturbed time can exceed the horizon, and a time equal
-    to the horizon becomes an observed event, so that the tie mass at ``tau``
-    is credited to both treatments. Returns the records ``z, eps`` of shape
-    ``(R, n)`` and a dict from each failed sample to its error; a failed
+    ``tau`` is checked first. A time at or beyond the horizon becomes an
+    observed event at ``tau``, so that the tie mass at ``tau`` is credited to
+    both treatments. Returns the records ``z, eps`` of shape ``(R, n)`` and a
+    dict from each sample with a non-finite time to its error; such a
     sample's records are zeros.
     """
     if not math.isfinite(tau) or tau <= 0:
@@ -281,14 +230,6 @@ def _prepare_rows(x: np.ndarray, delta: np.ndarray, tau: float, seeds):
     for i in np.flatnonzero(~finite.all(axis=(-2, -1))):
         j = np.flatnonzero(~finite[i])[0]
         errors[i] = NonFiniteTime(f"{('x1', 'x2')[j % 2]} is not finite: {x[i].flat[j]}")
-    if seeds is not None:
-        x = x.copy()
-        # a sample with a non-finite time has no jitter width
-        for i in np.flatnonzero(_event_censoring_ties(x, delta) & finite.all(axis=(-2, -1))):
-            try:
-                x[i] = _jitter_censored(x[i], delta[i], seeds[i])
-            except PairedRteError as exc:
-                errors[i] = exc
     over = x >= tau
     z, eps = _classify(np.where(over, tau, x), np.where(over, 1, delta))
     for i in errors:
@@ -324,7 +265,7 @@ def _parse_delta(raw: str, row: int, column: str) -> int:
 def _csv_rows(path):
     """The open CSV as its lower-cased header and its non-blank ``(row number, cells)``.
 
-    Cells are stripped. An empty file raises :class:`ValidationError`; a row
+    Cells are stripped. An empty file raises :class:`EmptyDataset`; a row
     whose cell count is not the header's raises :class:`ParseError`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -332,7 +273,7 @@ def _csv_rows(path):
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+            raise EmptyDataset(f"{path}: empty file") from None
 
         def rows():
             for i, cells in enumerate(reader, start=2):

@@ -542,7 +542,7 @@ def _estimate_block(scenario: Scenario, seed: int, reps: range):
     tau = float(scenario.tau)
     x, delta = _draw_block(scenario, seed, reps)
     censored = int(_censored_margins(x, delta, tau).sum())
-    z, eps, errors = _prepare_rows(x, delta, tau, reps)
+    z, eps, errors = _prepare_rows(x, delta, tau)
     _, at_risk, dn = _engine.sorted_grid(z, eps)
     theta, sigma2, exhausted = _estimates_from_counts(
         at_risk, dn, scenario.n, tau, z.max(axis=-1)
@@ -565,7 +565,7 @@ def run_size_experiment(
     """Monte Carlo rejection rates of the requested tests under the scenario.
 
     Replicate ``rep`` draws a paired sample from ``default_rng([seed, rep])``,
-    prepares it with censoring-tie jitter at ``seed=rep``, and runs every
+    prepares it as :func:`prepare_dataset` does, and runs every
     method/transform combination at level ``alpha``; its resampling methods
     use ``seed=(seed, rep)``. Results are therefore independent of
     scheduling. Replicates run in blocks of at most ``_engine.BLOCK_CELLS //
@@ -814,11 +814,10 @@ _COPULA_PARAMS = {"gumbel_hougaard": 5.0, "clayton": -0.6}
 
 
 def _null_marginals(family: str, param: float):
+    """The margins of a null family; callers pass only the keys of ``_TAUS``."""
     if family == "exp_mix":
         return Exponential(2.0), Mixture(0.5, Exponential(3.0), Exponential(param))
-    if family == "gompertz_exp":
-        return Gompertz(0.6, param), Exponential(3.0)
-    raise ScenarioError("family", f"unknown marginal family {family!r}")
+    return Gompertz(0.6, param), Exponential(3.0)
 
 
 def _null_scenario(copula: str, family: str, param: float, censoring_upper: float, n: int) -> Scenario:

@@ -199,24 +199,60 @@ def naive_competing_risks(rows, tau):
 
     A margin at or beyond ``tau`` becomes an event at ``tau``. Then ``z`` is
     the smaller time and ``epsilon`` is 1 (2) when the first (second) margin
-    is an event strictly before the other, 3 when both are events at the same
-    time, and 0 otherwise.
+    is an event before the other, an event coming before a censoring at the
+    same time; 3 when both are events at the same time; and 0 otherwise.
     """
     zs, labels = [], []
     for r in rows:
         x1, d1 = (tau, 1) if r.x1 >= tau else (r.x1, r.delta1)
         x2, d2 = (tau, 1) if r.x2 >= tau else (r.x2, r.delta2)
-        if x1 < x2 and d1 == 1:
-            eps = 1
-        elif x2 < x1 and d2 == 1:
-            eps = 2
-        elif x1 == x2 and d1 == 1 and d2 == 1:
+        if x1 == x2 and d1 == 1 and d2 == 1:
             eps = 3
+        elif d1 == 1 and (x1 < x2 or (x1 == x2 and d2 == 0)):
+            eps = 1
+        elif d2 == 1 and (x2 < x1 or (x1 == x2 and d1 == 0)):
+            eps = 2
         else:
             eps = 0
         zs.append(float(min(x1, x2)))
         labels.append(eps)
     return np.array(zs), np.array(labels)
+
+
+def reference_jittered_dataset(rows, tau, seed=0):
+    """The ``Dataset`` of paired ``rows`` under the random censoring-tie jitter the rule replaced.
+
+    When some censoring time equals some event time, every censored time
+    gains a uniform draw from (0, w), w = 1e-9 times the largest time: one
+    scalar draw from ``default_rng(seed)`` per censored margin, pair by pair
+    and x1 before x2. Then :func:`naive_competing_risks` truncates and labels.
+    The jitter is refused with a ``ValidationError`` when w is 0, or when w is
+    not below the smallest positive distance from a censoring time to the
+    last event time below it or to the first at or above it. Like the jitter,
+    that check misses an event just above a censoring time equal to an event.
+    """
+    times = [(x, d) for r in rows for x, d in ((r.x1, r.delta1), (r.x2, r.delta2))]
+    events = sorted({x for x, d in times if d == 1})
+    censorings = sorted({x for x, d in times if d == 0})
+    if not set(events) & set(censorings):
+        return prt.Dataset(*naive_competing_risks(rows, tau), tau=tau)
+    width = 1e-9 * max(x for x, _ in times)
+    if width == 0:
+        raise prt.ValidationError("every time is 0, so the jitter has no width")
+    gaps = []
+    for c in censorings:
+        below, above = [e for e in events if e < c], [e for e in events if e >= c]
+        if below:
+            gaps.append(c - below[-1])
+        if above:
+            gaps.append(above[0] - c)
+    if width >= min([g for g in gaps if g > 0], default=math.inf):
+        raise prt.ValidationError("the jitter is not below the smallest event/censoring gap")
+    rng = np.random.default_rng(seed)
+    jittered = [replace(r, x1=r.x1 + (rng.uniform(0.0, width) if r.delta1 == 0 else 0.0),
+                        x2=r.x2 + (rng.uniform(0.0, width) if r.delta2 == 0 else 0.0))
+                for r in rows]
+    return prt.Dataset(*naive_competing_risks(jittered, tau), tau=tau)
 
 
 def unique_event_grid(z, eps):
@@ -458,7 +494,7 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
     """The size harness one replicate at a time.
 
     Replicate ``rep`` draws from ``default_rng([seed, rep])``, is prepared
-    with jitter at ``seed=rep`` and estimated by ``estimate_rte``; each
+    by ``prepare_dataset`` and estimated by ``estimate_rte``; each
     method's distribution, at ``seed=(seed, rep)``, and each transform's
     :func:`reference_test` is then tried on its own. A test that raises
     ``InferenceRefused`` is a non-rejection counted in ``refused``; a
@@ -473,7 +509,7 @@ def reference_size_experiment(scenario, *, methods, transforms, r, b=500, alpha=
         obs = prt.simulation.draw_paired_sample(scenario, np.random.default_rng([seed, rep]))
         margins_censored += int(((obs.delta == 0) | (obs.x >= scenario.tau)).sum())
         try:
-            data = prt.prepare_dataset(obs, scenario.tau, seed=rep)
+            data = prt.prepare_dataset(obs, scenario.tau)
         except prt.PairedRteError as exc:
             failures.append((rep, type(exc).__name__))
             if len(failures) > max(1, 0.01 * r):

@@ -108,7 +108,7 @@ def test_02_case_study_reproduction():
     details = []
     ok = True
     for label, target_theta in (("juvenile", 0.598), ("adult", 0.731)):
-        data = prepare_dataset(load_group(label), 60.0, seed=0)
+        data = prepare_dataset(load_group(label), 60.0)
         est = estimate_rte(data)
         ok &= abs(est.theta_hat - target_theta) <= 0.002
         details.append(f"{label}: theta={est.theta_hat:.4f}")
@@ -188,8 +188,8 @@ def test_04_sign_test_reduction():
 def test_05_variance_consistency_under_simulation():
     t0 = time.perf_counter()
     scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=200)
-    # replicate rep is drawn from default_rng([505, rep]), prepared with
-    # jitter seed rep and estimated as estimate_rte does, a block at a time
+    # replicate rep is drawn from default_rng([505, rep]), prepared and
+    # estimated as prepare_dataset and estimate_rte do, a block at a time
     step = _engine.BLOCK_CELLS // scenario.n
     blocks = [sim._estimate_block(scenario, 505, range(start, min(2000, start + step)))
               for start in range(0, 2000, step)]
@@ -327,7 +327,7 @@ def test_09_identity_suite():
     duality_ok = True
     checked = 0
     for label in ("juvenile", "adult"):
-        data = prepare_dataset(load_group(label), 60.0, seed=0)
+        data = prepare_dataset(load_group(label), 60.0)
         est = estimate_rte(data)
         for method in ("asymptotic", "bootstrap", "randomization"):
             cfg0 = InferenceConfig(method=method, b=300, seed=9)

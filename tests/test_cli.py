@@ -45,7 +45,7 @@ def _assert_same(got, want, path):
         assert got == want, path
 
 
-# A paired CSV without an event/censoring tie, so auto jitter draws nothing.
+# A paired CSV in which no censoring time equals an event time.
 TIE_FREE = "x1,delta1,x2,delta2\n1,1,2,1\n3,0,1.5,1\n2.5,1,4,0\n5,1,0.5,1\n"
 
 
@@ -80,7 +80,7 @@ class TestAnalyze:
         groups = {g["group"]: g for g in doc["groups"]}
         assert groups["juvenile"]["theta_hat"] == pytest.approx(0.598, abs=0.002)
         assert groups["adult"]["theta_hat"] == pytest.approx(0.731, abs=0.002)
-        assert groups["adult"]["theta_hat_unjittered"] == pytest.approx(0.697, abs=0.002)
+        assert "theta_hat_unjittered" not in groups["adult"]
         report = groups["juvenile"]["reports"][0]
         assert report["method"] == "randomization"
         assert 0.0 < report["p_value"] <= 1.0
@@ -141,6 +141,15 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_VALIDATION
         assert res.output == f"error: {p}: empty dataset\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "transform"])
+    def test_zero_byte_input_is_a_validation_error(self, runner, tmp_path, command):
+        p = tmp_path / "records.csv"
+        p.write_text("")
+        res = runner.invoke(main, [command, "--input", str(p), "--tau", "10"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: {p}: empty file\n"
 
     @pytest.mark.parametrize("option, value", [("--alpha", "2"), ("--B", "0")])
     def test_invalid_inference_setting_is_a_validation_error(self, runner, option, value):
@@ -212,60 +221,51 @@ class TestAnalyze:
         b = runner.invoke(main, args)
         assert a.output == b.output
 
-    def test_jitter_free_copy_only_when_jitter_can_fire(self, runner, monkeypatch):
+    def test_each_group_is_prepared_once(self, runner, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("jitter"))
+            calls.append(kwargs)
             return prepare_dataset(*args, **kwargs)
 
         monkeypatch.setattr(cli, "prepare_dataset", counted)
-        base = ["analyze", "--method", "asy", "--format", "json"]
-        tie_free = base + ["--input", str(DATA / "example1_table2.csv"), "--tau", "100"]
-        outputs = {}
-        for extra in ([], ["--no-jitter"]):
-            calls.clear()
-            res = invoke(runner, *tie_free, *extra)
-            assert res.exit_code == 0, res.output
-            assert len(calls) == 1
-            outputs[bool(extra)] = res.output
-        # jitter cannot fire on a tie-free input, so the flag changes nothing
-        assert outputs[False] == outputs[True]
-        doc = json.loads(outputs[False])
-        assert "theta_hat_unjittered" not in doc["groups"][0]
-        assert doc["groups"][0]["theta_hat"] == 0.75
-
-        calls.clear()
-        res = invoke(runner, *base, "--input", str(DATA / "diabetic.csv"), "--tau", "60",
-                     "--group-by", "--no-jitter")
+        res = invoke(runner, "analyze", "--method", "asy", "--format", "json", "--input",
+                     str(DATA / "diabetic.csv"), "--tau", "60", "--group-by")
         assert res.exit_code == 0, res.output
-        assert calls == [None, None]
+        assert calls == [{}, {}]
         obs = read_paired_csv(str(DATA / "diabetic.csv"))
         for entry in json.loads(res.output)["groups"]:
-            assert "theta_hat_unjittered" not in entry
+            assert list(entry) == ["group", "n", "theta_hat", "sigma_hat", "reports"]
             group = [o for o in obs if o.group == entry["group"]]
-            plain = estimate_rte(prepare_dataset(group, 60.0, jitter=None))
-            assert entry["theta_hat"] == plain.theta_hat
+            assert entry["theta_hat"] == estimate_rte(prepare_dataset(group, 60.0)).theta_hat
 
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", ["--no-jitter"]), ("transform", ["--no-jitter"]),
+        ("transform", ["--seed", "1"]),
+    ], ids=["analyze-no-jitter", "transform-no-jitter", "transform-seed"])
+    def test_the_jitter_options_are_gone(self, runner, command, option):
+        # ties are broken by rule, so there is no jitter to skip or seed;
+        # click refuses both as unknown options
+        res = runner.invoke(main, [command, "--input", str(DATA / "diabetic.csv"),
+                                   "--tau", "60", *option])
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr and option[0] in res.stderr
 
     def test_competing_input_equals_the_paired_file_it_was_transformed_from(self, runner,
                                                                             tmp_path):
         cr = tmp_path / "cr.csv"
-        base = ["--tau", "60", "--seed", "1"]
+        base = ["--tau", "60"]
         res = invoke(runner, "transform", "--input", str(DATA / "diabetic.csv"), *base,
                      "--output", str(cr))
         assert res.exit_code == 0, res.output
         docs = []
         for path in (DATA / "diabetic.csv", cr):
-            res = invoke(runner, "analyze", "--input", str(path), *base, "--B", "200",
-                         "--format", "json")
+            res = invoke(runner, "analyze", "--input", str(path), *base, "--seed", "1",
+                         "--B", "200", "--format", "json")
             assert res.exit_code == 0, res.output
             docs.append(json.loads(res.output))
         paired, ready = docs
         del paired["input"], ready["input"]
-        # only the paired input knows what its jitter changed
-        assert "theta_hat_unjittered" in paired["groups"][0]
-        del paired["groups"][0]["theta_hat_unjittered"]
         assert ready == paired
         assert len(ready["groups"][0]["reports"]) == 6
 
@@ -280,14 +280,14 @@ class TestAnalyze:
         assert res.exit_code == EXIT_VALIDATION
         assert res.output.startswith("error: --group-by")
 
-    def test_table_shows_the_unjittered_estimate(self, runner):
+    def test_table_shows_the_json_estimate(self, runner):
         args = ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--group-by",
                 "--method", "asy"]
         table = invoke(runner, *args).output
         for entry in json.loads(invoke(runner, *args, "--format", "json").output)["groups"]:
             assert (f"group={entry['group']}  n={entry['n']}  "
                     f"theta_hat={entry['theta_hat']:.4f}  sigma_hat={entry['sigma_hat']:.4f}"
-                    f"  (unjittered: {entry['theta_hat_unjittered']:.4f})\n") in table
+                    "\n") in table
 
 
 class TestTransform:
@@ -304,12 +304,12 @@ class TestTransform:
         out = tmp_path / "cr.csv"
         res = invoke(
             runner, "transform", "--input", str(DATA / "diabetic.csv"), "--tau", "60",
-            "--seed", "0", "--output", str(out),
+            "--output", str(out),
         )
         assert res.exit_code == 0, res.output
         assert "censored_fraction=" in res.output
         direct = estimate_rte(
-            prepare_dataset(read_paired_csv(str(DATA / "diabetic.csv")), 60.0, seed=0)
+            prepare_dataset(read_paired_csv(str(DATA / "diabetic.csv")), 60.0)
         )
         again = estimate_rte(read_competing_csv(out, tau=60.0))
         assert again.theta_hat == direct.theta_hat
@@ -587,8 +587,7 @@ class TestNegativeSeed:
         ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--seed", "-1"],
         ["analyze", "--input", str(DATA / "example1_table2.csv"), "--tau", "100",
          "--method", "rand", "--seed", "-1"],
-        ["transform", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--seed", "-1"],
-    ], ids=["analyze-jitter", "analyze-resampling", "transform"])
+    ], ids=["analyze-diabetic", "analyze-resampling"])
     def test_is_a_validation_error(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == EXIT_VALIDATION
@@ -602,11 +601,10 @@ class TestRulesForEveryMethod:
     @pytest.mark.parametrize("args, message", [
         (["analyze", "--method", "asy", "--seed", "-1"],
          "seed must be a nonnegative integer, got -1"),
-        (["transform", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["analyze", "--method", "asy", "--B", "-5", "--format", "json"],
          "b must be an integer at least 1, got -5"),
-    ], ids=["analyze-seed", "transform-seed", "analyze-b"])
-    def test_is_a_validation_error_without_jitter(self, runner, tmp_path, args, message):
+    ], ids=["analyze-seed", "analyze-b"])
+    def test_is_a_validation_error_on_a_tie_free_input(self, runner, tmp_path, args, message):
         p = tmp_path / "tie_free.csv"
         p.write_text(TIE_FREE)
         res = runner.invoke(main, [args[0], "--input", str(p), "--tau", "10", *args[1:]])

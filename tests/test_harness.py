@@ -159,7 +159,7 @@ class TestEquivalence:
             assert {m: tuple(after[field][(m, t)] - before[field][(m, t)]
                              for t in PARTIAL["transforms"]) for m in gained} == want
         obs = sim.draw_paired_sample(SMALL, np.random.default_rng([seed, rep]))
-        data = prt.prepare_dataset(obs, SMALL.tau, seed=rep)
+        data = prt.prepare_dataset(obs, SMALL.tau)
         for method, counts in refused.items():
             for transform, count in zip(PARTIAL["transforms"], counts):
                 if count:
@@ -206,7 +206,7 @@ class TestEquivalence:
         # distribution, so only the harness's own arrays count
         r = _engine.BLOCK_CELLS // CELL_06B.n
         obs = sim.draw_paired_sample(CELL_06B, np.random.default_rng([3, 0]))
-        data = prt.prepare_dataset(obs, CELL_06B.tau, seed=0)
+        data = prt.prepare_dataset(obs, CELL_06B.tau)
         dist = prt.randomization_distribution(
             data, prt.InferenceConfig(method="randomization", b=2000, seed=1))
         monkeypatch.setattr(sim, "resample_distribution", lambda data, cfg: dist)
@@ -269,7 +269,7 @@ class TestBlockEstimates:
         assert errors == {}
         for i in reps:
             obs = sim.draw_paired_sample(scenario, np.random.default_rng([11, i]))
-            data = prt.prepare_dataset(obs, scenario.tau, seed=i)
+            data = prt.prepare_dataset(obs, scenario.tau)
             np.testing.assert_array_equal(z[i], data.z)
             np.testing.assert_array_equal(eps[i], data.epsilon)
             with warnings.catch_warnings(record=True) as caught:
@@ -330,7 +330,7 @@ class TestPrepareRows:
     @staticmethod
     def block(seed, r=30, n=15):
         rng = np.random.default_rng(seed)
-        # integer times: event/censoring ties are common, so jitter fires
+        # integer times: event/censoring ties are common, within pairs too
         x = rng.integers(1, 8, (r, n, 2)).astype(float)
         delta = rng.integers(0, 2, (r, n, 2))
         return x, delta
@@ -338,10 +338,9 @@ class TestPrepareRows:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_equal_prepare_dataset(self, seed):
         x, delta = self.block(seed)
-        seeds = range(100, 100 + len(x))
-        rows = [prt.prepare_dataset(prt.PairedSample(x[i], delta[i]), 5.0, seed=seeds[i])
+        rows = [prt.prepare_dataset(prt.PairedSample(x[i], delta[i]), 5.0)
                 for i in range(len(x))]
-        z, eps, errors = _prepare_rows(x.copy(), delta, 5.0, seeds)
+        z, eps, errors = _prepare_rows(x.copy(), delta, 5.0)
         assert errors == {}
         for i, data in enumerate(rows):
             np.testing.assert_array_equal(z[i], data.z)
@@ -350,12 +349,11 @@ class TestPrepareRows:
     def test_invalid_row_raises_its_own_error(self):
         x, delta = self.block(3, r=4)
         x[2, 5, 1] = np.inf
-        delta[2] = 1  # no censoring, so no jitter: truncation finds the bad time
-        z, eps, errors = _prepare_rows(x.copy(), delta, 5.0, range(4))
+        z, eps, errors = _prepare_rows(x.copy(), delta, 5.0)
         assert list(errors) == [2]
         with pytest.raises(prt.NonFiniteTime) as expected:
-            prt.prepare_dataset(prt.PairedSample(x[2], delta[2]), 5.0, seed=2)
+            prt.prepare_dataset(prt.PairedSample(x[2], delta[2]), 5.0)
         assert str(errors[2]) == str(expected.value)
         for i in (0, 1, 3):
-            data = prt.prepare_dataset(prt.PairedSample(x[i], delta[i]), 5.0, seed=i)
+            data = prt.prepare_dataset(prt.PairedSample(x[i], delta[i]), 5.0)
             np.testing.assert_array_equal(z[i], data.z)

@@ -797,7 +797,7 @@ class TestReplicateBlocks:
     def workload(method, n):
         sim = pairedrte.simulation
         scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "light", n=n)
-        data = prepare_dataset(sim.draw_paired_sample(scenario, 46), scenario.tau, seed=46)
+        data = prepare_dataset(sim.draw_paired_sample(scenario, 46), scenario.tau)
         return data, InferenceConfig(method=method, b=64, seed=47)
 
     @classmethod
@@ -840,7 +840,7 @@ class TestRunInferenceMemory:
     def peak(n):
         sim = pairedrte.simulation
         scenario = sim.table1_scenario("gumbel_hougaard", "exp_mix", "medium", n=n)
-        data = prepare_dataset(sim.draw_paired_sample(scenario, 7), scenario.tau, seed=0)
+        data = prepare_dataset(sim.draw_paired_sample(scenario, 7), scenario.tau)
         tracemalloc.start()
         try:
             run_inference(data, ["asymptotic", "bootstrap", "randomization"],

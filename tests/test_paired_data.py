@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import warnings
@@ -9,23 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_competing_risks
+from oracles import naive_competing_risks, reference_jittered_dataset
 
 from pairedrte import (
     Dataset,
+    DegenerateRiskWarning,
     EmptyDataset,
-    JitterTooLarge,
+    InferenceConfig,
     NonFiniteTime,
     NonPositiveTau,
     PairedObservation,
     PairedSample,
     ParseError,
+    PairedRteError,
     ValidationError,
+    estimate_rte,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
+    run_inference,
 )
 from pairedrte import _engine
+from pairedrte.inference import METHODS, TRANSFORMS, resample_distribution
+from pairedrte.inference import test_and_ci as make_report
 from pairedrte.paired_data import _prepare_rows
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -92,29 +97,28 @@ def records(rows, tau, **kwargs):
 class TestTruncateAtTau:
     def test_censored_margin_above_tau_becomes_event_at_tau(self):
         # (5, 0) becomes (3, 1), which ties the event of the other margin
-        assert records([(5, 0, 4, 1)], 3.0, jitter=None) == [(3.0, 3)]
-        assert records([(5, 0, 2, 1)], 3.0, jitter=None) == [(2.0, 2)]
+        assert records([(5, 0, 4, 1)], 3.0) == [(3.0, 3)]
+        assert records([(5, 0, 2, 1)], 3.0) == [(2.0, 2)]
 
     def test_below_tau_unchanged(self):
-        assert records([(1, 1, 2, 0)], 10.0, jitter=None) == [(1.0, 1)]
+        assert records([(1, 1, 2, 0)], 10.0) == [(1.0, 1)]
 
     def test_time_equal_tau_is_event(self):
-        assert records([(3, 0, 3, 0)], 3.0, jitter=None) == [(3.0, 3)]
+        assert records([(3, 0, 3, 0)], 3.0) == [(3.0, 3)]
 
-    def test_nonfinite_time(self):
-        for bad, jitter in itertools.product((math.inf, math.nan), ("auto", None)):
-            with pytest.raises(NonFiniteTime):
-                records([(bad, 1, 1, 1)], 5.0, jitter=jitter)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_time(self, bad):
+        with pytest.raises(NonFiniteTime):
+            records([(bad, 1, 1, 1)], 5.0)
 
-    def test_nonpositive_tau(self):
-        for tau, jitter in itertools.product((0.0, -2.0, math.nan, math.inf), ("auto", None)):
-            with pytest.raises(NonPositiveTau):
-                records([(1, 1, 1, 1)], tau, jitter=jitter)
-
-    def test_tau_is_checked_before_the_jitter(self):
-        # every time is 0, so the jitter would fail too
+    @pytest.mark.parametrize("tau", [0.0, -2.0, math.nan, math.inf])
+    def test_nonpositive_tau(self, tau):
         with pytest.raises(NonPositiveTau):
-            records([(0, 1, 0, 0)], -1.0)
+            records([(1, 1, 1, 1)], tau)
+
+    def test_tau_is_checked_before_the_times(self):
+        with pytest.raises(NonPositiveTau):
+            records([(math.inf, 1, 0, 0)], -1.0)
 
 
 class TestToCompetingRisks:
@@ -128,11 +132,12 @@ class TestToCompetingRisks:
         ],
     )
     def test_examples(self, pair, expected):
-        assert records([pair], 10.0, jitter=None) == [expected]
+        assert records([pair], 10.0) == [expected]
 
-    def test_ambiguous_tie_is_censored(self):
-        # x1 == x2 with exactly one event: without the jitter the pair is censored.
-        assert records([(3, 1, 3, 0)], 10.0, jitter=None) == [(3.0, 0)]
+    def test_tie_of_an_event_and_a_censoring_takes_the_event_label(self):
+        # x1 == x2 with exactly one event: the event comes first
+        assert records([(3, 1, 3, 0)], 10.0) == [(3.0, 1)]
+        assert records([(3, 0, 3, 1)], 10.0) == [(3.0, 2)]
 
     def test_exhaustive_classification_on_lattice(self):
         # Lattice times force plenty of ties; compare against an independent
@@ -143,20 +148,20 @@ class TestToCompetingRisks:
         x2 = rng.integers(0, 12, n).astype(float)
         d1 = rng.integers(0, 2, n)
         d2 = rng.integers(0, 2, n)
-        c1 = (x1 < x2) & (d1 == 1)
-        c2 = (x2 < x1) & (d2 == 1)
+        c1 = (d1 == 1) & ((x1 < x2) | ((x1 == x2) & (d2 == 0)))
+        c2 = (d2 == 1) & ((x2 < x1) | ((x1 == x2) & (d1 == 0)))
         c3 = (x1 == x2) & (d1 == 1) & (d2 == 1)
         c0 = ~(c1 | c2 | c3)
         assert np.all(c1.astype(int) + c2 + c3 + c0 == 1)
         ds = prepare_dataset(
-            PairedSample(np.column_stack([x1, x2]), np.column_stack([d1, d2])), 12.0, jitter=None
+            PairedSample(np.column_stack([x1, x2]), np.column_stack([d1, d2])), 12.0
         )
         np.testing.assert_array_equal(ds.epsilon, np.select([c1, c2, c3], [1, 2, 3], default=0))
         np.testing.assert_array_equal(ds.z, np.minimum(x1, x2))
 
     @given(obs=observations)
     def test_z_is_min(self, obs):
-        ds = prepare_dataset([obs], 101.0, jitter=None)
+        ds = prepare_dataset([obs], 101.0)
         assert ds.z[0] == min(obs.x1, obs.x2)
 
     @pytest.mark.parametrize("phi", [lambda t: 2.0 * t, lambda t: t**2, lambda t: np.expm1(t / 50.0)])
@@ -164,8 +169,8 @@ class TestToCompetingRisks:
         rng = np.random.default_rng(3)
         x = rng.integers(0, 8, (200, 2)).astype(float)
         delta = rng.integers(0, 2, (200, 2))
-        base = prepare_dataset(PairedSample(x, delta), 100.0, jitter=None)
-        mapped = prepare_dataset(PairedSample(phi(x), delta), 100.0, jitter=None)
+        base = prepare_dataset(PairedSample(x, delta), 100.0)
+        mapped = prepare_dataset(PairedSample(phi(x), delta), 100.0)
         np.testing.assert_array_equal(mapped.epsilon, base.epsilon)
         np.testing.assert_allclose(mapped.z, phi(base.z), rtol=1e-12)
 
@@ -175,111 +180,121 @@ def lattice_sample(seed, n):
     return PairedSample(rng.integers(0, 20, (n, 2)).astype(float), rng.integers(0, 2, (n, 2)))
 
 
-class TestBreakCensoringTies:
-    def test_no_censored_rows_unchanged(self):
-        rows = [(1, 1, 2, 1), (3, 1, 1, 1)]
-        assert records(rows, 10.0, seed=1) == records(rows, 10.0, jitter=None)
+# Lattice samples of 1 to 14 pairs on the times 0 to 4: ties within and between pairs.
+small_lattice = st.integers(0, 4).map(float)
+small_lattice_rows = st.lists(
+    st.builds(PairedObservation, x1=small_lattice, delta1=deltas, x2=small_lattice,
+              delta2=deltas),
+    min_size=1,
+    max_size=14,
+)
 
-    def test_increment_within_bounds(self):
-        # the censored 2 ties the event 2 of the second pair; width 1e-9 * 6
-        ds = prepare_dataset([PairedObservation(2, 0, 5, 1), PairedObservation(2, 1, 6, 1)],
-                             tau=10.0, seed=5)
-        assert 2.0 < ds.z[0] < 2.0 + 6e-9 and ds.epsilon[0] == 0
-        assert (ds.z[1], ds.epsilon[1]) == (2.0, 1)
 
-    def test_at_risk_counts_after_tie_break(self):
-        # Event at 2.0 in one pair, censoring at 2.0 in another: after the
-        # jitter the censored record still counts as at risk at t=2.0.
+def outcomes(data, seed):
+    """Every test of ``data``: its report as a dict, or its refusal's class name."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateRiskWarning)
+        est = estimate_rte(data)
+    out = [est.theta_hat, est.sigma2_hat]
+    for method in METHODS:
+        cfg = InferenceConfig(method=method, b=200, seed=seed)
+        try:
+            dist = resample_distribution(data, cfg)
+        except PairedRteError as exc:
+            out += [type(exc).__name__] * len(TRANSFORMS)
+            continue
+        for transform in TRANSFORMS:
+            try:
+                out.append(make_report(est, dist, replace(cfg, transform=transform)).to_dict())
+            except PairedRteError as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+class TestCensoringTies:
+    """An event precedes a censoring at the same time, and nothing is drawn."""
+
+    def test_censoring_tied_with_an_event_keeps_its_time(self):
+        # the censored 2 ties the event 2 of the second pair
+        assert records([(2, 0, 5, 1), (2, 1, 6, 1)], 10.0) == [(2.0, 0), (2.0, 1)]
+
+    def test_at_risk_counts_at_a_tie(self):
+        # Event at 2.0 in one pair, censoring at 2.0 in another: the censored
+        # record counts as at risk at t=2.0.
         data = [PairedObservation(2.0, 1, 5.0, 0), PairedObservation(3.0, 0, 2.0, 0)]
-        ds = prepare_dataset(data, tau=10.0, seed=0)
+        ds = prepare_dataset(data, tau=10.0)
         times, at_risk, dn = _engine.event_grid(ds.z, ds.epsilon)
         # Hand enumeration: grid {2.0}; both records have z >= 2.0.
         assert list(times) == [2.0]
         assert list(at_risk) == [2.0]
         assert dn[0, 0] == 1.0
 
-    def test_jitter_too_large(self):
-        # the censoring tie at 1.0 fires the jitter; the censoring time 2e-8
-        # above the event is the smallest gap, and the width is 1e-9 times
-        # the largest time
-        def rows(largest):
-            return [PairedObservation(1.0, 1, largest, 1), PairedObservation(1.0, 0, 1.0 + 2e-8, 0)]
+    def test_censored_time_just_below_tau_stays_censored(self):
+        # the censoring 1e-10 below tau ties the event of the second pair; the
+        # jitter, of width 1e-9 * 20, carried it past tau, where it became an
+        # event tied with its partner's
+        c = 10.0 - 1e-10
+        rows = [(c, 0, 15, 1), (c, 1, 20, 1)]
+        assert records(rows, 10.0) == [(c, 0), (c, 1)]
+        jittered = reference_jittered_dataset([PairedObservation(*r) for r in rows], 10.0)
+        assert (jittered.z[0], jittered.epsilon[0]) == (10.0, 3)
 
-        prepare_dataset(rows(10.0), tau=100.0)
-        with pytest.raises(JitterTooLarge):
-            prepare_dataset(rows(30.0), tau=100.0)
-
-    def test_all_times_zero_name_the_cause(self):
-        # the censoring time ties the event at 0, and the width, a fraction of
-        # the largest time, is 0
-        with pytest.raises(ValidationError, match="every time is 0") as info:
-            prepare_dataset([PairedObservation(0, 1, 0, 0)], 5.0)
-        assert "jitter must be positive" not in str(info.value)
+    def test_all_zero_times_are_analyzed(self):
+        # the jitter, a fraction of the largest time, had no width and refused
+        rows = [PairedObservation(0, 1, 0, 0), PairedObservation(0, 0, 0, 1),
+                PairedObservation(0, 1, 0, 1)]
         with pytest.raises(ValidationError, match="every time is 0"):
-            prepare_dataset(PairedSample(np.zeros((3, 2)), [[1, 0], [0, 0], [1, 1]]), 5.0)
-        assert records([(0, 1, 0, 0)], 5.0, jitter=None) == [(0.0, 0)]
+            reference_jittered_dataset(rows, 10.0)
+        ds = prepare_dataset(rows, 10.0)
+        assert list(ds.z) == [0.0] * 3 and list(ds.epsilon) == [1, 2, 3]
+        (report,) = run_inference(ds, ["asymptotic"], ["linear"])
+        assert report.theta_hat == 0.5
 
-    def test_deterministic_given_seed(self):
+    def test_sample_the_jitter_refused_is_analyzed(self):
+        # the censoring at 1 ties the event at 1, so the jitter fired, with a
+        # width of 1e-9 * 1e10 = 10; the censoring at 2 lies 1e-6 below an
+        # event, so the jitter was refused
+        rows = [PairedObservation(1, 1, 1e10, 1), PairedObservation(1, 0, 3, 0),
+                PairedObservation(2, 0, 2 + 1e-6, 1)]
+        with pytest.raises(ValidationError, match="gap"):
+            reference_jittered_dataset(rows, 1e10)
+        ds = prepare_dataset(rows, 1e10)
+        assert list(zip(ds.z, ds.epsilon)) == [(1.0, 1), (1.0, 0), (2.0, 0)]
+        assert estimate_rte(ds).theta_hat == 0.0
+
+    def test_censoring_tied_with_an_event_stays_below_the_next_event(self):
+        # the jitter's gap check missed the event 1e-6 above the tied censoring
+        # at 1, and its width of 10 carried the censoring past that event
+        rows = [PairedObservation(1, 1, 1e10, 1), PairedObservation(1, 0, 1 + 1e-6, 1)]
+        assert reference_jittered_dataset(rows, 1e10).epsilon[1] == 2
+        ds = prepare_dataset(rows, 1e10)
+        assert list(zip(ds.z, ds.epsilon)) == [(1.0, 1), (1.0, 0)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_lattice_rows, st.sampled_from([3.0, 10.0]), st.integers(0, 2**32 - 1))
+    def test_reports_equal_the_jittered_reference(self, rows, tau, seed):
+        # wherever the jitter prepared a sample, the rule gives its labels and
+        # every test its report or its refusal
+        data = prepare_dataset(rows, tau)
+        try:
+            jittered = reference_jittered_dataset(rows, tau, seed)
+        except ValidationError:
+            assert all(x == 0 for r in rows for x in (r.x1, r.x2))
+            return
+        np.testing.assert_array_equal(data.epsilon, jittered.epsilon)
+        assert np.all(np.abs(data.z - jittered.z) < 1e-9 * 4)
+        assert outcomes(data, seed) == outcomes(jittered, seed)
+
+    def test_seed_is_ignored_and_deprecated(self):
         sample = lattice_sample(0, 20)
-        a = prepare_dataset(sample, 30.0, seed=11)
-        b = prepare_dataset(sample, 30.0, seed=11)
-        c = prepare_dataset(sample, 30.0, seed=12)
-        np.testing.assert_array_equal(a.z, b.z)
-        assert not np.array_equal(a.z, c.z)
-
-    def test_draws_follow_row_order(self):
-        # One draw per censored cell, pair by pair and x1 before x2: the
-        # stream of a row-by-row loop with scalar draws.
-        data = list(lattice_sample(4, 40))
-        width = 1e-9 * max(max(o.x1, o.x2) for o in data)
-        draws = np.random.default_rng(9)
-        expected = []
-        for o in data:
-            x1 = o.x1 + draws.uniform(0.0, width) if o.delta1 == 0 else o.x1
-            x2 = o.x2 + draws.uniform(0.0, width) if o.delta2 == 0 else o.x2
-            expected.append(replace(o, x1=x1, x2=x2))
-        ds = prepare_dataset(data, 30.0, seed=9)
-        z, eps = naive_competing_risks(expected, 30.0)
-        np.testing.assert_array_equal(ds.z, z)
-        np.testing.assert_array_equal(ds.epsilon, eps)
-
-    def test_order_preservation(self):
-        sample = lattice_sample(2, 60)
-        width = 1e-9 * sample.x.max()
-        out = prepare_dataset(sample, 30.0, seed=3)
-        plain = prepare_dataset(sample, 30.0, jitter=None)
-        x, delta = sample.x, sample.delta
-        # the jitter only orders within-pair ties of an event and a censoring
-        # time, putting the event first
-        tie = (x[:, 0] == x[:, 1]) & (delta[:, 0] != delta[:, 1])
-        assert tie.any()
-        np.testing.assert_array_equal(out.epsilon[~tie], plain.epsilon[~tie])
-        np.testing.assert_array_equal(out.epsilon[tie], np.where(delta[tie, 0] == 1, 1, 2))
-        # event times are untouched; each censoring time moves up by less
-        # than the width, strictly past every event at or before it
-        events = out.epsilon > 0
-        np.testing.assert_array_equal(out.z[events], plain.z[events])
-        for z_new, z_old in zip(out.z[~events], plain.z[~events]):
-            assert z_old < z_new < z_old + width
-            assert all(z_new > e for e in x[delta == 1] if e <= z_old)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
-            prepare_dataset(lattice_sample(0, 20), 30.0, seed=seed)
-
-    @pytest.mark.parametrize("jitter", ["auto", None])
-    def test_seed_is_checked_when_jitter_does_not_fire(self, jitter):
-        # no censoring time equals an event time, so auto jitter draws nothing
-        tie_free = PairedSample([[1, 2], [3, 1.5], [2.5, 4], [5, 0.5]],
-                                [[1, 1], [0, 1], [1, 0], [1, 1]])
-        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -3"):
-            prepare_dataset(tie_free, 10.0, jitter=jitter, seed=-3)
-
-    @pytest.mark.parametrize("jitter", [0.5, 1e-9, 0.0, "fixed"])
-    def test_only_auto_or_none(self, jitter):
-        with pytest.raises(ValidationError, match="jitter must be 'auto' or None"):
-            prepare_dataset([PairedObservation(2, 0, 5, 1)], 10.0, jitter=jitter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = prepare_dataset(sample, 30.0)
+        for seed in (0, 12, -1):
+            with pytest.warns(DeprecationWarning, match="seed is ignored"):
+                ds = prepare_dataset(sample, 30.0, seed=seed)
+            np.testing.assert_array_equal(ds.z, plain.z)
+            np.testing.assert_array_equal(ds.epsilon, plain.epsilon)
 
 
 class TestDataset:
@@ -432,7 +447,7 @@ class TestReadCompetingCsv:
     def test_empty_file(self, tmp_path, reader):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(ValidationError, match="empty file"):
+        with pytest.raises(EmptyDataset, match="empty.csv: empty file$"):
             reader(p)
 
 
@@ -466,7 +481,7 @@ class TestEmptyInput:
 class TestPrepareDataset:
     def test_pipeline_matches_manual_steps(self):
         # pair 1 truncates to (3, 1, 2, 1); the censored 2 of pair 2 ties the
-        # event 2 of pair 1, so the jitter fires without changing a record
+        # event 2 of pair 1 and stays at 2
         data = [PairedObservation(5, 0, 2, 1), PairedObservation(1, 1, 2, 0)]
         ds = prepare_dataset(data, tau=3.0)
         np.testing.assert_array_equal(ds.z, [2.0, 1.0])
@@ -475,21 +490,19 @@ class TestPrepareDataset:
     @given(rows=lattice_rows, tau=st.sampled_from([0.5, 2.0, 3.0, 4.5, 6.0, 10.0]))
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_definitions(self, rows, tau):
-        ds = prepare_dataset(rows, tau, jitter=None)
+        ds = prepare_dataset(rows, tau)
         z, eps = naive_competing_risks(rows, tau)
         np.testing.assert_array_equal(ds.z, z)
         np.testing.assert_array_equal(ds.epsilon, eps)
-        same = prepare_dataset(PairedSample.of(rows), tau, jitter=None)
+        same = prepare_dataset(PairedSample.of(rows), tau)
         np.testing.assert_array_equal(same.z, z)
 
-    def test_auto_jitter_resolves_within_pair_event_censoring_tie(self):
+    def test_within_pair_event_censoring_tie_keeps_the_event_first(self):
         # Tied (x1 == x2, one event): censoring it would lose the observed
-        # within-pair ordering; the jitter keeps the event first.
+        # within-pair ordering.
         data = [PairedObservation(3.0, 1, 3.0, 0), PairedObservation(1.0, 1, 2.0, 1)]
-        ds = prepare_dataset(data, tau=10.0, seed=0)
-        assert ds.epsilon[0] == 1
-        plain = prepare_dataset(data, tau=10.0, jitter=None)
-        assert plain.epsilon[0] == 0
+        ds = prepare_dataset(data, tau=10.0)
+        assert (ds.z[0], ds.epsilon[0]) == (3.0, 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_time_beside_a_censoring_tie(self, bad):
@@ -498,9 +511,9 @@ class TestPrepareDataset:
         with pytest.raises(NonFiniteTime, match="x1 is not finite"):
             prepare_dataset(sample, tau=10.0)
 
-    def test_auto_jitter_leaves_the_sample_as_it_is(self):
+    def test_leaves_the_sample_as_it_is(self):
         sample = PairedSample([[3.0, 3.0], [1.0, 2.0]], [[1, 0], [1, 1]])
-        ds = prepare_dataset(sample, tau=10.0, seed=0)
+        ds = prepare_dataset(sample, tau=10.0)
         assert ds.z[0] == 3.0 and ds.epsilon[0] == 1
         np.testing.assert_array_equal(sample.x, [[3.0, 3.0], [1.0, 2.0]])
 
@@ -513,40 +526,56 @@ class TestPrepareDataset:
                               float(rng.exponential(2)), int(rng.integers(0, 2)))
             for _ in range(20)
         ]
-        ds = prepare_dataset(data, tau=1.5, seed=seed)
+        ds = prepare_dataset(data, tau=1.5)
         assert np.all(ds.z <= 1.5)
 
 
 class TestPrepareRows:
-    # pair 1's censored x2 = 1 ties pair 2's event x1 = 1, so auto jitter fires
+    # pair 1's censored x2 = 1 ties pair 2's event x1 = 1
     X = [[[2.0, 1.0], [1.0, 2.0], [3.0, 1.5]]] * 2
     DELTA = [[[1, 0], [1, 1], [0, 1]]] * 2
 
-    def test_rows_are_not_jittered_in_place(self):
+    def test_rows_are_not_changed_in_place(self):
+        # tau = 1.5 truncates every pair but the second
         x = np.array(self.X)
-        _prepare_rows(x, np.array(self.DELTA), 5.0, [0, 1])
+        _prepare_rows(x, np.array(self.DELTA), 1.5)
         np.testing.assert_array_equal(x, self.X)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_time_beside_a_censoring_tie(self, bad):
         x = np.array(self.X)
         x[1, 0, 0] = bad
-        z, eps, errors = _prepare_rows(x, np.array(self.DELTA), 5.0, [0, 1])
+        z, eps, errors = _prepare_rows(x, np.array(self.DELTA), 5.0)
         assert list(errors) == [1]
         assert isinstance(errors[1], NonFiniteTime)
         assert str(errors[1]) == f"x1 is not finite: {bad}"
 
     def test_each_failed_sample_keeps_its_own_error(self):
-        # sample 1 holds an infinite x2; sample 2's times are all 0, so its
-        # jitter has no width; sample 0 is prepared as on its own
-        x = np.array([self.X[0], self.X[0], np.zeros((3, 2))])
-        x[1, 1, 1] = math.inf
+        # sample 1 holds an infinite x2 and sample 2 a NaN x1; sample 0 is
+        # prepared as on its own
+        x = np.array([self.X[0]] * 3)
+        x[1, 1, 1], x[2, 0, 0] = math.inf, math.nan
         delta = np.array(self.DELTA[:1] * 3)
-        z, eps, errors = _prepare_rows(x, delta, 5.0, [0, 1, 2])
+        z, eps, errors = _prepare_rows(x, delta, 5.0)
         assert sorted(errors) == [1, 2]
         assert str(errors[1]) == "x2 is not finite: inf"
-        assert "every time is 0" in str(errors[2])
-        alone = prepare_dataset(PairedSample(x[0], delta[0]), 5.0, seed=0)
+        assert str(errors[2]) == "x1 is not finite: nan"
+        alone = prepare_dataset(PairedSample(x[0], delta[0]), 5.0)
         np.testing.assert_array_equal(z[0], alone.z)
         np.testing.assert_array_equal(eps[0], alone.epsilon)
         assert not z[1:].any() and not eps[1:].any()
+
+    @pytest.mark.parametrize("tau", [3.0, 10.0])
+    def test_each_sample_is_prepared_as_on_its_own(self, tau):
+        # lattice times 0 to 4 tie within and between pairs, and tau = 3
+        # truncates some of them to events at tau; the block applies the tie
+        # rule to every sample as prepare_dataset does to it alone
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 5, (40, 12, 2)).astype(float)
+        delta = rng.integers(0, 2, (40, 12, 2))
+        z, eps, errors = _prepare_rows(x, delta, tau)
+        assert errors == {}
+        for r in range(len(x)):
+            alone = prepare_dataset(PairedSample(x[r], delta[r]), tau)
+            np.testing.assert_array_equal(z[r], alone.z)
+            np.testing.assert_array_equal(eps[r], alone.epsilon)

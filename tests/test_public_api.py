@@ -13,6 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # maps to exit 5 and the size harness counts as non-rejections.
 # NonMonotoneWarning left it with the sampled calibration it warned for:
 # calibrate_null bisects the exact effect by quadrature, and nothing raises it.
+# JitterTooLarge left it with the random censoring-tie jitter it refused:
+# prepare_dataset breaks such ties by rule, events first, and draws nothing.
 PUBLIC_NAMES = [
     "BracketError",
     "CalibrationResult",
@@ -28,7 +30,6 @@ PUBLIC_NAMES = [
     "InferenceReport",
     "InsufficientReplicates",
     "InvalidParameter",
-    "JitterTooLarge",
     "Mixture",
     "NonFiniteTime",
     "NonPositiveTau",
@@ -67,7 +68,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert sorted(pairedrte.__all__) == PUBLIC_NAMES
 
 

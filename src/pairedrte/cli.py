@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 
 import click
@@ -17,6 +18,7 @@ from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
     PairedSample,
+    _csv_rows,
     prepare_dataset,
     read_competing_csv,
     read_paired_csv,
@@ -28,9 +30,20 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_DEGENERATE = 5
 
-# Paths name files: click refuses a directory, and a missing input, with exit 2.
+
+class _OutputPath(click.Path):
+    """A file path whose directory exists."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            self.fail(f"Directory of {path!r} does not exist.", param, ctx)
+        return path
+
+
+# Paths name files: a directory, a missing input or output directory is exit 2.
 _INPUT = click.Path(exists=True, dir_okay=False)
-_OUTPUT = click.Path(dir_okay=False)
+_OUTPUT = _OutputPath(dir_okay=False)
 
 _METHOD_NAMES = {"asy": "asymptotic", "boot": "bootstrap", "rand": "randomization"}
 _TRANSFORM_NAMES = {"lin": "linear", "loglog": "loglog"}
@@ -74,9 +87,9 @@ def main():
 
 def _load_input(input_path: str, tau: float):
     """Paired CSV or already-transformed competing-risks CSV, by header."""
-    with open(input_path, encoding="utf-8") as fh:
-        header = fh.readline().strip().lower()
-    if header.startswith("z,"):
+    with _csv_rows(input_path) as (header, _):
+        competing = header[:1] == ["z"]
+    if competing:
         return None, read_competing_csv(input_path, tau)
     return read_paired_csv(input_path), None
 
@@ -193,12 +206,8 @@ def transform(input_path, tau, output):
         f"n={data.n}  eps0={counts[0]}  eps1={counts[1]}  eps2={counts[2]}  "
         f"eps3={counts[3]}  censored_fraction={counts[0] / data.n:.4f}"
     )
-    if output:
-        write_competing_csv(output, data)
-        click.echo(summary)
-    else:
-        write_competing_csv(sys.stdout, data)
-        click.echo(summary, err=True)
+    write_competing_csv(output or sys.stdout, data)
+    click.echo(summary, err=not output)  # stdout holds the records when there is no file
 
 
 def _write_rows(rows: list[dict], output: str | None):
@@ -228,7 +237,7 @@ def _experiment_command(name: str):
         @click.option("--seed", type=int, default=None)
         @click.option("--output", type=_OUTPUT, default=None)
         def command(scenario_path, output, **given):
-            with open(scenario_path, encoding="utf-8") as fh:
+            with open(scenario_path, encoding="utf-8-sig") as fh:
                 try:
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:

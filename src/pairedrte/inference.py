@@ -243,23 +243,6 @@ def _resample_pvalue(rows, counts, t_obs, sided: str):
     return (1 + np.count_nonzero(hits, axis=-1)) / (counts + 1)
 
 
-def _sorted_quantile(rows, counts, q):
-    """``np.quantile(values, q)`` of each sorted row's first ``counts`` values.
-
-    numpy's ``linear`` method: the index ``(counts - 1) q`` split by
-    ``floor``, then numpy's ``_lerp`` of the two neighbouring order
-    statistics, its ``t >= 0.5`` branch included. ``rows`` is one sorted row
-    with an integer ``counts`` or a block of rows with a count per row.
-    """
-    last = np.asarray(counts)[..., None] - 1
-    below = np.floor(last * q)
-    t = (last * q - below)[..., 0]
-    a, b = (np.take_along_axis(rows, i.astype(np.intp), -1)[..., 0]
-            for i in (below, np.minimum(below + 1, last)))
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-
-
 _REFUSALS = (ThetaOutOfDomain, DegenerateVariance, InsufficientReplicates)
 
 
@@ -271,8 +254,8 @@ def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
     sigmas2)``: per estimate the ``theta_ref``, ``thetas`` and ``sigmas2`` of
     its :class:`ResampleDistribution`, the rows padded with NaN (all NaN for
     a refused distribution). Each row is studentized, log-log exclusions
-    masked, and sorted once; its critical values are the empirical quantiles
-    of its usable replicates (linear interpolation between order statistics).
+    masked, and sorted once, the NaN last; its critical values are
+    ``np.quantile`` of its usable replicates, one call per usable count.
     Interval endpoints invert the studentized statistic on the transform
     scale and are mapped back, so the decision and the interval are exact
     duals. A critical value that ties the statistic, as
@@ -305,12 +288,16 @@ def _decisions(theta, sigma2, n: int, transform: str, sided: str, alpha: float,
         refusal[~((theta > 0.0) & (theta < 1.0))] = 0
     decided = refusal < 0
     theta, se = theta[decided], np.sqrt(sigma2[decided] / n)
-    probs = {"right": (1.0 - alpha,), "left": (alpha,), "two": (alpha / 2.0, 1.0 - alpha / 2.0)}
+    q = {"right": (1.0 - alpha,), "left": (alpha,), "two": (alpha / 2.0, 1.0 - alpha / 2.0)}[sided]
     if replicates is None:
-        rows, critical = None, tuple(np.full(se.shape, _NORMAL.inv_cdf(q)) for q in probs[sided])
+        rows, critical = None, tuple(np.full(se.shape, _NORMAL.inv_cdf(p)) for p in q)
     else:
-        rows = np.sort(values[decided], axis=-1)
-        critical = tuple(_sorted_quantile(rows, counts[decided], q) for q in probs[sided])
+        rows, used = np.sort(values[decided], axis=-1), counts[decided]
+        critical = np.empty((len(q), len(rows)))
+        for m in np.unique(used):  # the fancy index copies: the sorted rows stay
+            sel = used == m
+            critical[:, sel] = np.quantile(rows[sel, :m], q, axis=-1, overwrite_input=True)
+        critical = tuple(critical)
     psi, dpsi, psi_inv = _transform_funcs(transform)
     t_obs = _studentize(theta, 0.5, se, transform)
 

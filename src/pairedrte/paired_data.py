@@ -265,10 +265,10 @@ def _parse_delta(raw: str, row: int, column: str) -> int:
 def _csv_rows(path):
     """The open CSV as its lower-cased header and its non-blank ``(row number, cells)``.
 
-    Cells are stripped. An empty file raises :class:`EmptyDataset`; a row
-    whose cell count is not the header's raises :class:`ParseError`.
+    Cells are stripped and a byte-order mark dropped. An empty file raises
+    :class:`EmptyDataset`; a row whose cell count is not the header's, :class:`ParseError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]

@@ -280,6 +280,30 @@ class TestAnalyze:
         assert res.exit_code == EXIT_VALIDATION
         assert res.output.startswith("error: --group-by")
 
+    @pytest.mark.parametrize("header, encoding", [
+        ("x1,delta1,x2,delta2", "utf-8-sig"),
+        ("z,epsilon", "utf-8-sig"),
+        ('"z","epsilon"', "utf-8"),
+        ("z , epsilon", "utf-8"),
+    ], ids=["paired-bom", "competing-bom", "competing-quoted", "competing-spaced"])
+    def test_header_spellings_read_as_the_plain_header(self, runner, tmp_path, header,
+                                                       encoding):
+        # the reader is chosen by the header the CSV reader parses: a
+        # byte-order mark, quotes and spaces around a name change nothing
+        plain_header = header.replace('"', "").replace(" ", "")
+        body = TIE_FREE.split("\n", 1)[1] if plain_header.startswith("x1") else "1,1\n2,2\n3,0\n"
+        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+        plain.write_text(f"{plain_header}\n{body}", encoding="utf-8")
+        spelled.write_text(f"{header}\n{body}", encoding=encoding)
+        docs = []
+        for path in (plain, spelled):
+            res = invoke(runner, "analyze", "--input", str(path), "--tau", "10", "--method",
+                         "asy", "--format", "json")
+            assert res.exit_code == 0, res.output
+            docs.append(json.loads(res.output))
+            del docs[-1]["input"]
+        assert docs[0] == docs[1]
+
     def test_table_shows_the_json_estimate(self, runner):
         args = ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--group-by",
                 "--method", "asy"]
@@ -387,6 +411,18 @@ class TestSimulate:
         assert a.exit_code == 0, a.output
         assert a.output == b.output
         assert "rate" in a.output and "randomization" in a.output
+
+    def test_scenario_with_a_byte_order_mark(self, runner, tmp_path):
+        p = self.scenario_file(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_text(p.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        outputs = []
+        for path in (p, marked):
+            res = runner.invoke(main, ["simulate-size", "--scenario", str(path), "--R", "1",
+                                       "--B", "80", "--seed", "3"])
+            assert res.exit_code == 0, res.output
+            outputs.append(res.output)
+        assert outputs[0] == outputs[1]
 
     def test_refused_replicates_are_counted_not_fatal(self, runner, tmp_path):
         # a fixed input: acceptance cell 06(b) at the Gompertz rate pinned
@@ -632,3 +668,28 @@ def test_directory_path_is_a_usage_error(runner, tmp_path, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "is a directory" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--input", "{paired}", "--tau", "10", "--method", "asy"],
+    ["transform", "--input", "{paired}", "--tau", "10"],
+    ["simulate-size", "--scenario", "{size}", "--R", "1"],
+    ["simulate-power", "--scenario", "{power}", "--R", "1"],
+    ["calibrate"],
+], ids=lambda args: args[0])
+def test_output_in_a_missing_directory_is_a_usage_error(runner, tmp_path, args):
+    """Click refuses the path before the command reads, computes or writes anything.
+
+    Each command completes with exit 0 on these inputs and an output that can be written.
+    """
+    inputs = {"paired": TIE_FREE, "size": json.dumps(dict(GRID_ENTRY, b=40)),
+              "power": json.dumps({"grid": [GRID_ENTRY], "b": 40})}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "missing" / "out.txt"
+    res = runner.invoke(main, [arg.format(**{name: tmp_path / name for name in inputs})
+                               for arg in args] + ["--output", str(out)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"Directory of '{out}' does not exist." in res.stderr
+    assert not out.parent.exists()

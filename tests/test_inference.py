@@ -753,31 +753,57 @@ class TestEdgeContract:
                     assert all(math.isfinite(x) for x in numbers), rep
 
 
-class TestSortedQuantile:
-    QS = (0.0, 0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995, 1.0)
+class TestDecisionQuantiles:
+    # (sided, alpha) settings that ask _decisions for the levels 0.005,
+    # 0.025, 0.05, 0.5, 0.95, 0.975 and 0.995
+    SETTINGS = (("two", 0.01), ("two", 0.05), ("left", 0.05), ("right", 0.05), ("left", 0.5))
+
+    @staticmethod
+    def probs(sided, alpha):
+        return {"right": (1.0 - alpha,), "left": (alpha,),
+                "two": (alpha / 2.0, 1.0 - alpha / 2.0)}[sided]
 
     def test_equals_numpy_quantile(self):
-        # 3,400 rows of lengths 1 to 2,500 at nine levels, one row and a
-        # NaN-padded block at a time; every other row is rounded, so it ties.
-        # Rounding makes both zeros, which sorting and numpy's partition may
-        # order differently: a result may differ in the sign of a zero alone
+        # 3,400 rows of 20 to 2,500 replicates, in NaN-padded blocks, under
+        # both transforms. Every other row is rounded and centered at 1/2, so
+        # its replicates tie, at zero among others; sorting and numpy's
+        # partition may order the two zeros differently, and float == lets a
+        # result differ in the sign of a zero alone. About one replicate in
+        # ten lies outside (0, 1), which log-log excludes, so a short row may
+        # fall below 20 usable and be refused
         rng = np.random.default_rng(29)
-        lengths = np.concatenate([np.arange(1, 101), rng.integers(1, 2501, 3300)])
-        sorted_quantile = pairedrte.inference._sorted_quantile
-        cases = 0
+        lengths = np.concatenate([np.arange(20, 120), rng.integers(20, 2501, 3300)])
+        studentize = pairedrte.inference._studentize
+        n, cases = 50, 0
         for part in np.array_split(lengths, 34):
-            rows = [rng.standard_normal(m) for m in part]
-            rows = [np.round(v, 1) if i % 2 else v for i, v in enumerate(rows)]
-            block = np.full((len(part), part.max()), np.nan)
-            for i, v in enumerate(rows):
-                block[i, :len(v)] = v
-            block, ordered = np.sort(block, axis=-1), [np.sort(v) for v in rows]
-            want = np.array([np.quantile(v, self.QS) for v in rows])
-            for k, q in enumerate(self.QS):
-                assert list(sorted_quantile(block, part, q)) == list(want[:, k])
-                assert [sorted_quantile(v, len(v), q) for v in ordered] == list(want[:, k])
-                cases += len(rows)
+            refs = np.where(np.arange(len(part)) % 2, rng.uniform(0.3, 0.7, len(part)), 0.5)
+            thetas, sigmas2 = np.full((2, len(part), part.max()), np.nan)
+            for i, m in enumerate(part):
+                th, s2 = 0.5 + 0.3 * rng.standard_normal(m), rng.uniform(0.1, 0.2, m)
+                thetas[i, :m], sigmas2[i, :m] = (th, s2) if i % 2 else np.round((th, s2), 2)
+            estimate = np.full(len(part), 0.6), np.full(len(part), 0.1)
+            for transform in pairedrte.inference.TRANSFORMS:
+                values = []
+                for ref, th, s2 in zip(refs, thetas, sigmas2):
+                    keep = ~np.isnan(th) & ((th > 0.0) & (th < 1.0) | (transform == "linear"))
+                    values.append(studentize(th[keep], ref, np.sqrt(s2[keep] / n), transform))
+                decided = [v for v in values if len(v) >= 20]
+                for sided, alpha in self.SETTINGS:
+                    refusal, counts, (_, critical, *_) = pairedrte.inference._decisions(
+                        *estimate, n, transform, sided, alpha, (refs, thetas, sigmas2))
+                    assert list(counts) == [len(v) for v in values]
+                    assert list(refusal) == [-1 if len(v) >= 20 else 2 for v in values]
+                    for q, c in zip(self.probs(sided, alpha), critical):
+                        assert list(c) == [np.quantile(v, q) for v in decided]
+                        cases += len(decided)
         assert cases >= 30_000
+
+    def test_randomization_report_reads_numpy_quantiles(self, sample, est):
+        # test_bootstrap_skips_degenerate_replicates checks the bootstrap route
+        cfg = InferenceConfig(method="randomization", b=400, seed=9)
+        dist = randomization_distribution(sample, cfg)
+        rep = make_report(est, dist, cfg)
+        assert rep.critical_values == tuple(np.quantile(dist.values, (0.025, 0.975)))
 
 
 class TestReplicateBlocks:

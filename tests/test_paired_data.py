@@ -451,6 +451,28 @@ class TestReadCompetingCsv:
             reader(p)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheets export "CSV UTF-8", is not part of the header."""
+
+    def test_paired(self, tmp_path):
+        text = "x1,delta1,x2,delta2,group\n2,1,1,0,a\n3,0,4,1,b\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = read_paired_csv(plain), read_paired_csv(marked)
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.delta, want.delta)
+        assert list(got.group) == list(want.group) == ["a", "b"]
+
+    def test_competing(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_text("z,epsilon\n1.5,1\n2,0\n", encoding="utf-8-sig")
+        data = read_competing_csv(p, tau=3.0)
+        np.testing.assert_array_equal(data.z, [1.5, 2.0])
+        np.testing.assert_array_equal(data.epsilon, [1, 0])
+
+
 class TestEmptyInput:
     """Every input without a record raises :class:`EmptyDataset`, a ``ValidationError``."""
 

@@ -17,6 +17,7 @@ from .errors import InferenceRefused, PairedRteError, ParseError, ValidationErro
 from .estimators import estimate_rte
 from .inference import run_inference
 from .paired_data import (
+    Dataset,
     PairedSample,
     _csv_rows,
     prepare_dataset,
@@ -85,13 +86,30 @@ def main():
     """Relative treatment effect analysis for paired right-censored data."""
 
 
-def _load_input(input_path: str, tau: float):
-    """Paired CSV or already-transformed competing-risks CSV, by header."""
+def _samples(input_path: str, tau: float, group_by: bool) -> list[tuple[str, Dataset]]:
+    """The ``(group label, records)`` that ``analyze`` reports on.
+
+    A CSV whose first header name is ``z`` holds records, taken as they are;
+    any other holds pairs, prepared whole or, with ``group_by``, per group.
+    """
     with _csv_rows(input_path) as (header, _):
         competing = header[:1] == ["z"]
     if competing:
-        return None, read_competing_csv(input_path, tau)
-    return read_paired_csv(input_path), None
+        data = read_competing_csv(input_path, tau)
+        if group_by:
+            raise ValidationError("--group-by needs a paired input with a group column")
+        return [("all", data)]
+    obs = read_paired_csv(input_path)
+    if not group_by:
+        return [("all", prepare_dataset(obs, tau))]
+    labels = obs.group
+    if labels is None or any(lbl is None for lbl in labels):
+        raise ValidationError("--group-by requires a group label on every row")
+    samples = []
+    for lbl in dict.fromkeys(labels):
+        rows = labels == lbl
+        samples.append((lbl, prepare_dataset(PairedSample(obs.x[rows], obs.delta[rows]), tau)))
+    return samples
 
 
 @main.command()
@@ -118,25 +136,10 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         list(_TRANSFORM_NAMES.values()) if transform_ == "both" else [_TRANSFORM_NAMES[transform_]]
     )
 
-    obs, ready = _load_input(input_path, tau)
-    if group_by:
-        if obs is None:
-            raise ValidationError("--group-by needs a paired input with a group column")
-        labels = obs.group
-        if labels is None or any(lbl is None for lbl in labels):
-            raise ValidationError("--group-by requires a group label on every row")
-        partitions = []
-        for lbl in dict.fromkeys(labels):
-            rows = labels == lbl
-            partitions.append((lbl, PairedSample(obs.x[rows], obs.delta[rows], labels[rows])))
-    else:
-        partitions = [("all", obs)]
-
     doc = {"input": input_path, "tau": tau, "alpha": alpha, "sided": sided,
            "b": b, "seed": seed, "groups": []}
     refused = False
-    for label, group_obs in partitions:
-        data = prepare_dataset(group_obs, tau) if ready is None else ready
+    for label, data in _samples(input_path, tau, group_by):
         est = estimate_rte(data)
         entry = {
             "group": label,
@@ -157,7 +160,7 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
         doc["groups"].append(entry)
 
     if fmt == "json":
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = []
         for entry in doc["groups"]:
@@ -185,10 +188,10 @@ def analyze(input_path, tau, alpha, sided, method, transform_, b, seed, group_by
             lines.append("")
         text = "\n".join(lines).rstrip() + "\n"
 
-    click.echo(text)
+    click.echo(text, nl=False)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     if refused:
         sys.exit(EXIT_DEGENERATE)
 

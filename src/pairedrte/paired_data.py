@@ -197,7 +197,8 @@ def prepare_dataset(
     event, and :func:`_classify` gives a pair's tie of one event and one
     censoring the event's label. Nothing is drawn. This is the one-sample
     case of :func:`_prepare_rows`, so an invalid ``tau`` is reported before
-    any error of the data.
+    any error of the data; a sample without a pair then raises
+    :class:`EmptyDataset` from :class:`Dataset`.
 
     ``seed`` is ignored, and passing it is deprecated. It stays only until
     the benchmark's call sites stop passing it (ROADMAP item 8 (a)).
@@ -206,8 +207,6 @@ def prepare_dataset(
         warnings.warn("prepare_dataset draws nothing, so its seed is ignored",
                       DeprecationWarning, stacklevel=2)
     sample = PairedSample.of(data)
-    if len(sample) == 0:
-        raise EmptyDataset("empty dataset")
     z, eps, errors = _prepare_rows(sample.x[None], sample.delta[None], tau)
     if errors:
         raise errors[0]
@@ -241,32 +240,34 @@ _PAIRED_HEADER = ("x1", "delta1", "x2", "delta2")
 
 
 def _parse_time(raw: str, row: int, column: str) -> float:
+    """The nonnegative time that ``raw`` writes; an infinite one is left to the finiteness check."""
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ParseError(row, column, f"not a decimal literal: {raw!r}") from None
+    if not val >= 0:  # NaN fails too
+        raise ValidationError(f"row {row}, column {column!r}: not a nonnegative time: {raw!r}")
+    return val
 
 
-def _parse_delta(raw: str, row: int, column: str) -> int:
-    if raw not in ("0", "1"):
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ParseError(row, column, f"not a 0/1 indicator: {raw!r}") from None
-        if val not in (0.0, 1.0):
-            raise ValidationError(
-                f"row {row}, column {column!r}: indicator must be 0 or 1, got {raw}"
-            )
-        return int(val)
-    return int(raw)
+def _parse_label(raw: str, row: int, column: str, top: int) -> int:
+    """The label in ``0..top`` that ``raw`` writes as an integer or an integral decimal."""
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ParseError(row, column, f"not a number: {raw!r}") from None
+    if not (val.is_integer() and 0 <= val <= top):
+        raise ValidationError(f"row {row}, column {column!r}: not an integer in 0..{top}: {raw!r}")
+    return int(val)
 
 
 @contextmanager
 def _csv_rows(path):
     """The open CSV as its lower-cased header and its non-blank ``(row number, cells)``.
 
-    Cells are stripped and a byte-order mark dropped. An empty file raises
-    :class:`EmptyDataset`; a row whose cell count is not the header's, :class:`ParseError`.
+    Cells are stripped and a byte-order mark dropped. An empty file or a data
+    section without a row raises :class:`EmptyDataset`; a row whose cell count
+    is not the header's, :class:`ParseError`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -276,13 +277,17 @@ def _csv_rows(path):
             raise EmptyDataset(f"{path}: empty file") from None
 
         def rows():
+            empty = True
             for i, cells in enumerate(reader, start=2):
                 cells = [c.strip() for c in cells]
                 if not any(cells):
                     continue
                 if len(cells) != len(header):
                     raise ParseError(i, "*", f"expected {len(header)} cells, got {len(cells)}")
+                empty = False
                 yield i, cells
+            if empty:
+                raise EmptyDataset(f"{path}: empty dataset")
 
         yield header, rows()
 
@@ -291,21 +296,16 @@ def read_paired_csv(path) -> PairedSample:
     """Read paired observations from a CSV with header ``x1,delta1,x2,delta2[,group]``."""
     xs, ds, groups = [], [], []
     with _csv_rows(path) as (header, rows):
-        if tuple(header[:4]) != _PAIRED_HEADER or len(header) > 5:
+        if tuple(header) not in (_PAIRED_HEADER, (*_PAIRED_HEADER, "group")):
             raise ParseError(1, ",".join(header), "expected header x1,delta1,x2,delta2[,group]")
         for i, cells in rows:
             x1 = _parse_time(cells[0], i, "x1")
-            d1 = _parse_delta(cells[1], i, "delta1")
+            d1 = _parse_label(cells[1], i, "delta1", 1)
             x2 = _parse_time(cells[2], i, "x2")
-            d2 = _parse_delta(cells[3], i, "delta2")
-            for name, x in (("x1", x1), ("x2", x2)):
-                if math.isnan(x) or x < 0:
-                    raise ValidationError(f"row {i}: {name} must be a nonnegative time, got {x}")
+            d2 = _parse_label(cells[3], i, "delta2", 1)
             xs.append((x1, x2))
             ds.append((d1, d2))
             groups += [g or None for g in cells[4:]]  # the optional group label
-    if not xs:
-        raise EmptyDataset(f"{path}: empty dataset")
     return PairedSample(xs, ds, groups or None)
 
 
@@ -313,15 +313,11 @@ def read_competing_csv(path, tau: float) -> Dataset:
     """Read an already-transformed competing-risks sample (header ``z,epsilon``)."""
     zs, eps = [], []
     with _csv_rows(path) as (header, rows):
-        if header[:2] != ["z", "epsilon"]:
+        if header != ["z", "epsilon"]:
             raise ParseError(1, ",".join(header), "expected header z,epsilon")
         for i, cells in rows:
             zs.append(_parse_time(cells[0], i, "z"))
-            if cells[1] not in ("0", "1", "2", "3"):
-                raise ValidationError(f"row {i}: epsilon must be in {{0,1,2,3}}, got {cells[1]!r}")
-            eps.append(int(cells[1]))
-    if not zs:
-        raise EmptyDataset(f"{path}: empty dataset")
+            eps.append(_parse_label(cells[1], i, "epsilon", 3))
     return Dataset(z=np.array(zs), epsilon=np.array(eps), tau=tau)
 
 

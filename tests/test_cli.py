@@ -118,6 +118,35 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "10"])
         assert res.exit_code == EXIT_PARSE
 
+    @pytest.mark.parametrize("text, message", [
+        ("z,epsilon,group\n1,1,a\n2,2,a\n3,0,b\n",
+         "row 1, column 'z,epsilon,group': expected header z,epsilon"),
+        ("z,epsilon\n1,1\n2,x\n", "row 3, column 'epsilon': not a number: 'x'"),
+        ("x1,delta1,x2,delta2\n1,1,2,x\n", "row 2, column 'delta2': not a number: 'x'"),
+    ], ids=["competing-third-column", "competing-label", "paired-label"])
+    def test_input_parse_error(self, runner, tmp_path, text, message):
+        # a group column is not dropped from records, and a label that is no
+        # number is a parse failure in either layout
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        res = runner.invoke(main, ["analyze", "--input", str(p), "--tau", "5",
+                                   "--method", "asy"])
+        assert res.exit_code == EXIT_PARSE
+        assert res.output == f"error: {message}\n"
+
+    def test_competing_labels_written_as_decimals(self, runner, tmp_path):
+        docs = []
+        for name, rows in (("ints.csv", "1,1\n2,2\n3,0\n"),
+                           ("decimals.csv", "1,1.0\n2,2.0\n3,0.0\n")):
+            p = tmp_path / name
+            p.write_text("z,epsilon\n" + rows)
+            res = invoke(runner, "analyze", "--input", str(p), "--tau", "5", "--method", "asy",
+                         "--format", "json")
+            assert res.exit_code == 0, res.output
+            docs.append(json.loads(res.output))
+            del docs[-1]["input"]
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("rows, cells", [("1.0,1\n2.0\n", 1), ("1.0,1\n2.0,1,7\n", 3)],
                              ids=["short", "long"])
     def test_competing_row_of_wrong_length_is_a_parse_error(self, runner, tmp_path, rows, cells):
@@ -312,6 +341,17 @@ class TestAnalyze:
             assert (f"group={entry['group']}  n={entry['n']}  "
                     f"theta_hat={entry['theta_hat']:.4f}  sigma_hat={entry['sigma_hat']:.4f}"
                     "\n") in table
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_stdout_matches_written_file(self, runner, tmp_path, fmt):
+        out = tmp_path / "report"
+        args = ["analyze", "--input", str(DATA / "diabetic.csv"), "--tau", "60", "--group-by",
+                "--method", "asy", "--format", fmt]
+        to_file = invoke(runner, *args, "--output", str(out))
+        to_stdout = invoke(runner, *args)
+        assert to_file.exit_code == to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == to_file.stdout_bytes == out.read_bytes()
+        assert to_stdout.stdout.endswith("\n") and not to_stdout.stdout.endswith("\n\n")
 
 
 class TestTransform:

@@ -394,7 +394,7 @@ class TestReadPairedCsv:
     def test_indicator_that_is_no_number_is_a_parse_error(self, tmp_path):
         p = tmp_path / "pairs.csv"
         p.write_text("x1,delta1,x2,delta2\n2,1,1,x\n")
-        with pytest.raises(ParseError, match="not a 0/1 indicator: 'x'") as exc:
+        with pytest.raises(ParseError, match="not a number: 'x'") as exc:
             read_paired_csv(p)
         assert (exc.value.row, exc.value.column) == (2, "delta2")
 
@@ -425,8 +425,12 @@ class TestReadCompetingCsv:
         (read_paired_csv, "x1,delta1,x2", "expected header x1,delta1,x2,delta2[,group]"),
         (read_paired_csv, "x1,delta1,x2,delta2,group,site",
          "expected header x1,delta1,x2,delta2[,group]"),
+        (read_paired_csv, "x1,delta1,x2,delta2,site",
+         "expected header x1,delta1,x2,delta2[,group]"),
         (lambda p: read_competing_csv(p, 1.0), "epsilon,z", "expected header z,epsilon"),
-    ], ids=["paired-short", "paired-long", "competing"])
+        (lambda p: read_competing_csv(p, 1.0), "z,epsilon,group", "expected header z,epsilon"),
+    ], ids=["paired-short", "paired-long", "paired-fifth-name", "competing",
+            "competing-long"])
     def test_wrong_header_is_a_parse_error(self, tmp_path, reader, header, expected):
         p = tmp_path / "records.csv"
         p.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
@@ -434,13 +438,41 @@ class TestReadCompetingCsv:
             reader(p)
         assert (exc.value.row, exc.value.column) == (1, header)
 
-    @pytest.mark.parametrize("label", ["4", "1.0", "-1"])
+    @pytest.mark.parametrize("label", ["4", "-1", "2.5", "nan"])
     def test_competing_label_outside_the_four_causes(self, tmp_path, label):
         p = tmp_path / "records.csv"
         p.write_text(f"z,epsilon\n0.5,1\n0.7,{label}\n")
         with pytest.raises(ValidationError,
-                           match=f"row 3: epsilon must be in {{0,1,2,3}}, got '{label}'"):
+                           match=f"^row 3, column 'epsilon': not an integer in 0..3: '{label}'$"):
             read_competing_csv(p, tau=1.0)
+
+    def test_integral_decimal_labels_are_read(self, tmp_path):
+        # the paired reader reads 1.0 as the indicator 1; the records reader reads it alike
+        p = tmp_path / "records.csv"
+        p.write_text("z,epsilon\n0.5,1.0\n0.7,2.0\n0.9,0\n")
+        data = read_competing_csv(p, tau=1.0)
+        np.testing.assert_array_equal(data.epsilon, [1, 2, 0])
+        assert data.epsilon.dtype == np.int64
+
+    def test_label_that_is_no_number_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_text("z,epsilon\n0.5,1\n0.7,x\n")
+        with pytest.raises(ParseError, match="not a number: 'x'") as exc:
+            read_competing_csv(p, tau=1.0)
+        assert (exc.value.row, exc.value.column) == (3, "epsilon")
+
+    @pytest.mark.parametrize("time", ["-1", "nan"])
+    @pytest.mark.parametrize("reader, text, column", [
+        (read_paired_csv, "x1,delta1,x2,delta2\n2,1,1,1\n{t},1,{t},0\n", "x1"),
+        (lambda p: read_competing_csv(p, 1.0), "z,epsilon\n0.5,1\n{t},2\n", "z"),
+    ], ids=["paired", "competing"])
+    def test_negative_or_nan_time_names_its_row_and_column(self, tmp_path, reader, text,
+                                                           column, time):
+        p = tmp_path / "records.csv"
+        p.write_text(text.format(t=time))
+        with pytest.raises(ValidationError,
+                           match=f"^row 3, column '{column}': not a nonnegative time: '{time}'$"):
+            reader(p)
 
     @pytest.mark.parametrize("reader", [read_paired_csv, lambda p: read_competing_csv(p, 1.0)],
                              ids=["paired", "competing"])
@@ -483,8 +515,12 @@ class TestEmptyInput:
     @pytest.mark.parametrize("data", [[], PairedSample(np.empty((0, 2)), np.empty((0, 2)))],
                              ids=["rows", "sample"])
     def test_prepare_dataset(self, data):
-        with pytest.raises(EmptyDataset, match="^empty dataset$"):
+        with pytest.raises(EmptyDataset, match="^dataset must contain at least one record$"):
             prepare_dataset(data, 1.0)
+
+    def test_prepare_dataset_reports_an_invalid_tau_first(self):
+        with pytest.raises(NonPositiveTau):
+            prepare_dataset([], -1.0)
 
     @pytest.mark.parametrize("reader, header", [
         (read_paired_csv, "x1,delta1,x2,delta2"),
